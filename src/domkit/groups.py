@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from domkit.scalars import (
     Scalar,
     Sqrt2,
     format_scalar,
-    is_rational,
     parse_scalar,
     scalar_cmp,
 )
@@ -41,7 +41,7 @@ class Atom:
         if kind not in ATOM_KINDS:
             raise ValueError(f"unknown atom kind {kind!r}")
         if kind == "Zloc":
-            if p is None or p < 2 or any(p % q == 0 for q in range(2, p)):
+            if p is None or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
                 raise ValueError(f"Zloc needs a prime, got {p!r}")
         elif p is not None:
             raise ValueError(f"{kind} takes no parameter")
@@ -51,9 +51,12 @@ class Atom:
     def contains(self, x: Scalar) -> bool:
         if self.kind == "Qr2":
             return True
-        if not is_rational(x):
-            return False
-        f = x.a if isinstance(x, Sqrt2) else Fraction(x)
+        if isinstance(x, Sqrt2):
+            if x.b != 0:
+                return False
+            f = x.a
+        else:
+            f = x if isinstance(x, Fraction) else Fraction(x)
         if self.kind == "Z":
             return f.denominator == 1
         if self.kind == "Zloc":
@@ -212,9 +215,11 @@ class Group:
     lexicographic groups (possibly empty: the trivial group). For a
     crossed product, ``base``/``fiber``/``factor`` are set instead and
     ``atoms`` is the concatenation used for coordinate bookkeeping.
+    A group is immutable once built, so its quotients are built once per
+    level and kept.
     """
 
-    __slots__ = ("atoms", "base", "fiber", "factor")
+    __slots__ = ("atoms", "base", "fiber", "factor", "_quotients")
 
     def __init__(self, atoms: Sequence[Atom], base: "Group | None" = None,
                  fiber: "Group | None" = None, factor: FactorSet | None = None):
@@ -222,6 +227,7 @@ class Group:
         self.base = base
         self.fiber = fiber
         self.factor = factor
+        self._quotients = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -385,6 +391,13 @@ class Group:
             raise ValueError(f"ladder level {k} out of range 0..{m}")
         if k == 0:
             return self
+        q = self._quotients.get(k)
+        if q is None:
+            q = self._quotients[k] = self._build_quotient(k)
+        return q
+
+    def _build_quotient(self, k: int) -> "Group":
+        m = self.num_atoms
         if not self.is_crossed:
             return Group(self.atoms[:m - k])
         fm = self.fiber.num_atoms
@@ -393,9 +406,8 @@ class Group:
         quot_fiber = self.fiber.quotient(k)
         proj = FactorSet(lambda c, d, _f=self.factor, _k=k: _f(c, d)[:fm - _k],
                          name=f"{self.factor.name}/{k}")
-        g = Group(self.base.atoms + quot_fiber.atoms, base=self.base,
-                  fiber=quot_fiber, factor=proj)
-        return g
+        return Group(self.base.atoms + quot_fiber.atoms, base=self.base,
+                     fiber=quot_fiber, factor=proj)
 
     def project(self, x: tuple, k: int) -> tuple:
         """Image of x in the quotient at ladder level k (drops k trailing coords)."""

@@ -13,6 +13,11 @@ without the closed-form side-combination tables used by ``cuts.add``:
   translated cut must stay below the candidate, and the chain must cross
   every probe strictly below it; failure raises ``OracleError`` (a
   non-cofinal sampler is detected by instability under refinement).
+  The check runs at ``chain_len`` and at ``2 * chain_len`` elements.
+  The built-in chain of length n is the first n elements of the chain
+  of length 2n, so it is drawn and walked once, with the shorter check
+  made at the halfway point; a sampler passed in by the caller still
+  gets two independent draws.
 
 Right sums and both differences reduce to this through the minus, which
 is an elementary coordinate flip.
@@ -97,19 +102,37 @@ def oracle_sum(g: Group, a: Cut, b: Cut, chain_len: int = 8,
 
 
 def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> None:
-    for n in (chain_len, 2 * chain_len):
-        chain = sampler(g, b, n)
-        shifts = []
-        for i, gamma in enumerate(chain):
-            if not member_below(g, gamma, b):
-                raise OracleError("sampler produced an element not below the cut")
-            s = shift_by(g, gamma, a)
-            if compare(g, s, cand) > 0:
-                raise OracleError("a shifted cut exceeds the candidate supremum")
-            if shifts and compare(g, shifts[-1], s) > 0:
-                raise OracleError("sampled chain of shifts is not ascending")
-            shifts.append(s)
+    # The built-in chain of length chain_len is a prefix of the one of
+    # length 2 * chain_len, so one walk of the long chain, with the short
+    # "least" check at its halfway point, raises exactly what two passes
+    # would.  A caller's sampler gets two independent draws: that is how
+    # a non-cofinal one is detected.
+    n2 = 2 * chain_len
+    if sampler is ascending_chain:
+        chain = ascending_chain(g, b, n2)
+        shifts = _walk_chain(g, a, b, cand, chain[:chain_len], [])
+        _check_least(g, a, b, cand, shifts, chain_len)
+        _walk_chain(g, a, b, cand, chain[chain_len:], shifts)
+        _check_least(g, a, b, cand, shifts, n2)
+        return
+    for n in (chain_len, n2):
+        shifts = _walk_chain(g, a, b, cand, sampler(g, b, n), [])
         _check_least(g, a, b, cand, shifts, n)
+
+
+def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],
+                shifts: list[Cut]) -> list[Cut]:
+    """Check each chain element and append its shift of ``a`` to ``shifts``."""
+    for gamma in chain:
+        if not member_below(g, gamma, b):
+            raise OracleError("sampler produced an element not below the cut")
+        s = shift_by(g, gamma, a)
+        if compare(g, s, cand) > 0:
+            raise OracleError("a shifted cut exceeds the candidate supremum")
+        if shifts and compare(g, shifts[-1], s) > 0:
+            raise OracleError("sampled chain of shifts is not ascending")
+        shifts.append(s)
+    return shifts
 
 
 def _check_least(g: Group, a: Cut, b: Cut, cand: Cut, shifts: list[Cut], n: int) -> None:

@@ -22,8 +22,8 @@ class Sqrt2:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sqrt2 values are immutable")
@@ -149,6 +149,10 @@ def scalar_sign(x: Scalar) -> int:
 
 
 def scalar_cmp(x: Scalar, y: Scalar) -> int:
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        # denominators are positive: one cross-multiplication decides
+        d = x.numerator * y.denominator - y.numerator * x.denominator
+        return (d > 0) - (d < 0)
     if x == y:
         return 0
     return -1 if x < y else 1
@@ -157,7 +161,7 @@ def scalar_cmp(x: Scalar, y: Scalar) -> int:
 def scalar_floor(x: Scalar) -> int:
     """Exact floor, also for irrational a + b*sqrt2 values."""
     if not isinstance(x, Sqrt2):
-        f = Fraction(x)
+        f = x if isinstance(x, Fraction) else Fraction(x)
         return f.numerator // f.denominator
     if x.b == 0:
         return x.a.numerator // x.a.denominator

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -190,3 +191,21 @@ def test_parse_and_format():
         parse_group("lex()")
     with pytest.raises(ValueError):
         parse_group("Zloc(4)")
+
+
+def test_crossed_quotient_is_stable():
+    g = Group.crossed(Z, QQ, FactorSet.zero(2))
+    assert g.quotient(1) == g.quotient(1)
+    assert hash(g.quotient(1)) == hash(g.quotient(1))
+    assert g.quotient(1).num_atoms == 2 and g.quotient(2) == Z
+
+
+def test_zloc_primality_is_fast_and_exact():
+    t0 = time.perf_counter()
+    assert Group.Zloc(2 ** 31 - 1).atoms[0].p == 2 ** 31 - 1
+    assert time.perf_counter() - t0 < 2.0
+    for p in (2 ** 31 - 2, 10_000_019 * 3, 9, 25, 49, 1, 0):
+        with pytest.raises(ValueError):
+            Atom("Zloc", p)
+    for p in (2, 3, 5, 10_000_019):
+        assert Atom("Zloc", p).p == p

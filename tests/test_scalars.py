@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from domkit.groups import Atom
 from domkit.scalars import Sqrt2, format_scalar, parse_scalar, scalar_cmp, scalar_floor
 
 
@@ -56,3 +58,34 @@ def test_immutability():
     x = Sqrt2(1, 2)
     with pytest.raises(AttributeError):
         x.a = F(3)
+
+
+scalars = st.one_of(rationals, st.builds(Sqrt2, rationals, rationals))
+
+
+@given(scalars, scalars)
+def test_scalar_cmp_matches_operators(x, y):
+    for u, v in ((x, y), (y, x), (x, x), (-x, x), (x, -y)):
+        assert scalar_cmp(u, v) == (u > v) - (u < v)
+
+
+@given(rationals)
+def test_scalar_cmp_across_kinds_on_equal_values(a):
+    for u, v in ((a, Sqrt2(a, 0)), (Sqrt2(a, 0), a), (Sqrt2(a, 1), Sqrt2(a, 1))):
+        assert scalar_cmp(u, v) == 0
+
+
+@given(rationals)
+def test_scalar_floor_matches_math_floor(a):
+    assert scalar_floor(a) == math.floor(a)
+    assert scalar_floor(Sqrt2(a, 0)) == math.floor(a)
+
+
+ATOMS = [Atom("Z"), Atom("Q"), Atom("Zloc", 2), Atom("Zloc", 3), Atom("Qr2")]
+
+
+@given(rationals, st.integers(min_value=-10**6, max_value=10**6))
+def test_atom_contains_ignores_scalar_kind(a, n):
+    for atom in ATOMS:
+        assert atom.contains(a) == atom.contains(Sqrt2(a, 0))
+        assert atom.contains(n) == atom.contains(F(n)) == atom.contains(Sqrt2(n, 0))
