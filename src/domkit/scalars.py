@@ -194,11 +194,18 @@ def format_scalar(x: Scalar) -> str:
     return f"{a}+{bs}" if b > 0 else f"{a}{bs}"
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse ``a``, ``br2``, ``a+br2`` or ``a-br2`` (b may be a fraction)."""
     s = text.strip().replace(" ", "")
     if "r2" not in s:
-        return Fraction(s)
+        return _parse_fraction(s)
     head, _, _ = s.partition("r2")
     # split head into rational part and sqrt2 coefficient
     cut = -1
@@ -214,6 +221,6 @@ def parse_scalar(text: str) -> Scalar:
     elif b_txt == "-":
         b = Fraction(-1)
     else:
-        b = Fraction(b_txt)
-    a = Fraction(a_txt) if a_txt not in ("", "+") else Fraction(0)
+        b = _parse_fraction(b_txt)
+    a = _parse_fraction(a_txt) if a_txt not in ("", "+") else Fraction(0)
     return _normalize(a, b)

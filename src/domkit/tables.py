@@ -4,14 +4,13 @@ A table lives on the labeled chain 0 < 1 < ... < n-1. The minus is the
 unique order anti-involution of the chain, i = n-1-i, and when the sign
 axioms hold the neutral element is forced to sit at index n//2. The
 enumerator searches symmetric row-monotone matrices with the neutral
-row pinned, prunes with the per-cell sign constraints, and leaves
-associativity (the expensive law) to incremental checks plus a final
-full pass.
+row pinned and prunes with the per-cell sign constraints. Each
+associativity triple is checked once, when the last of its four lookups
+is placed, and a final full pass re-checks every leaf.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional, Sequence
 
 from domkit import doms
@@ -52,9 +51,6 @@ class FiniteDomTable:
             if all(self.plus[e][j] == j for j in range(self.n)):
                 return e
         return None
-
-    def minus(self, i: int) -> int:
-        return self.n - 1 - i
 
     def key(self) -> tuple:
         return tuple(v for row in self.plus for v in row)
@@ -160,9 +156,7 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
                   for u in range(n) if t.plus[x][u] > t.plus[y][u]), None)
         report["PA"] = (w is None, w)
     if "assoc" in axioms:
-        w = next(((x, y, z) for x, y, z in itertools.product(range(n), repeat=3)
-                  if t.plus[t.plus[x][y]][z] != t.plus[x][t.plus[y][z]]), None)
-        report["assoc"] = (w is None, w)
+        report["assoc"] = _assoc_verdict(t.plus)
     if e is None:
         return report
 
@@ -171,6 +165,19 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
     if rest:
         report.update(doms.check_axioms(d, universe=d.iter_elements(), which=rest))
     return report
+
+
+def _assoc_verdict(plus: tuple) -> tuple:
+    # row-wise: (x + y) + z over all z is row plus[x + y], and x + (y + z)
+    # is row plus[y] read through row plus[x]
+    for x, px in enumerate(plus):
+        through_x = px.__getitem__
+        for y, py in enumerate(plus):
+            left = plus[px[y]]
+            if left != tuple(map(through_x, py)):
+                z = next(z for z, yz in enumerate(py) if left[z] != px[yz])
+                return (False, (x, y, z))
+    return (True, None)
 
 
 def table_passes(t: FiniteDomTable, axioms: Iterable[str]) -> bool:
@@ -213,25 +220,47 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
     need_mca = "MCa" in axioms
     need_mcb = "MCb" in axioms
     P = [[-1] * n for _ in range(n)]
+    # where[v]: the placed ordered pairs (a, b) with P[a][b] == v
+    where: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for j in range(n):
         P[e][j] = P[j][e] = j
+        where[j].append((e, j))
+        if j != e:
+            where[j].append((j, e))
     cells = [(i, j) for i in range(n) for j in range(i, n)
              if i != e and j != e]
     out: list[FiniteDomTable] = []
 
-    def assoc_ok_around(i: int, j: int) -> bool:
-        # check triples whose lookups became complete with P[i][j]
-        for t in range(n):
-            for a, b, c in ((i, j, t), (t, i, j), (i, t, j)):
-                ab = P[a][b]
-                if ab < 0:
+    def assoc_ok_around(pairs: tuple, v: int) -> bool:
+        # Check once each triple (a, b, c) whose last lookup is the new
+        # cell P[a][b] = v, (a, b) in pairs.  The lookups are P[a][b],
+        # P[b][c], P[ab][c] and P[a][bc]; the mirror (c, b, a) shares them
+        # and the equation, so the new cell is only sought as P[a][b] or
+        # as P[ab][c].
+        Pv = P[v]
+        for a, b in pairs:
+            Pa, Pb = P[a], P[b]
+            for c in range(n):
+                bc = Pb[c]
+                if bc >= 0:
+                    left = Pv[c]
+                    if left >= 0:
+                        right = Pa[bc]
+                        if right >= 0 and right != left:
+                            return False
+            # the new cell as P[ab][c]: triples (x, y, b) with P[x][y] == a.
+            # where[a] does not hold the new cell yet, and for y == a the
+            # new cell is also P[y][b], which the loop above covered
+            for x, y in where[a]:
+                if y == a:
                     continue
-                bc = P[b][c]
+                bc = P[y][b]
                 if bc < 0:
                     continue
-                left = P[ab][c]
-                right = P[a][bc]
-                if left >= 0 and right >= 0 and left != right:
+                if x == a and bc == b and a > b:
+                    continue  # also P[a][bc]: its mirror came with pairs[0]
+                right = P[x][bc]
+                if right >= 0 and right != v:
                     return False
         return True
 
@@ -243,6 +272,7 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
                 out.append(t)
             return
         i, j = cells[idx]
+        pairs = ((i, j),) if i == j else ((i, j), (j, i))
         lo, hi = 0, n - 1
         if j > 0 and P[i][j - 1] >= 0:
             lo = max(lo, P[i][j - 1])
@@ -258,8 +288,10 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
             lo = max(lo, delta + 1)
         for v in range(lo, hi + 1):
             P[i][j] = P[j][i] = v
-            if assoc_ok_around(i, j) and (i == j or assoc_ok_around(j, i)):
+            if assoc_ok_around(pairs, v):
+                where[v].extend(pairs)
                 place(idx + 1)
+                del where[v][-len(pairs):]
         P[i][j] = P[j][i] = -1
 
     place(0)

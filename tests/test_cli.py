@@ -60,6 +60,21 @@ def test_eval_error_codes(capsys):
     assert code == 3
 
 
+def test_eval_zero_denominator(capsys):
+    # a ZeroDivisionError escaping main would fail the test as a traceback;
+    # cut literals report a parse error, group literals that do not parse
+    # a type error (as for "abc")
+    for carrier, expr, expected in (
+            ("cuts(Q)", "cut(1/0)+", 2),
+            ("cuts(Q,r2)", "fill(1/0r2)", 2),
+            ("cuts(Q,r2)", "fill(1+1/0r2)", 2),
+            ("Q", "1/0", 3),
+            ("Qr2", "1/0r2", 3)):
+        code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
+        assert (code, out) == (expected, ""), (carrier, expr)
+        assert "zero denominator" in err
+
+
 def test_check_table_output(capsys, tmp_path):
     bad = tmp_path / "bad3.tbl"
     bad.write_text("3\n0 0 2\n0 1 2\n2 2 2\n")

@@ -54,6 +54,13 @@ def test_parse_forms():
     assert parse_scalar("-5/7") == F(-5, 7)
 
 
+def test_parse_zero_denominator_is_value_error():
+    # in the rational part and in the r2 coefficient alike
+    for text in ("1/0", "-3/0", "1/0r2", "1/0+r2", "1+1/0r2", "1/2-1/0r2"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+
+
 def test_immutability():
     x = Sqrt2(1, 2)
     with pytest.raises(AttributeError):

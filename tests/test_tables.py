@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from domkit import tables
 from domkit.doms import ShiftedGroupDom, check_axioms, classify_type
 from domkit.groups import Group
 from domkit.tables import (
@@ -78,7 +81,8 @@ def test_enumeration_bound():
 
 
 GOLDEN_COUNTS = {
-    # computed by this exhaustive enumerator (search is its own oracle)
+    # recorded from the search; test_brute_force_matches_search derives
+    # them again with no pruning
     (3, frozenset()): 6,
     (3, frozenset({"MA"})): 4,
     (3, frozenset({"MB"})): 4,
@@ -99,6 +103,76 @@ GOLDEN_COUNTS = {
 def test_golden_counts():
     for (n, axioms), expected in GOLDEN_COUNTS.items():
         assert len(enumerate_tables(n, axioms)) == expected, (n, sorted(axioms))
+
+
+SEARCH_AXIOMS = ("MA", "MB", "MCa", "MCb", "MCprime")
+AXIOM_SUBSETS = [frozenset(c) for r in range(len(SEARCH_AXIOMS) + 1)
+                 for c in itertools.combinations(SEARCH_AXIOMS, r)]
+
+
+def brute_force_tables(n):
+    """Every symmetric matrix on the n-chain with some row pinned to the
+    identity, passing the structural laws, with its axiom report."""
+    for e in range(n):
+        cells = [(i, j) for i in range(n) for j in range(i, n) if e not in (i, j)]
+        for values in itertools.product(range(n), repeat=len(cells)):
+            plus = [[-1] * n for _ in range(n)]
+            for k in range(n):
+                plus[e][k] = plus[k][e] = k
+            for (i, j), v in zip(cells, values):
+                plus[i][j] = plus[j][i] = v
+            t = FiniteDomTable(plus)
+            if table_passes(t, ("neutral", "assoc", "comm", "PA", "minus")):
+                yield t, validate(t, SEARCH_AXIOMS)
+
+
+def test_brute_force_matches_search():
+    for n in range(1, 5):
+        found = sorted(brute_force_tables(n), key=lambda tr: tr[0].plus)
+        for axioms in AXIOM_SUBSETS:
+            expected = [t for t, rep in found if all(rep[a][0] for a in axioms)]
+            assert enumerate_tables(n, axioms) == expected, (n, sorted(axioms))
+            if (n, axioms) in GOLDEN_COUNTS:
+                assert len(expected) == GOLDEN_COUNTS[n, axioms]
+
+
+def test_no_search_leaf_fails_associativity(monkeypatch):
+    # each associativity triple is checked when its last cell is placed,
+    # so the final pass over a leaf never finds a witness
+    verdicts = []
+    real_validate = tables.validate
+
+    def spy(t, *args):
+        rep = real_validate(t, *args)
+        if "assoc" in rep:
+            verdicts.append(rep["assoc"])
+        return rep
+
+    monkeypatch.setattr(tables, "validate", spy)
+    for n in range(1, 7):
+        for axioms in (set(), {"MB"}, {"MA", "MB"}, {"MA", "MB", "MCprime"}):
+            enumerate_tables(n, axioms)
+    assert len(verdicts) > 1000
+    assert all(v == (True, None) for v in verdicts)
+
+
+def first_assoc_witness(t):
+    n, p = t.n, t.plus
+    return next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                 if p[p[x][y]][z] != p[x][p[y][z]]), None)
+
+
+def test_assoc_witness_is_first_in_lexicographic_order():
+    rng = random.Random(3)
+    cases = [NONASSOC, BAD3, BAD4A, trivial_dom(5)]
+    for n in (4, 5):
+        while len(cases) < 4 + 200 * (n - 3):
+            t = FiniteDomTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+            if first_assoc_witness(t) is not None:
+                cases.append(t)
+    for t in cases:
+        w = first_assoc_witness(t)
+        assert validate(t, ("assoc",))["assoc"] == (w is None, w), t
 
 
 def test_counterexamples_found_by_search():
