@@ -139,17 +139,11 @@ def _atom(d: Dom, tok: str):
             raise ParseError("sign(..) may only be the outermost operation")
     if isinstance(d, CutDom):
         if tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge(")):
-            try:
-                return ct.parse_cut(d.group, tok)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+            return _cut_literal(d, d, tok)
         raise CarrierTypeError(f"{tok!r} is not a cut literal")
     if isinstance(d, TildeDom):
         if tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge(")):
-            try:
-                return ("c", ct.parse_cut(d.group, tok))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+            return ("c", _cut_literal(d, d.cutdom, tok))
         if tok.startswith("g(") and tok.endswith(")"):
             tok = tok[2:-1]
         try:
@@ -162,6 +156,17 @@ def _atom(d: Dom, tok: str):
         except ValueError as exc:
             raise CarrierTypeError(str(exc)) from exc
     raise CarrierTypeError(f"no literals defined for carrier {d.name}")
+
+
+def _cut_literal(d: Dom, cuts: CutDom, tok: str):
+    """Parse a cut literal and check that the carrier ``d`` holds it."""
+    try:
+        cut = ct.parse_cut(cuts.group, tok)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    if not cuts.contains(cut):
+        raise CarrierTypeError(f"{tok!r} is not in {d.name}")
+    return cut
 
 
 def format_value(d: Dom, kind: str, v) -> str:

@@ -41,11 +41,6 @@ def to_table(d: Dom) -> FiniteDomTable:
     return FiniteDomTable(plus)
 
 
-def tables_isomorphic(a: Dom, b: Dom) -> bool:
-    """Finite carriers are isomorphic iff their sorted tables coincide."""
-    return to_table(a) == to_table(b)
-
-
 # -- dual ---------------------------------------------------------------------
 
 
@@ -467,11 +462,6 @@ class GlueDom(Dom):
     def fmt(self, x):
         t, v = x
         return (self.lower if t == "m" else self.upper).fmt(v)
-
-
-def glue(lower: Dom, upper: Dom, theta_plus_min: Callable, o_min,
-         name: Optional[str] = None) -> GlueDom:
-    return GlueDom(lower, upper, theta_plus_min, o_min, name)
 
 
 def union(m: Dom, n: Dom, k) -> GlueDom:

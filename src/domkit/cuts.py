@@ -16,12 +16,19 @@ A finite cut is stored as a *node* ``(level k, prefix, side)``:
 canonicalize: over a discrete component the predecessor form is folded
 into the successor form (the two describe the same cut), so equality of
 cuts is plain structural equality.
+
+``make_node`` is the checked entry point for outside input: it checks the
+level, the prefix length and the membership of every non-anchor
+coordinate, then canonicalizes.  The engine operations ``add``, ``radd``
+and ``neg`` only canonicalize their results, without re-checking them:
+their operands are cuts, already checked, and group addition and
+negation keep non-anchor coordinates inside their components (a crossed
+product raises when its factor set leaves the fiber).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from domkit.groups import Group
 from domkit.scalars import Scalar, format_scalar, parse_scalar, scalar_cmp, scalar_floor
@@ -89,21 +96,32 @@ def make_node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
     for atom, v in zip(g.atoms, prefix[:-1]):
         if not atom.contains(v):
             raise ValueError(f"prefix coordinate {format_scalar(v)} outside {atom.format()}")
-    atom = g.atoms[m - level - 1]
+    return _node(g, level, prefix, side)
+
+
+def _node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
+    """Canonical node for an already checked level and prefix.
+
+    Over a discrete component the anchor is folded into the successor
+    form; over a dense one a member anchor is never FILLED and an anchor
+    outside the component always is.
+    """
+    atom = g.atoms[len(prefix) - 1]
     anchor = prefix[-1]
     if atom.discrete:
         if not atom.contains(anchor):
             anchor = Fraction(scalar_floor(anchor))
         elif side != PLUS:
             anchor = Fraction(anchor) - 1
-        side = PLUS
-    else:
-        if atom.contains(anchor):
-            if side == FILLED:
-                side = MINUS
         else:
-            side = FILLED
-    return Cut("n", level, prefix[:-1] + (anchor,), side)
+            return Cut("n", level, prefix, PLUS)
+        return Cut("n", level, prefix[:-1] + (anchor,), PLUS)
+    if atom.contains(anchor):
+        if side == FILLED:
+            side = MINUS
+    else:
+        side = FILLED
+    return Cut("n", level, prefix, side)
 
 
 def zero_cut(g: Group) -> Cut:
@@ -160,8 +178,7 @@ def compare(g: Group, a: Cut, b: Cut) -> int:
     hi, lo = a, b
     if a.level < b.level:
         hi, lo, flip = b, a, -1
-    trunc = lo.prefix[: g.num_atoms - hi.level]
-    c = _prefix_cmp(hi.prefix, trunc)
+    c = _prefix_cmp(hi.prefix, lo.prefix)  # up to the end of the shorter hi.prefix
     if c:
         return c * flip
     # the wider cut sits just past the shared prefix, on its own side
@@ -177,32 +194,23 @@ def neg(g: Group, cut: Cut) -> Cut:
     if cut.kind == "hi":
         return NEG_INF
     q = g.quotient(cut.level)
-    return make_node(g, cut.level, q.neg(cut.prefix), -cut.side)
+    return _node(g, cut.level, q.neg(cut.prefix), -cut.side)
 
 
 # -- addition: left sum, right sum, differences ---------------------------
 
 
-def _lift_left(g: Group, cut: Cut, k: int) -> tuple[tuple, int]:
-    """Level-k view of the left part: (prefix, side)."""
-    if cut.level == k:
-        return cut.prefix, cut.side
-    return cut.prefix[: g.num_atoms - k], PLUS
-
-
-def _lift_right(g: Group, cut: Cut, k: int) -> tuple[tuple, bool]:
-    """Level-k view of the right part: (prefix, minimum attained?)."""
-    if cut.level < k:
-        return cut.prefix[: g.num_atoms - k], True
-    atom = g.atoms[g.num_atoms - k - 1]
+def _lift_right(g: Group, cut: Cut, n: int) -> tuple[tuple, bool]:
+    """View of the right part at the level with n prefix coordinates:
+    (prefix, minimum attained?)."""
+    p = cut.prefix
+    if len(p) > n:
+        return p[:n], True
     if cut.side == MINUS:
-        return cut.prefix, True
-    if cut.side == PLUS:
-        if atom.discrete:
-            p = cut.prefix[:-1] + (cut.prefix[-1] + 1,)
-            return p, True
-        return cut.prefix, False
-    return cut.prefix, False  # FILLED
+        return p, True
+    if cut.side == PLUS and g.atoms[n - 1].discrete:
+        return p[:-1] + (p[-1] + 1,), True
+    return p, False  # PLUS over a dense atom, or FILLED
 
 
 def add(g: Group, a: Cut, b: Cut) -> Cut:
@@ -211,16 +219,21 @@ def add(g: Group, a: Cut, b: Cut) -> Cut:
         return NEG_INF
     if a.kind == "hi" or b.kind == "hi":
         return POS_INF
-    k = max(a.level, b.level)
-    pa, sa = _lift_left(g, a, k)
-    pb, sb = _lift_left(g, b, k)
-    q = g.quotient(k)
-    p = q.add(pa, pb)
-    if FILLED in (sa, sb):
-        side = MINUS if g.atoms[g.num_atoms - k - 1].contains(p[-1]) else FILLED
+    # lift both left parts to the wider level k: the narrower cut's left
+    # part, seen modulo H_k, has its truncated prefix as a maximum
+    k = a.level
+    pa, sa, pb, sb = a.prefix, a.side, b.prefix, b.side
+    if b.level > k:
+        k = b.level
+        pa, sa = pa[:len(pb)], PLUS
+    elif b.level < k:
+        pb, sb = pb[:len(pa)], PLUS
+    p = g.quotient(k).add(pa, pb)
+    if sa == FILLED or sb == FILLED:
+        side = FILLED  # _node makes it MINUS when the anchor is a member
     else:
         side = PLUS if (sa == PLUS and sb == PLUS) else MINUS
-    return make_node(g, k, p, side)
+    return _node(g, k, p, side)
 
 
 def radd(g: Group, a: Cut, b: Cut) -> Cut:
@@ -229,16 +242,15 @@ def radd(g: Group, a: Cut, b: Cut) -> Cut:
         return POS_INF
     if a.kind == "lo" or b.kind == "lo":
         return NEG_INF
-    k = max(a.level, b.level)
-    pa, ma = _lift_right(g, a, k)
-    pb, mb = _lift_right(g, b, k)
-    q = g.quotient(k)
-    p = q.add(pa, pb)
-    if ma and mb:
-        side = MINUS
-    else:
-        side = PLUS if g.atoms[g.num_atoms - k - 1].contains(p[-1]) else FILLED
-    return make_node(g, k, p, side)
+    k, n = a.level, len(a.prefix)
+    if b.level > k:
+        k, n = b.level, len(b.prefix)
+    pa, ma = _lift_right(g, a, n)
+    pb, mb = _lift_right(g, b, n)
+    p = g.quotient(k).add(pa, pb)
+    # without an attained minimum the sum is the edge just above p, which
+    # _node makes FILLED when the anchor is outside the component
+    return _node(g, k, p, MINUS if ma and mb else PLUS)
 
 
 def rsub(g: Group, a: Cut, b: Cut) -> Cut:
@@ -249,14 +261,6 @@ def rsub(g: Group, a: Cut, b: Cut) -> Cut:
 def lsub(g: Group, a: Cut, b: Cut) -> Cut:
     """Left difference: a + (-b)."""
     return add(g, a, neg(g, b))
-
-
-def diff(g: Group, mode: str, a: Cut, b: Cut) -> Cut:
-    if mode == "right":
-        return rsub(g, a, b)
-    if mode == "left":
-        return lsub(g, a, b)
-    raise ValueError(f"unknown difference mode {mode!r}")
 
 
 def shift_by(g: Group, gamma: tuple, cut: Cut) -> Cut:
@@ -389,17 +393,6 @@ def edge_above(g: Group, gp: Group, x: tuple) -> Cut:
 
 
 # -- helpers used by samplers and witnesses --------------------------------
-
-
-def realize_prefix(g: Group, k: int, prefix: tuple, tail: Fraction) -> Optional[tuple]:
-    """A group element projecting to ``prefix`` at level k, or None.
-
-    The k dropped coordinates are set to ``tail`` (an integer works in
-    every atom); fails when the anchor is outside its component.
-    """
-    if not g.atoms[g.num_atoms - k - 1].contains(prefix[-1]):
-        return None
-    return tuple(prefix) + (Fraction(tail),) * k
 
 
 def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Fraction:

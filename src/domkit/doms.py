@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from domkit.groups import Atom, Group
 from domkit import cuts as ct
 from domkit.cuts import Cut, NEG_INF, POS_INF, SIGN_INF, SIGN_SPADE
-from domkit.scalars import Sqrt2
+from domkit.scalars import Sqrt2, is_rational
 
 PREDOM_AXIOMS = ("assoc", "comm", "neutral", "PA", "minus")
 DOM_AXIOMS = PREDOM_AXIOMS + ("MA", "MB", "MCa", "MCb")
@@ -253,9 +253,17 @@ class CutDom(Dom):
         self.group = group
         self.field = field
         self.name = f"cuts({group.format()})" if field == "Q" else f"cuts({group.format()},r2)"
+        # the carrier's constants, built once: zero, delta and the width
+        # cut of every ladder level
+        self._zero = ct.zero_cut(group)
+        self._delta = ct.neg(group, self._zero)
+        self._edges = tuple(ct.level_edge(group, k) for k in range(group.num_atoms))
 
     def zero(self):
-        return ct.zero_cut(self.group)
+        return self._zero
+
+    def delta(self):
+        return self._delta
 
     def add(self, x, y):
         return ct.add(self.group, x, y)
@@ -279,10 +287,15 @@ class CutDom(Dom):
     def width_of(self, x):
         if x.kind != "n":
             return POS_INF if x.kind == "hi" else self.rsub(x, x)
-        return ct.width(self.group, x)
+        return self._edges[x.level]
 
     def contains(self, x):
-        return isinstance(x, Cut)
+        """A cut whose anchor lies in the anchor field or in its own component."""
+        if not isinstance(x, Cut):
+            return False
+        if x.kind != "n" or self.field == "Qr2" or is_rational(x.anchor):
+            return True
+        return self.group.atoms[len(x.prefix) - 1].contains(x.anchor)
 
     def iter_elements(self):
         if self.group.num_atoms == 0:
@@ -297,8 +310,8 @@ class CutDom(Dom):
         g = self.group
         if g.num_atoms == 0:
             return [NEG_INF, POS_INF]
-        out = [NEG_INF, POS_INF, self.zero(), self.delta()]
-        out += [ct.level_edge(g, k) for k in range(g.num_atoms)]
+        out = [NEG_INF, POS_INF, self._zero, self._delta]
+        out += self._edges
         for extra in _anchor_extras(g.atoms[-1], self.field)[:3]:
             out.append(ct.make_node(g, 0, g.zero()[:-1] + (extra,), ct.FILLED))
         return out
@@ -316,12 +329,12 @@ class CutDom(Dom):
                 continue
             k = rng.randrange(m) if r < 0.8 else 0
             coords = []
-            for i in range(m - k):
-                atom = g.atoms[i]
-                pal = _atom_palette(atom, self.field)
-                if i == m - k - 1:
-                    pal = pal + _anchor_extras(atom, self.field)
-                coords.append(rng.choice(pal))
+            for i in range(m - k - 1):
+                coords.append(rng.choice(_atom_palette(g.atoms[i], "Q")))
+            # only the anchor may come from the anchor field
+            atom = g.atoms[m - k - 1]
+            coords.append(rng.choice(_atom_palette(atom, self.field)
+                                     + _anchor_extras(atom, self.field)))
             side = rng.choice((ct.MINUS, ct.FILLED, ct.PLUS))
             out.append(ct.make_node(g, k, tuple(coords), side))
         return out[:count]
@@ -495,10 +508,6 @@ def check_axioms(d: Dom, universe: Optional[Sequence] = None,
                   if d.cmp(d.rsub(d.add(x, y), z), d.add(x, d.rsub(y, z))) < 0), None)
         report["MCprime"] = (w is None, w)
     return report
-
-
-def is_dom(d: Dom, **kw) -> bool:
-    return all(ok for ok, _ in check_axioms(d, which=DOM_AXIOMS, **kw).values())
 
 
 # -- classification -----------------------------------------------------------
@@ -708,7 +717,6 @@ def special_set(d: Dom, which: str, a=None) -> "SubDomView | list":
         view = SubDomView(d, dbl, zero, f"D({d.name})", staples=[zero, d.delta()])
         if which == "D":
             return view
-        ag = associated_group(d)
         return SubDomView(d, lambda x: dbl(x) and d.eq(x, f_plus(d, x)), zero,
                           f"H({d.name})", staples=[zero])
     if which == "E":

@@ -330,21 +330,30 @@ class Group:
         bm = self.base.num_atoms
         return x[:bm], x[bm:]
 
+    def _twist(self, c: tuple, d: tuple) -> tuple:
+        """The factor-set value f(c, d), which must lie in the fiber."""
+        tw = self.factor(c, d)
+        if not self.fiber.contains(tw):
+            raise ValueError(
+                f"factor set {self.factor.name} leaves {self.fiber.format()} at "
+                f"{self.base.format_element(c)}, {self.base.format_element(d)}")
+        return tw
+
     def add(self, x: tuple, y: tuple) -> tuple:
-        if self.is_crossed:
+        if self.base is not None:
             c1, a1 = self._split(x)
             c2, a2 = self._split(y)
-            tw = self.factor(c1, c2)
+            tw = self._twist(c1, c2)
             c = tuple(u + v for u, v in zip(c1, c2))
             a = tuple(u + v + w for u, v, w in zip(a1, a2, tw))
             return c + a
         return tuple(u + v for u, v in zip(x, y))
 
     def neg(self, x: tuple) -> tuple:
-        if self.is_crossed:
+        if self.base is not None:
             c, a = self._split(x)
             nc = tuple(-u for u in c)
-            tw = self.factor(c, nc)
+            tw = self._twist(c, nc)
             na = tuple(-u - w for u, w in zip(a, tw))
             return nc + na
         return tuple(-u for u in x)
@@ -358,13 +367,6 @@ class Group:
             if c:
                 return c
         return 0
-
-    def scale(self, n: int, x: tuple) -> tuple:
-        out = self.zero()
-        step = x if n >= 0 else self.neg(x)
-        for _ in range(abs(n)):
-            out = self.add(out, step)
-        return out
 
     # -- order structure -------------------------------------------------
 
@@ -386,14 +388,12 @@ class Group:
 
     def quotient(self, k: int) -> "Group":
         """The group modulo the convex subgroup spanning the k trailing atoms."""
-        m = self.num_atoms
-        if not 0 <= k <= m:
-            raise ValueError(f"ladder level {k} out of range 0..{m}")
-        if k == 0:
-            return self
         q = self._quotients.get(k)
         if q is None:
-            q = self._quotients[k] = self._build_quotient(k)
+            m = self.num_atoms
+            if not 0 <= k <= m:
+                raise ValueError(f"ladder level {k} out of range 0..{m}")
+            q = self._quotients[k] = self._build_quotient(k) if k else self
         return q
 
     def _build_quotient(self, k: int) -> "Group":

@@ -142,12 +142,6 @@ def as_fraction(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def scalar_sign(x: Scalar) -> int:
-    if isinstance(x, Sqrt2):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def scalar_cmp(x: Scalar, y: Scalar) -> int:
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         # denominators are positive: one cross-multiplication decides

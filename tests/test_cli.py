@@ -75,6 +75,20 @@ def test_eval_zero_denominator(capsys):
         assert "zero denominator" in err
 
 
+def test_eval_cut_outside_anchor_field(capsys):
+    # cuts(Q) has rational anchors only: fill(r2) is a type error there
+    for carrier, expr in (("cuts(Q)", "fill(r2)"), ("cuts(Q)", "cut(1+r2)-"),
+                          ("cuts(lex(Q,Q))", "edge(1)fill(r2)"),
+                          ("tilde(Q)", "g(1) + fill(r2)")):
+        code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
+        assert (code, out) == (3, ""), (carrier, expr)
+        assert "type error" in err
+    code, out, _ = run(capsys, "eval", "--carrier", "cuts(Q,r2)", "fill(r2)")
+    assert code == 0 and out.strip() == "fill(r2)"
+    code, out, _ = run(capsys, "eval", "--carrier", "tilde(Q,r2)", "g(1) + fill(r2)")
+    assert code == 0 and out.strip() == "fill(1+r2)"
+
+
 def test_check_table_output(capsys, tmp_path):
     bad = tmp_path / "bad3.tbl"
     bad.write_text("3\n0 0 2\n0 1 2\n2 2 2\n")
@@ -146,6 +160,13 @@ def test_valuation_partitions_stable(capsys):
     assert code == 0 and len(out3.strip().splitlines()) >= 2
     code, _, err = run(capsys, "valuation", "bogus", "--carrier", "cuts(Q)")
     assert code == 4
+
+
+def test_valuation_width_lex_r2(capsys):
+    # sampled cuts keep r2 at the anchor, so make_node accepts every one
+    code, out, _ = run(capsys, "valuation", "width", "--carrier", "cuts(lex(Q,Q),r2)")
+    assert code == 0 and out.startswith("value ")
+    assert "r2" in out
 
 
 def test_seed_env_override(capsys, monkeypatch):

@@ -504,6 +504,56 @@ def _transplant(g, cut):
     return make_node(g, cut.level, cut.prefix, cut.side)
 
 
+# -- engine results are canonical without re-checking ----------------------------------
+
+
+def _canonical(g, r):
+    """The node invariants, written out independently of the engine."""
+    m = g.num_atoms
+    if not 0 <= r.level < m or len(r.prefix) != m - r.level:
+        return False
+    if not all(a.contains(v) for a, v in zip(g.atoms, r.prefix[:-1])):
+        return False
+    atom = g.atoms[m - r.level - 1]
+    if atom.discrete:
+        return r.side == PLUS and atom.contains(r.anchor)
+    return (r.side == FILLED) != atom.contains(r.anchor)
+
+
+def _engine_pools():
+    from domkit.groups import FactorSet
+    twisted = Group.crossed(Z, Z, FactorSet(lambda c, d: (-2 * c[0] * d[0],),
+                                            poly={(1, 1): F(-2)}))
+    carriers = [CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ),
+                CutDom(Group.lex(Z, Q)), CutDom(Q, "Qr2"), CutDom(twisted)]
+    for i, d in enumerate(carriers):
+        yield d, d.sample(random.Random(100 + i), 40)
+
+
+def test_engine_results_are_canonical():
+    # add, radd and neg skip make_node's input checks; every result must
+    # still be the node make_node builds from its coordinates, and pass them
+    for d, pool in _engine_pools():
+        g = d.group
+        for a, b in itertools.product(pool, repeat=2):
+            for r in (add(g, a, b), radd(g, a, b), neg(g, a), rsub(g, a, b), lsub(g, a, b)):
+                if r.kind != "n":
+                    continue
+                assert _canonical(g, r), (d.name, a, b, r)
+                assert r == make_node(g, r.level, r.prefix, r.side), (d.name, a, b, r)
+
+
+def test_cut_carrier_constants():
+    for d, pool in _engine_pools():
+        g = d.group
+        assert d.zero() == zero_cut(g)
+        assert d.delta() == neg(g, zero_cut(g))
+        for x in pool:
+            if x.kind == "n":
+                assert d.width_of(x) == width(g, x)
+        assert d.staples()[4:4 + g.num_atoms] == [level_edge(g, k) for k in range(g.num_atoms)]
+
+
 # -- iterated-difference inequality and its strictness -----------------------------------
 
 

@@ -463,3 +463,34 @@ def test_right_sum_wide_bound():
             lhs = d.radd(x, y)
             rhs = d.add(d.radd(x, d.width_of(x)), d.radd(y, d.width_of(y)))
             assert d.cmp(lhs, rhs) <= 0
+
+
+# -- the anchor field of a cut carrier ------------------------------------------
+
+
+def test_sample_keeps_r2_at_the_anchor():
+    d = CutDom(QQ, "Qr2")
+    xs = d.sample(random.Random(4), 300)
+    nodes = [x for x in xs if x.kind == "n"]
+    # r2 appears, but only in the anchor; every sampled cut is a member
+    assert any(isinstance(x.anchor, Sqrt2) for x in nodes)
+    for x in nodes:
+        assert all(QQ.atoms[i].contains(v) for i, v in enumerate(x.prefix[:-1]))
+        assert d.contains(x)
+
+
+def test_contains_checks_the_anchor_field():
+    root = parse_cut(Q, "fill(r2)")
+    assert not CutDom(Q).contains(root)
+    assert CutDom(Q, "Qr2").contains(root)
+    assert CutDom(Q).contains(parse_cut(Q, "fill(1/3)"))
+    assert not CutDom(QQ).contains(parse_cut(QQ, "edge(1)fill(r2)"))
+    assert CutDom(QQ, "Qr2").contains(parse_cut(QQ, "edge(1)fill(r2)"))
+    # a Q(sqrt 2) component holds r2 whatever the anchor field
+    qr2 = Group.Qr2()
+    assert CutDom(qr2).contains(parse_cut(qr2, "cut(r2)+"))
+    # over Z the literal folds to the rational cut cut(1)+
+    assert CutDom(Z).contains(parse_cut(Z, "fill(r2)"))
+    for d in (CutDom(Q), CutDom(Q, "Qr2")):
+        assert d.contains(ct.NEG_INF) and d.contains(POS_INF)
+        assert not d.contains((F(0),))

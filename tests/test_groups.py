@@ -209,3 +209,24 @@ def test_zloc_primality_is_fast_and_exact():
             Atom("Zloc", p)
     for p in (2, 3, 5, 10_000_019):
         assert Atom("Zloc", p).p == p
+
+
+def test_quotient_range_checked_after_the_cache():
+    g = Group.lex(Z, Q)
+    assert g.quotient(0) is g and g.quotient(0) is g
+    assert g.quotient(1) is g.quotient(1)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"ladder level {k} out of range 0..2"):
+            g.quotient(k)
+
+
+def test_factor_set_values_must_lie_in_the_fiber():
+    # f(c, d) = (cd/2, 0) passes the grid laws but leaves lex(Z,Z) at (1, 1);
+    # the sum raises instead of returning a tuple outside the group
+    half = FactorSet(lambda c, d: (F(c[0] * d[0], 2), F(0)), name="xy/2")
+    g = Group.crossed(Z, Group.lex(Z, Z), half)
+    assert g.add(el(2, 0, 0), el(1, 0, 0)) == el(3, 1, 0)
+    with pytest.raises(ValueError, match="leaves lex"):
+        g.add(el(1, 0, 0), el(1, 0, 0))
+    with pytest.raises(ValueError, match="leaves lex"):
+        g.neg(el(1, 0, 0))
