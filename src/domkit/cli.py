@@ -13,7 +13,6 @@ import os
 import random
 import sys
 
-from domkit import cuts as ct
 from domkit import tables, valuations
 from domkit.constructions import (
     collapse, cuts_of_dom, dual, embed_finite, infinity_extension, mu_product,
@@ -137,46 +136,18 @@ def _atom(d: Dom, tok: str):
             if name == "abs":
                 return d.abs_of(inner)
             raise ParseError("sign(..) may only be the outermost operation")
-    if isinstance(d, CutDom):
-        if tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge(")):
-            return _cut_literal(d, d, tok)
-        raise CarrierTypeError(f"{tok!r} is not a cut literal")
-    if isinstance(d, TildeDom):
-        if tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge(")):
-            return ("c", _cut_literal(d, d.cutdom, tok))
-        if tok.startswith("g(") and tok.endswith(")"):
-            tok = tok[2:-1]
-        try:
-            return ("g", d.group.parse_element(tok))
-        except ValueError as exc:
-            raise CarrierTypeError(str(exc)) from exc
-    if isinstance(d, GroupDom):
-        try:
-            return d.group.parse_element(tok)
-        except ValueError as exc:
-            raise CarrierTypeError(str(exc)) from exc
-    raise CarrierTypeError(f"no literals defined for carrier {d.name}")
-
-
-def _cut_literal(d: Dom, cuts: CutDom, tok: str):
-    """Parse a cut literal and check that the carrier ``d`` holds it."""
     try:
-        cut = ct.parse_cut(cuts.group, tok)
+        return d.parse_literal(tok)
+    except TypeError as exc:
+        raise CarrierTypeError(str(exc)) from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if not cuts.contains(cut):
-        raise CarrierTypeError(f"{tok!r} is not in {d.name}")
-    return cut
 
 
 def format_value(d: Dom, kind: str, v) -> str:
     if kind == "sign":
         return {1: "+1", -1: "-1", 0: "0"}.get(v, str(v))
-    if isinstance(d, TildeDom):
-        t, inner = v
-        return f"g({d.group.format_element(inner)})" if t == "g" \
-            else ct.format_cut(d.group, inner)
-    return d.fmt(v)
+    return d.format_literal(v)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -189,9 +160,6 @@ def _cmd_eval(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except CarrierTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, TypeError) as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 from domkit import cuts as ct
 from domkit.cuts import NEG_INF, POS_INF
 from domkit.doms import (
-    CutDom, Dom, GroupDom, HomCandidate, SubDomView, TildeDom,
+    CutDom, Dom, HomCandidate, SubDomView, TildeDom,
     classify_type, f_plus, multiplicity, sign_of, special_set,
 )
 from domkit.groups import Group
@@ -97,9 +97,6 @@ class InfinityExtension(Dom):
         self.parent = parent
         self.name = f"{parent.name}+inf"
 
-    def el(self, x):
-        return ("el", x)
-
     def zero(self):
         return ("el", self.parent.zero())
 
@@ -155,40 +152,6 @@ def infinity_extension(d: Dom) -> InfinityExtension:
 # -- shift ----------------------------------------------------------------------
 
 
-def minimal_positive(d: Dom):
-    elems = d.iter_elements()
-    if elems is not None:
-        zero = d.zero()
-        pos = [x for x in elems if d.lt(zero, x)]
-        return min(pos, key=functools.cmp_to_key(d.cmp)) if pos else None
-    if isinstance(d, ShiftedMinusDom):
-        return minimal_positive(d.parent)  # same carrier and order
-    if isinstance(d, SubDomView):
-        parent = d.parent
-        try:
-            pm = minimal_positive(parent)
-        except ValueError:
-            pm = None
-        if pm is not None and d.contains(pm):
-            return pm
-        if isinstance(parent, TildeDom):
-            # the narrow slice excludes all cuts; the group unit remains
-            mp = parent.group.min_positive()
-            if mp is not None and d.contains(("g", mp)):
-                return ("g", mp)
-        raise ValueError(f"minimal positive element undecidable for {d.name}")
-    if isinstance(d, GroupDom):
-        return d.group.min_positive()
-    if isinstance(d, CutDom):
-        if d.group.is_discrete:
-            unit = d.group.min_positive()
-            return ct.make_node(d.group, 0, unit, ct.PLUS)
-        return None
-    if isinstance(d, TildeDom):
-        return ("c", ct.zero_cut(d.group))
-    raise ValueError(f"minimal positive element undecidable for {d.name}")
-
-
 class ShiftedMinusDom(Dom):
     """Parent carrier with minus replaced by x -> pivot - x."""
 
@@ -221,6 +184,9 @@ class ShiftedMinusDom(Dom):
     def fmt(self, x):
         return self.parent.fmt(x)
 
+    def minimal_positive(self):
+        return self.parent.minimal_positive()  # same carrier and order
+
 
 def shift(d: Dom) -> Dom:
     """Toggle between the second type and the first type with a unit.
@@ -235,7 +201,7 @@ def shift(d: Dom) -> Dom:
         return d.parent
     if t == "second":
         return ShiftedMinusDom(d, d.zero(), f"shift({d.name})")
-    one = minimal_positive(d)
+    one = d.minimal_positive()
     if one is None:
         raise ValueError("first-type shift needs a minimal positive element")
     if not d.eq(d.rsub(one, one), d.zero()):
@@ -601,11 +567,6 @@ class FiberedProduct(Dom):
         else:
             raise ValueError("the fiber carrier must be finite with a minimum")
         self.name = name or f"fibered({m.name},{n.name})"
-
-    def pair(self, x, y=None):
-        if self.a_member(x):
-            return (x, self.n.zero() if y is None else y)
-        return (x, self.mu)
 
     def zero(self):
         return (self.m.zero(), self.n.zero())

@@ -50,10 +50,6 @@ class Cut:
         self.side = side
 
     @property
-    def is_node(self) -> bool:
-        return self.kind == "n"
-
-    @property
     def anchor(self) -> Scalar:
         return self.prefix[-1]
 
@@ -285,8 +281,7 @@ def width(g: Group, cut: Cut) -> Cut:
     """Upper edge of the invariance group; rejects infinite cuts."""
     if cut.kind != "n":
         raise ValueError("width is undefined for -inf/+inf")
-    k = cut.level
-    return make_node(g, k, (Fraction(0),) * (g.num_atoms - k), PLUS)
+    return level_edge(g, cut.level)
 
 
 def level_edge(g: Group, k: int) -> Cut:

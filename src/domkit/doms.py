@@ -5,6 +5,13 @@ A carrier exposes four primitives (zero, add, neg, cmp); everything else
 signature, classification -- is derived from the defining equations and
 is therefore uniform across finite tables, groups, cut carriers and the
 mixed group-plus-cuts carrier.
+
+Facts about one carrier are methods of that carrier: ``associated_group``,
+``width_set``, ``is_proper``, ``is_strongly_proper``, ``minimal_positive``
+(and ``least_positives``), ``top``, ``witness_width``, and the literal
+syntax ``parse_literal``/``format_literal``. A finite carrier decides each
+by enumerating its elements; an infinite one answers where it overrides
+the method exactly, and raises ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +31,16 @@ from domkit.scalars import Sqrt2, is_rational
 PREDOM_AXIOMS = ("assoc", "comm", "neutral", "PA", "minus")
 DOM_AXIOMS = PREDOM_AXIOMS + ("MA", "MB", "MCa", "MCb")
 ALL_AXIOMS = DOM_AXIOMS + ("MCprime",)
+
+
+@dataclass
+class AssociatedGroup:
+    """The ordered group of width-zero classes and the map onto it."""
+
+    group: Optional[Group]
+    shifted_minus: bool
+    note: str
+    class_of: Callable = field(repr=False, default=lambda x: x)
 
 
 class Dom:
@@ -58,9 +75,6 @@ class Dom:
 
     def max(self, x, y):
         return x if self.cmp(x, y) >= 0 else y
-
-    def min(self, x, y):
-        return x if self.cmp(x, y) <= 0 else y
 
     # -- derived operations ----------------------------------------------
 
@@ -128,27 +142,105 @@ class Dom:
     def fmt(self, x) -> str:
         return str(x)
 
+    def parse_literal(self, tok: str):
+        """The element a literal names: ValueError when the literal does not
+        parse, TypeError when the carrier does not hold it."""
+        raise TypeError(f"no literals defined for carrier {self.name}")
 
-def derived(d: Dom, which: str, *args):
-    """Name-based access to the derived operations."""
-    ops = {
-        "radd": d.radd, "rsub": d.rsub, "lsub": d.lsub,
-        "width": d.width_of, "abs": d.abs_of, "delta": lambda: d.delta(),
-    }
-    if which not in ops:
-        raise ValueError(f"unknown derived operation {which!r}")
-    return ops[which](*args)
+    def format_literal(self, x) -> str:
+        """A literal that ``parse_literal`` reads back as x."""
+        return self.fmt(x)
+
+    # -- carrier facts: by enumeration when finite, else a ValueError ------
+
+    def associated_group(self) -> AssociatedGroup:
+        """The ordered group of width-zero classes, with the quotient map."""
+        if self.iter_elements() is not None:
+            return AssociatedGroup(Group.trivial(), False, "finite ordered group is trivial",
+                                   class_of=lambda x: ())
+        raise ValueError(f"associated group unsupported for {self.name}")
+
+    def width_set(self) -> list:
+        """The set of width elements, ordered (exact for the built-in carriers;
+        a seeded sample of widths for infinite constructions)."""
+        elems = self.iter_elements()
+        if elems is not None:
+            return [x for x in elems if self.eq(self.width_of(x), x)]
+        seen = []
+        for x in self.sample(random.Random(0), 200):
+            w = self.width_of(x)
+            if not any(self.eq(w, s) for s in seen):
+                seen.append(w)
+        seen.sort(key=_cmp_key(self))
+        return seen
+
+    def _width_zero(self, elems: list) -> list:
+        zero = self.zero()
+        return [z for z in elems if self.eq(self.width_of(z), zero)]
+
+    def is_proper(self) -> bool:
+        """Between any two elements x < y lies a width-zero element."""
+        elems = self.iter_elements()
+        if elems is None:
+            raise ValueError(f"properness undecidable for {self.name}")
+        m0 = self._width_zero(elems)
+        return all(any(self.le(x, z) and self.le(z, y) for z in m0)
+                   for x in elems for y in elems if self.lt(x, y))
+
+    def is_strongly_proper(self) -> bool:
+        """Proper, and below every positive width lies a positive width-zero
+        element."""
+        if not self.is_proper():
+            return False
+        elems = self.iter_elements()
+        if elems is None:
+            raise ValueError(f"strong properness undecidable for {self.name}")
+        zero = self.zero()
+        m0 = self._width_zero(elems)
+        for y in elems:
+            wy = self.width_of(y)
+            if self.lt(zero, wy) and not any(self.lt(zero, x) and self.lt(x, wy) for x in m0):
+                return False
+        return True
+
+    def minimal_positive(self):
+        """The least element above the zero, or None when there is none."""
+        elems = self.iter_elements()
+        if elems is None:
+            raise ValueError(f"minimal positive element undecidable for {self.name}")
+        zero = self.zero()
+        pos = [x for x in elems if self.lt(zero, x)]
+        return min(pos, key=_cmp_key(self)) if pos else None
+
+    def least_positives(self) -> list:
+        """The least elements above the zero in increasing order, as many of
+        them as the carrier knows."""
+        least = self.minimal_positive()
+        return [] if least is None else [least]
+
+    def top(self):
+        """A greatest element that iterated sums of smaller elements never
+        reach, where the carrier knows one; None otherwise."""
+        return None
+
+    def witness_width(self, x):
+        """Least width of an element y with y + width(x) = x or
+        y - width(x) = x; width(x) itself when no y qualifies."""
+        wx = self.width_of(x)
+        elems = self.iter_elements()
+        if elems is None:
+            raise ValueError(f"w-valuation unsupported for {self.name}")
+        best = None
+        for y in elems:
+            if self.eq(self.add(y, wx), x) or self.eq(self.rsub(y, wx), x):
+                wy = self.width_of(y)
+                if best is None or self.lt(wy, best):
+                    best = wy
+        return wx if best is None else best
 
 
-def iterate(d: Dom, x, y, n: int, mode: str):
-    """Iterated sums/differences of x by y; scale_n scales x by n."""
-    if mode == "sub_n":
-        return d.sub_n(x, y, n)
-    if mode == "add_n":
-        return d.add_n(x, y, n)
-    if mode == "scale_n":
-        return d.scale(n, x)
-    raise ValueError(f"unknown iterate mode {mode!r}")
+def _cmp_key(d: Dom):
+    return functools.cmp_to_key(lambda a, b: d.cmp(a, b))
 
 
 # -- sampling palettes ------------------------------------------------------
@@ -221,6 +313,32 @@ class GroupDom(Dom):
 
     def fmt(self, x):
         return self.group.format_element(x)
+
+    def parse_literal(self, tok):
+        # parse_element does not tell a malformed literal from one outside
+        # the group, so both are type errors
+        try:
+            return self.group.parse_element(tok)
+        except ValueError as exc:
+            raise TypeError(str(exc)) from exc
+
+    def associated_group(self):
+        return AssociatedGroup(self.group, False, "", class_of=lambda x: x)
+
+    def width_set(self):
+        return [self.zero()]
+
+    def is_proper(self):
+        return True
+
+    def is_strongly_proper(self):
+        return True
+
+    def minimal_positive(self):
+        return self.group.min_positive()
+
+    def witness_width(self, x):
+        return self.zero()
 
 
 class ShiftedGroupDom(GroupDom):
@@ -302,9 +420,6 @@ class CutDom(Dom):
             return [NEG_INF, POS_INF]
         return None
 
-    def level_edge(self, k: int) -> Cut:
-        return ct.level_edge(self.group, k)
-
     def staples(self) -> list:
         """Cuts that every sampled universe must contain."""
         g = self.group
@@ -342,6 +457,67 @@ class CutDom(Dom):
     def fmt(self, x):
         return ct.format_cut(self.group, x)
 
+    def parse_literal(self, tok):
+        if not _is_cut_literal(tok):
+            raise TypeError(f"{tok!r} is not a cut literal")
+        return _cut_literal(self, tok, self)
+
+    def associated_group(self):
+        g = self.group
+        if g.num_atoms == 0:
+            return AssociatedGroup(Group.trivial(), False, "", class_of=lambda x: ())
+        if g.is_discrete:
+            return AssociatedGroup(
+                g, True, "classes are successor cuts of group elements",
+                class_of=lambda cut: cut.prefix)
+        atoms = list(g.atoms)
+        if atoms[-1].kind == "Zloc" or (atoms[-1].kind == "Q" and self.field == "Qr2"):
+            atoms[-1] = Atom("Qr2") if self.field == "Qr2" else Atom("Q")
+        rep = Group(tuple(atoms))
+        return AssociatedGroup(
+            rep, False,
+            "dense, contains the base group; completion beyond representable "
+            "classes is out of scope",
+            class_of=lambda cut: cut.prefix)
+
+    def width_set(self):
+        return [*self._edges, POS_INF]
+
+    def is_proper(self):
+        # between two distinct cuts there is always a group element, and
+        # the principal cuts of group elements have width zero
+        return True
+
+    def is_strongly_proper(self):
+        # positive widths are whole-level edges; a small positive
+        # principal cut sits strictly below each of them
+        return True
+
+    def minimal_positive(self):
+        if self.group.is_discrete:
+            return ct.make_node(self.group, 0, self.group.min_positive(), ct.PLUS)
+        return None
+
+    def top(self):
+        return POS_INF
+
+    def witness_width(self, x):
+        if x.kind != "n" or x.side != ct.FILLED:
+            return self._zero
+        return self._edges[x.level]
+
+
+def _is_cut_literal(tok: str) -> bool:
+    return tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge("))
+
+
+def _cut_literal(cuts: CutDom, tok: str, owner: Dom) -> Cut:
+    """Parse a cut literal and check that the carrier ``owner`` holds it."""
+    cut = ct.parse_cut(cuts.group, tok)
+    if not cuts.contains(cut):
+        raise TypeError(f"{tok!r} is not in {owner.name}")
+    return cut
+
 
 class TildeDom(Dom):
     """Disjoint union of a group and its cut carrier.
@@ -356,27 +532,18 @@ class TildeDom(Dom):
         self.cutdom = CutDom(group, field)
         self.name = f"tilde({group.format()})" if field == "Q" else f"tilde({group.format()},r2)"
 
-    def g(self, coords) -> tuple:
-        return ("g", self.group.check_element(tuple(coords)))
-
-    def c(self, cut: Cut) -> tuple:
-        return ("c", cut)
-
     def zero(self):
         return ("g", self.group.zero())
 
     def add(self, x, y):
-        tx, vx = x
-        ty, vy = y
-        if tx == "g" and ty == "g":
-            return ("g", self.group.add(vx, vy))
-        if tx == "g":
-            return ("c", ct.shift_by(self.group, vx, vy))
-        if ty == "g":
-            return ("c", ct.shift_by(self.group, vy, vx))
-        return ("c", ct.add(self.group, vx, vy))
+        return self._sum(x, y, ct.add)
 
     def radd(self, x, y):
+        return self._sum(x, y, ct.radd)
+
+    def _sum(self, x, y, cut_sum):
+        """Left or right sum: group elements translate cuts, and two cuts
+        meet in ``cut_sum``."""
         tx, vx = x
         ty, vy = y
         if tx == "g" and ty == "g":
@@ -385,7 +552,7 @@ class TildeDom(Dom):
             return ("c", ct.shift_by(self.group, vx, vy))
         if ty == "g":
             return ("c", ct.shift_by(self.group, vy, vx))
-        return ("c", ct.radd(self.group, vx, vy))
+        return ("c", cut_sum(self.group, vx, vy))
 
     def neg(self, x):
         t, v = x
@@ -426,6 +593,52 @@ class TildeDom(Dom):
     def fmt(self, x):
         t, v = x
         return self.group.format_element(v) if t == "g" else ct.format_cut(self.group, v)
+
+    def parse_literal(self, tok):
+        if _is_cut_literal(tok):
+            return ("c", _cut_literal(self.cutdom, tok, self))
+        if tok.startswith("g(") and tok.endswith(")"):
+            tok = tok[2:-1]
+        try:
+            return ("g", self.group.parse_element(tok))
+        except ValueError as exc:
+            raise TypeError(str(exc)) from exc
+
+    def format_literal(self, x):
+        t, v = x
+        return f"g({self.group.format_element(v)})" if t == "g" else self.fmt(x)
+
+    def associated_group(self):
+        return AssociatedGroup(self.group, False, "width-zero part is the group itself",
+                               class_of=lambda x: x[1])
+
+    def width_set(self):
+        return [self.zero()] + [("c", w) for w in self.cutdom.width_set()]
+
+    def is_proper(self):
+        return True
+
+    def is_strongly_proper(self):
+        # every cut has positive width here, but no group element fits
+        # strictly between the group zero and the zero cut
+        return False
+
+    def minimal_positive(self):
+        return ("c", self.cutdom.zero())
+
+    def least_positives(self):
+        # the group unit follows the zero cut
+        unit = self.group.min_positive()
+        return [self.minimal_positive()] + ([("g", unit)] if unit is not None else [])
+
+    def top(self):
+        return ("c", POS_INF)
+
+    def witness_width(self, x):
+        t, v = x
+        if t == "g" or v.kind != "n" or v.side != ct.FILLED:
+            return self.zero()
+        return ("c", self.cutdom.witness_width(v))
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -566,54 +779,6 @@ def sign_of(d: Dom, x):
     raise ValueError("signature undefined (carrier violates the axioms?)")
 
 
-# -- associated group ---------------------------------------------------------
-
-
-@dataclass
-class AssociatedGroup:
-    group: Optional[Group]
-    shifted_minus: bool
-    note: str
-    class_of: Callable = field(repr=False, default=lambda x: x)
-
-    def describe(self) -> str:
-        base = self.group.format() if self.group is not None else "trivial"
-        if self.shifted_minus:
-            base += " (minus displaced by one step)"
-        return base + (f"; {self.note}" if self.note else "")
-
-
-def associated_group(d: Dom) -> AssociatedGroup:
-    """The ordered group of width-zero classes, with the quotient map."""
-    if isinstance(d, TildeDom):
-        return AssociatedGroup(d.group, False, "width-zero part is the group itself",
-                               class_of=lambda x: x[1])
-    if isinstance(d, CutDom):
-        g = d.group
-        if g.num_atoms == 0:
-            return AssociatedGroup(Group.trivial(), False, "", class_of=lambda x: ())
-        if g.is_discrete:
-            return AssociatedGroup(
-                g, True, "classes are successor cuts of group elements",
-                class_of=lambda cut: cut.prefix)
-        atoms = list(g.atoms)
-        if atoms[-1].kind == "Zloc" or (atoms[-1].kind == "Q" and d.field == "Qr2"):
-            atoms[-1] = Atom("Qr2") if d.field == "Qr2" else Atom("Q")
-        rep = Group(tuple(atoms))
-        return AssociatedGroup(
-            rep, False,
-            "dense, contains the base group; completion beyond representable "
-            "classes is out of scope",
-            class_of=lambda cut: cut.prefix)
-    if isinstance(d, GroupDom):
-        return AssociatedGroup(d.group, False, "", class_of=lambda x: x)
-    elems = d.iter_elements()
-    if elems is not None:
-        return AssociatedGroup(Group.trivial(), False, "finite ordered group is trivial",
-                               class_of=lambda x: ())
-    raise ValueError(f"associated group unsupported for {d.name}")
-
-
 # -- distinguished subsets -----------------------------------------------------
 
 
@@ -664,38 +829,23 @@ class SubDomView(Dom):
     def fmt(self, x):
         return self.parent.fmt(x)
 
-
-def width_set(d: Dom, rng: Optional[random.Random] = None, samples: int = 200) -> list:
-    """The set of width elements, ordered (exact for the built-in carriers)."""
-    elems = d.iter_elements()
-    if elems is not None:
-        return [x for x in elems if d.eq(d.width_of(x), x)]
-    if isinstance(d, CutDom):
-        return [d.level_edge(k) for k in range(d.group.num_atoms)] + [POS_INF]
-    if isinstance(d, TildeDom):
-        return [("g", d.group.zero())] + \
-               [("c", ct.level_edge(d.group, k)) for k in range(d.group.num_atoms)] + \
-               [("c", POS_INF)]
-    if isinstance(d, GroupDom):
-        return [d.zero()]
-    rng = rng or random.Random(0)
-    seen = []
-    for x in d.sample(rng, samples):
-        w = d.width_of(x)
-        if not any(d.eq(w, s) for s in seen):
-            seen.append(w)
-    seen.sort(key=_cmp_key(d))
-    return seen
-
-
-def _cmp_key(d: Dom):
-    return functools.cmp_to_key(lambda a, b: d.cmp(a, b))
+    def minimal_positive(self):
+        if self.iter_elements() is not None:
+            return super().minimal_positive()
+        try:
+            least = self.parent.least_positives()
+        except ValueError:
+            least = []
+        found = next((x for x in least if self.contains(x)), None)
+        if found is None:
+            raise ValueError(f"minimal positive element undecidable for {self.name}")
+        return found
 
 
 def special_set(d: Dom, which: str, a=None) -> "SubDomView | list":
     """Distinguished subsets: widths W, M0, Mge(a), D, H and E."""
     if which == "W":
-        return width_set(d)
+        return d.width_set()
     if which == "M0":
         zero = d.zero()
         return SubDomView(d, lambda x: d.eq(d.width_of(x), zero), zero,
@@ -727,48 +877,6 @@ def special_set(d: Dom, which: str, a=None) -> "SubDomView | list":
             return special_set(d, "M0")
         return special_set(d, "H")
     raise ValueError(f"unknown special set {which!r}")
-
-
-# -- properness ----------------------------------------------------------------
-
-
-def is_proper(d: Dom, rng: Optional[random.Random] = None) -> bool:
-    elems = d.iter_elements()
-    if elems is not None:
-        zero = d.zero()
-        m0 = [z for z in elems if d.eq(d.width_of(z), zero)]
-        return all(any(d.le(x, z) and d.le(z, y) for z in m0)
-                   for x in elems for y in elems if d.lt(x, y))
-    if isinstance(d, (CutDom, TildeDom, GroupDom)):
-        # between two distinct cuts there is always a group element, and
-        # group elements / their principal cuts have width zero
-        return True
-    raise ValueError(f"properness undecidable for {d.name}")
-
-
-def is_strongly_proper(d: Dom, rng: Optional[random.Random] = None) -> bool:
-    if not is_proper(d, rng):
-        return False
-    elems = d.iter_elements()
-    zero = d.zero()
-    if elems is not None:
-        m0 = [z for z in elems if d.eq(d.width_of(z), zero)]
-        for y in elems:
-            wy = d.width_of(y)
-            if d.lt(zero, wy) and not any(d.lt(zero, x) and d.lt(x, wy) for x in m0):
-                return False
-        return True
-    if isinstance(d, GroupDom):
-        return True
-    if isinstance(d, CutDom):
-        # positive widths are whole-level edges; a small positive
-        # principal cut sits strictly below each of them
-        return True
-    if isinstance(d, TildeDom):
-        # every cut has positive width here, but no group element fits
-        # strictly between the group zero and the zero cut
-        return False
-    raise ValueError(f"strong properness undecidable for {d.name}")
 
 
 # -- the cut-valued embedding of width-positive elements -------------------------

@@ -9,8 +9,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Optional
 
-from domkit import cuts as ct
-from domkit.doms import CutDom, Dom, GroupDom, TildeDom
+from domkit.doms import Dom
 
 
 class Valuation:
@@ -39,14 +38,6 @@ def width_valuation(d: Dom) -> Valuation:
     return Valuation(d, "width", d.width_of, d.cmp, d.fmt)
 
 
-def _top_element(d: Dom):
-    if isinstance(d, CutDom):
-        return ct.POS_INF
-    if isinstance(d, TildeDom):
-        return ("c", ct.POS_INF)
-    return None
-
-
 def _archimedean_le(d: Dom, x, y, cap: int = 64) -> bool:
     """|x| <= some finite right-sum iterate of |y| (exact, by doubling).
 
@@ -56,7 +47,7 @@ def _archimedean_le(d: Dom, x, y, cap: int = 64) -> bool:
     anchors within its doubling range.
     """
     ax, ay = d.abs_of(x), d.abs_of(y)
-    top = _top_element(d)
+    top = d.top()
     if top is not None and d.eq(ax, top):
         return d.eq(ay, top)  # finite iterates never reach the endpoint
     cur = ay
@@ -83,49 +74,20 @@ def natural_valuation(d: Dom) -> Valuation:
     return Valuation(d, "natural", lambda x: x, vcmp, d.fmt)
 
 
-def _w_token(d: Dom, w):
-    return ("below", w)
-
-
 def w_valuation(d: Dom) -> Valuation:
     """Lower edge of the witness widths: how wide a rider is needed.
 
     The value of x is the lower edge (inside the cuts of the width set)
     of the set of widths of elements y with y + width(x) = x or
-    y - width(x) = x. Values are represented as "just below w" tokens;
-    the bottom is just below the zero width.
+    y - width(x) = x, as the carrier's ``witness_width`` gives it.
+    Values are represented as "just below w" tokens; the bottom is just
+    below the zero width.
     """
-    elems = d.iter_elements()
-
-    def value_of(x):
-        wx = d.width_of(x)
-        if elems is not None:
-            best = None
-            for y in elems:
-                if d.eq(d.add(y, wx), x) or d.eq(d.rsub(y, wx), x):
-                    wy = d.width_of(y)
-                    if best is None or d.lt(wy, best):
-                        best = wy
-            if best is None:
-                best = wx
-            return _w_token(d, best)
-        if isinstance(d, GroupDom):
-            return _w_token(d, d.zero())
-        if isinstance(d, CutDom):
-            if x.kind != "n" or x.side != ct.FILLED:
-                return _w_token(d, d.zero())
-            return _w_token(d, ct.width(d.group, x))
-        if isinstance(d, TildeDom):
-            t, v = x
-            if t == "g" or v.kind != "n" or v.side != ct.FILLED:
-                return _w_token(d, d.zero())
-            return _w_token(d, ("c", ct.width(d.group, v)))
-        raise ValueError(f"w-valuation unsupported for {d.name}")
 
     def vcmp(a, b):
         return d.cmp(a[1], b[1])
 
-    return Valuation(d, "w", value_of, vcmp,
+    return Valuation(d, "w", lambda x: ("below", d.witness_width(x)), vcmp,
                      lambda tok: f"below({d.fmt(tok[1])})")
 
 

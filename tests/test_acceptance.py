@@ -20,7 +20,7 @@ from domkit.constructions import (
 )
 from domkit.doms import (
     CutDom, HomCandidate, ShiftedGroupDom, check_axioms, classify_type,
-    sign_of, special_set, verify_hom, width_set,
+    sign_of, special_set, verify_hom,
 )
 from domkit.groups import FactorSet, Group
 from domkit.oracle import oracle_diff, oracle_radd, oracle_sum
@@ -235,7 +235,7 @@ def test_criterion_7_construction_contracts():
     # re-glue identities, exhaustively over all positive widths
     for n in range(2, 7):
         d = FiniteDom(trivial_dom(n))
-        for k in width_set(d):
+        for k in d.width_set():
             if d.lt(d.zero(), k):
                 glued = split_at_width(d, k)
                 assert to_table(glued) == trivial_dom(n)

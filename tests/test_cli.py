@@ -177,3 +177,22 @@ def test_seed_env_override(capsys, monkeypatch):
     code, out_flag, _ = run(capsys, "--seed", "5", "valuation", "width",
                             "--carrier", "cuts(Q)")
     assert out_env == out_flag
+
+
+def test_eval_tilde_literals(capsys):
+    # group elements print as g(..) so that the output reads back
+    code, out, _ = run(capsys, "eval", "--carrier", "tilde(Q)", "g(1) + g(1/2)")
+    assert code == 0 and out.strip() == "g(3/2)"
+    code, out2, _ = run(capsys, "eval", "--carrier", "tilde(Q)", out.strip())
+    assert code == 0 and out2 == out
+    code, out, err = run(capsys, "eval", "--carrier", "tilde(Q)", "fill(r2)")
+    assert (code, out) == (3, "")
+    assert "type error" in err and "tilde(Q)" in err and "cuts(Q)" not in err
+
+
+def test_construct_embed_odd_chain(capsys):
+    # embed_finite: odd chains land in the mixed carrier, zero at the group zero
+    code, out, _ = run(capsys, "construct", "embed", "5")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0 -> -inf", "1 -> cut(0)-", "2 -> 0",
+                                    "3 -> cut(0)+", "4 -> +inf"]

@@ -7,15 +7,14 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.constructions import (
-    GlueDom, PointGroup, collapse, cuts_of_dom, embed_finite,
+    GlueDom, PointGroup, collapse, cuts_of_dom, dual, embed_finite,
     factor_through_quotient, fibered_product, infinity_extension, inseminate,
-    insemination_projection, minimal_positive, mu_product, quotient_by_subdom,
+    insemination_projection, mu_product, quotient_by_subdom,
     quotient_equiv, s_k_map, shift, split_at_width, split_iso, to_table,
 )
 from domkit.doms import (
     CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, check_axioms,
     classify_type, f_minus, f_plus, hom_kernel, special_set, verify_hom,
-    width_set,
 )
 from domkit.groups import Group
 from domkit.tables import FiniteDom, trivial_dom, validate
@@ -68,7 +67,7 @@ def test_shift_toggles_types():
     for x, y in zip(xs, xs[1:]):
         # shifting keeps the right difference
         assert first.eq(first.rsub(x, y), second.rsub(x, y))
-    one = minimal_positive(first)
+    one = first.minimal_positive()
     assert one is not None and first.eq(first.rsub(one, one), first.zero())
     assert all_pass(check_axioms(first, samples=150, seed=1))
 
@@ -157,7 +156,7 @@ def test_quotient_equiv():
 
 def test_s_k_map_finite():
     d = t(5)
-    for k in width_set(d):
+    for k in d.width_set():
         h = s_k_map(d, k)
         assert hom_ok(verify_hom(h))
         if k == d.zero():
@@ -175,7 +174,7 @@ def test_s_k_map_finite():
 def test_s_k_compatible_family_finite():
     # the family generated by the smallest width reproduces each member
     d = t(7)
-    widths = [w for w in width_set(d) if d.lt(d.zero(), w)]
+    widths = [w for w in d.width_set() if d.lt(d.zero(), w)]
     for k, j in itertools.combinations(widths, 2):
         hk, hj = s_k_map(d, k), s_k_map(d, j)
         for x in d.iter_elements():
@@ -208,7 +207,7 @@ def test_s_k_on_cut_carrier():
 def test_union_reglue_exhaustive():
     for n in range(2, 7):
         d = t(n)
-        for k in width_set(d):
+        for k in d.width_set():
             if not d.lt(d.zero(), k):
                 continue
             glued = split_at_width(d, k)
@@ -227,7 +226,7 @@ def test_union_reglue_exhaustive():
 def test_glue_axioms_finite():
     for n in (4, 5, 6):
         d = t(n)
-        for k in width_set(d):
+        for k in d.width_set():
             if d.lt(d.zero(), k):
                 glued = split_at_width(d, k)
                 assert all_pass(check_axioms(glued, universe=glued.iter_elements()))
@@ -424,7 +423,7 @@ def test_product_reglue_identity():
     lhs = fibered_product(m, a_member, t(2))
     narrow = SubDomView(m, lambda x: m.eq(m.width_of(x), m.zero()), m.zero(), "m0")
     lower = fibered_product(narrow, a_member, t(2))
-    k_min = next(w for w in width_set(m) if m.lt(m.zero(), w))
+    k_min = next(w for w in m.width_set() if m.lt(m.zero(), w))
     upper = special_set(m, "Mge", k_min)
 
     def theta_plus_min(p):
@@ -526,3 +525,27 @@ def test_embed_finite(n):
         for j in universe:
             s = h.target.add(h(i), h(j))
             assert any(h.target.eq(s, im) for im in images)
+
+
+CONSTRUCTED = {
+    "dual(t4)": lambda: dual(t(4)),
+    "infinity(t3)": lambda: infinity_extension(t(3)),
+    "quot-equiv(t4)": lambda: quotient_equiv(t(4))[0],
+    "split(t5,3)": lambda: split_at_width(t(5), 3),
+    "collapse(t4,H)": lambda: collapse(t(4), special_set(t(4), "H").contains)[0],
+    "mu(t3,t3)": lambda: mu_product(t(3), t(3)),
+    "shift(cuts(Z))": lambda: shift(CutDom(Z)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_constructed_carriers_contain_and_format(name):
+    d = CONSTRUCTED[name]()
+    elems = d.iter_elements()
+    if elems is None:
+        elems = d.sample(random.Random(0), 40)
+    distinct = [x for i, x in enumerate(elems) if not any(d.eq(x, y) for y in elems[:i])]
+    assert len(distinct) > 2
+    assert all(d.contains(x) for x in elems)
+    assert len({d.fmt(x) for x in distinct}) == len(distinct)
+    assert not d.contains(("bogus",))

@@ -7,10 +7,9 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import FILLED, MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.doms import (
-    CutDom, GroupDom, HomCandidate, TildeDom, associated_group, check_axioms,
-    classify_type, derived, equiv_class, f_minus, f_plus, hom_kernel,
-    is_proper, is_strongly_proper, iterate, kernel_is_convex, lambda_map,
-    multiplicity, sign_of, special_set, verify_hom, width_set,
+    CutDom, GroupDom, HomCandidate, TildeDom, check_axioms, classify_type,
+    equiv_class, f_minus, f_plus, hom_kernel, kernel_is_convex, lambda_map,
+    multiplicity, sign_of, special_set, verify_hom,
 )
 from domkit.groups import Group
 from domkit.scalars import Sqrt2
@@ -38,7 +37,7 @@ def cc(g, text):
 def test_derived_basics():
     for d in ALL_CARRIERS:
         zero = d.zero()
-        assert d.eq(derived(d, "width", zero), zero)
+        assert d.eq(d.width_of(zero), zero)
         assert d.le(zero, d.radd(zero, zero))
     gd = GroupDom(Q)
     rng = random.Random(0)
@@ -78,11 +77,10 @@ def test_defining_equation_identities():
 def test_iterate():
     d = CutDom(Q)
     x, y = cc(Q, "cut(2)+"), cc(Q, "cut(3)-")
-    assert iterate(d, x, y, 0, "sub_n") == x
-    assert iterate(d, x, y, 0, "add_n") == x
+    assert d.sub_n(x, y, 0) == x
+    assert d.add_n(x, y, 0) == x
     for n, m in ((1, 2), (2, 2), (0, 3)):
-        assert iterate(d, iterate(d, x, y, n, "sub_n"), y, m, "sub_n") \
-            == iterate(d, x, y, n + m, "sub_n")
+        assert d.sub_n(d.sub_n(x, y, n), y, m) == d.sub_n(x, y, n + m)
     # scaling of a filled cut does not commute with the minus
     dz = CutDom(Z2)
     half = make_node(Z2, 0, (F(1, 2),), FILLED)
@@ -239,20 +237,20 @@ def test_signature_ambient_symbols():
 
 
 def test_associated_group():
-    assert associated_group(FiniteDom(trivial_dom(5))).group == Group.trivial()
-    assert associated_group(GroupDom(Q)).group == Q
-    ag = associated_group(TildeDom(Z))
+    assert FiniteDom(trivial_dom(5)).associated_group().group == Group.trivial()
+    assert GroupDom(Q).associated_group().group == Q
+    ag = TildeDom(Z).associated_group()
     assert ag.group == Z and not ag.shifted_minus
-    ag = associated_group(CutDom(Z))
+    ag = CutDom(Z).associated_group()
     assert ag.group == Z and ag.shifted_minus
-    ag = associated_group(CutDom(Z2))
+    ag = CutDom(Z2).associated_group()
     assert ag.group == Q and "dense" in ag.note
-    ag = associated_group(CutDom(Q, "Qr2"))
+    ag = CutDom(Q, "Qr2").associated_group()
     assert ag.group == Group.Qr2()
     # the class map collapses the two members of a class to one value
     d = CutDom(Q)
-    assert associated_group(d).class_of(cc(Q, "cut(2)+")) == (F(2),)
-    assert associated_group(d).class_of(cc(Q, "cut(2)-")) == (F(2),)
+    assert d.associated_group().class_of(cc(Q, "cut(2)+")) == (F(2),)
+    assert d.associated_group().class_of(cc(Q, "cut(2)-")) == (F(2),)
 
 
 def test_shifted_minus_of_discrete_cut_classes():
@@ -269,11 +267,11 @@ def test_shifted_minus_of_discrete_cut_classes():
 
 def test_width_sets():
     d = CutDom(QQ)
-    ws = width_set(d)
+    ws = d.width_set()
     assert ws == [ct.zero_cut(QQ), ct.level_edge(QQ, 1), POS_INF]
     t5 = FiniteDom(trivial_dom(5))
-    assert width_set(t5) == [2, 3, 4]
-    assert width_set(GroupDom(Q)) == [(F(0),)]
+    assert t5.width_set() == [2, 3, 4]
+    assert GroupDom(Q).width_set() == [(F(0),)]
     # every finite carrier is dominance-driven: width equals absolute value
     for n in range(1, 7):
         dn = FiniteDom(trivial_dom(n))
@@ -335,11 +333,23 @@ def test_abs_bounded_set_closed():
 
 
 def test_properness():
-    verdicts = {n: is_proper(FiniteDom(trivial_dom(n))) for n in range(1, 7)}
+    verdicts = {n: FiniteDom(trivial_dom(n)).is_proper() for n in range(1, 7)}
     assert verdicts == {1: True, 2: True, 3: True, 4: True, 5: False, 6: False}
-    assert is_proper(TildeDom(Q)) and not is_strongly_proper(TildeDom(Q))
-    assert is_proper(CutDom(Z)) and is_strongly_proper(CutDom(Z))
-    assert is_proper(CutDom(Q)) and is_proper(GroupDom(Q))
+    assert TildeDom(Q).is_proper() and not TildeDom(Q).is_strongly_proper()
+    assert CutDom(Z).is_proper() and CutDom(Z).is_strongly_proper()
+    assert CutDom(Q).is_proper() and GroupDom(Q).is_proper()
+
+
+def test_strong_properness_finite():
+    # proper, and below each positive width lies a positive width-zero element
+    for n in range(1, 7):
+        d = FiniteDom(trivial_dom(n))
+        elems, zero = d.iter_elements(), d.zero()
+        m0 = [z for z in elems if d.width_of(z) == zero]
+        proper = all(any(x <= z <= y for z in m0) for x in elems for y in elems if x < y)
+        strong = proper and all(any(zero < z < d.width_of(y) for z in m0)
+                                for y in elems if zero < d.width_of(y))
+        assert d.is_strongly_proper() == strong, n
 
 
 # -- the width-positive embedding ---------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from domkit import cuts as ct
 from domkit.cuts import FILLED, POS_INF, make_node, parse_cut
-from domkit.doms import CutDom, GroupDom
+from domkit.doms import CutDom, GroupDom, TildeDom
 from domkit.groups import Group
 from domkit.scalars import Sqrt2
 from domkit.tables import FiniteDom, trivial_dom
@@ -177,3 +177,13 @@ def test_w_valuation_group_and_finite():
     assert ok(rep, ("V1", "V2", "V3"))
     for x in d.iter_elements():
         assert v(x)[1] == d.zero() or v(x)[1] == d.width_of(x)
+
+
+def test_w_valuation_tilde():
+    # only filled cuts need a wide witness; everything else sits at the
+    # bottom, just below the group zero
+    d = TildeDom(Q, "Qr2")
+    v = w_valuation(d)
+    assert v(("c", make_node(Q, 0, (Sqrt2(0, 1),), FILLED))) == ("below", ("c", ct.zero_cut(Q)))
+    assert v(("c", make_node(Q, 0, (F(1),), ct.PLUS))) == ("below", ("g", (F(0),)))
+    assert v(("g", (F(1),))) == ("below", ("g", (F(0),)))
