@@ -3,7 +3,9 @@ carrier, table validation, exhaustive enumeration, classification,
 constructions and valuation reports.
 
 Exit codes: 0 success, 1 failed checks, 2 parse errors, 3 type errors,
-4 bad usage/preconditions.
+4 bad usage/preconditions (argparse's own usage errors included).  An
+expression that starts with ``-``, such as ``-inf``, is read as the
+expression, not as an option.
 """
 
 from __future__ import annotations
@@ -300,8 +302,16 @@ def _cmd_valuation(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 4 instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dom",
         description="exact cut arithmetic and finite carrier tooling")
     default_seed = int(os.environ.get("DOMKIT_SEED", "0"))
@@ -309,10 +319,14 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=1000)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate an expression over a carrier")
+    p = sub.add_parser("eval", help="evaluate an expression over a carrier",
+                       usage="%(prog)s [-h] --carrier CARRIER expr")
     p.add_argument("--carrier", required=True)
-    p.add_argument("expr")
+    # optional here only so that a literal like -inf, which argparse takes
+    # for an unknown option, can be picked up below; it is still required
+    p.add_argument("expr", nargs="?")
     p.set_defaults(func=_cmd_eval)
+    eval_parser = p
 
     p = sub.add_parser("check-table", help="validate a finite addition table")
     p.add_argument("file")
@@ -338,7 +352,14 @@ def main(argv=None) -> int:
     p.add_argument("--carrier", required=True)
     p.set_defaults(func=_cmd_valuation)
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "eval" and args.expr is None:
+        if len(extra) == 1 and not extra[0].startswith("--"):
+            args.expr, extra = extra[0], []
+        else:
+            eval_parser.error("the following arguments are required: expr")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)
 
 

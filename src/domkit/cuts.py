@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from domkit.groups import Group
-from domkit.scalars import Scalar, format_scalar, parse_scalar, scalar_cmp, scalar_floor
+from domkit.scalars import Scalar, canon, format_scalar, parse_scalar, scalar_cmp, scalar_floor
 
 MINUS, FILLED, PLUS = -1, 0, 1
 _SIDE_TEXT = {MINUS: "-", FILLED: "fill", PLUS: "+"}
@@ -86,7 +86,7 @@ def make_node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
         raise ValueError("the trivial group has no finite cuts")
     if not 0 <= level < m:
         raise ValueError(f"cut level {level} out of range 0..{m - 1}")
-    prefix = tuple(prefix)
+    prefix = tuple(map(canon, prefix))
     if len(prefix) != m - level:
         raise ValueError(f"level-{level} prefix needs {m - level} coordinates")
     for atom, v in zip(g.atoms, prefix[:-1]):
@@ -106,9 +106,9 @@ def _node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
     anchor = prefix[-1]
     if atom.discrete:
         if not atom.contains(anchor):
-            anchor = Fraction(scalar_floor(anchor))
+            anchor = scalar_floor(anchor)
         elif side != PLUS:
-            anchor = Fraction(anchor) - 1
+            anchor = anchor - 1
         else:
             return Cut("n", level, prefix, PLUS)
         return Cut("n", level, prefix[:-1] + (anchor,), PLUS)
@@ -286,7 +286,7 @@ def width(g: Group, cut: Cut) -> Cut:
 
 def level_edge(g: Group, k: int) -> Cut:
     """The width cut at ladder level k (upper edge of H_k)."""
-    return make_node(g, k, (Fraction(0),) * (g.num_atoms - k), PLUS)
+    return make_node(g, k, (0,) * (g.num_atoms - k), PLUS)
 
 
 def project_cut(g: Group, cut: Cut, k: int) -> Cut:
@@ -390,17 +390,17 @@ def edge_above(g: Group, gp: Group, x: tuple) -> Cut:
 # -- helpers used by samplers and witnesses --------------------------------
 
 
-def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Fraction:
+def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
     """Component member strictly below ``target``, within base^-(n+1) of it."""
     d = g.atoms[atom_index].dense_denominator() ** (n + 1)
     ceil_td = -scalar_floor(-(target * d))
-    return Fraction(ceil_td - 1, d)
+    return canon(Fraction(ceil_td - 1, d))
 
 
-def approach_above(g: Group, atom_index: int, target: Scalar, n: int) -> Fraction:
+def approach_above(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
     d = g.atoms[atom_index].dense_denominator() ** (n + 1)
     floor_td = scalar_floor(target * d)
-    return Fraction(floor_td + 1, d)
+    return canon(Fraction(floor_td + 1, d))
 
 
 def element_between(g: Group, a: Cut, b: Cut) -> tuple:
@@ -411,7 +411,7 @@ def element_between(g: Group, a: Cut, b: Cut) -> tuple:
     candidates: list[tuple] = []
 
     def pad(prefix, value):
-        return tuple(prefix) + (Fraction(value),) * (m - len(prefix))
+        return tuple(prefix) + (value,) * (m - len(prefix))
 
     for cut in (a, b):
         if cut.kind != "n":
@@ -420,8 +420,8 @@ def element_between(g: Group, a: Cut, b: Cut) -> tuple:
         base = p[:-1]
         anchor = p[-1]
         idx = m - cut.level - 1
-        candidates.append(pad(base + (Fraction(scalar_floor(anchor)),), 0))
-        candidates.append(pad(base + (Fraction(scalar_floor(anchor)) + 1,), 0))
+        candidates.append(pad(base + (scalar_floor(anchor),), 0))
+        candidates.append(pad(base + (scalar_floor(anchor) + 1,), 0))
         for n in range(6):
             if not g.atoms[idx].discrete:
                 candidates.append(pad(base + (approach_below(g, idx, anchor, n),), 0))

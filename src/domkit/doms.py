@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from domkit.groups import Atom, Group
 from domkit import cuts as ct
 from domkit.cuts import Cut, NEG_INF, POS_INF, SIGN_INF, SIGN_SPADE
-from domkit.scalars import Sqrt2, is_rational
+from domkit.scalars import Sqrt2, canon, is_rational
 
 PREDOM_AXIOMS = ("assoc", "comm", "neutral", "PA", "minus")
 DOM_AXIOMS = PREDOM_AXIOMS + ("MA", "MB", "MCa", "MCb")
@@ -248,12 +248,12 @@ def _cmp_key(d: Dom):
 
 def _atom_palette(atom: Atom, field: str) -> list:
     if atom.kind == "Z":
-        return [Fraction(n) for n in range(-3, 4)]
+        return list(range(-3, 4))
     if atom.kind == "Zloc":
         p = atom.p
         dens = [d for d in (1, 3, 5) if d % p != 0] or [1]
-        return [Fraction(n, d) for n in range(-3, 4) for d in dens]
-    vals = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+        return [canon(Fraction(n, d)) for n in range(-3, 4) for d in dens]
+    vals = [canon(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2, 3)]
     if atom.kind == "Qr2" or (atom.kind == "Q" and field == "Qr2"):
         vals += [Sqrt2(0, 1), Sqrt2(0, -1), Sqrt2(1, 1), Sqrt2(-1, 2), Sqrt2(Fraction(1, 2), 1)]
     return vals

@@ -17,6 +17,7 @@ group).
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
@@ -24,6 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from domkit.scalars import (
     Scalar,
     Sqrt2,
+    canon,
     format_scalar,
     parse_scalar,
     scalar_cmp,
@@ -49,8 +51,8 @@ class Atom:
         self.p = p
 
     def contains(self, x: Scalar) -> bool:
-        if self.kind == "Qr2":
-            return True
+        if type(x) is int or self.kind == "Qr2":
+            return True  # every atom contains the integers
         if isinstance(x, Sqrt2):
             if x.b != 0:
                 return False
@@ -105,7 +107,7 @@ class FactorSet:
 
     @classmethod
     def zero(cls, fiber_width: int = 1) -> "FactorSet":
-        z = (Fraction(0),) * fiber_width
+        z = (0,) * fiber_width
         return cls(lambda c, d: z, name="0", poly={})
 
     @classmethod
@@ -122,7 +124,7 @@ class FactorSet:
     def __call__(self, c: tuple, d: tuple) -> tuple:
         v = self.fn(c, d)
         if not isinstance(v, tuple):
-            v = (Fraction(v),)
+            v = (canon(v),)
         return v
 
     def __repr__(self):
@@ -157,13 +159,17 @@ def _poly_subst(poly: dict, sub_x: dict, sub_y: dict, nvars: int) -> dict:
 
 def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet,
                         sample_range: int = 3) -> list[tuple[str, tuple]]:
-    """Check symmetry, normalization and the cocycle law.
+    """Check symmetry, normalization, the cocycle law and that the values
+    lie in the fiber.
 
     Returns a list of (law, witness) failures; empty means valid on the
     checked domain.  Polynomial rules are expanded symbolically, other
-    rules are probed on an integer grid.
+    rules are probed on an integer grid.  When the laws hold, the values
+    of ``f`` on that grid must lie in the fiber (a rule given only as a
+    polynomial, with no function, has no values to probe).
     """
     failures: list[tuple[str, tuple]] = []
+    grid = [base.from_ints([n] * base.num_atoms) for n in range(-sample_range, sample_range + 1)]
     if f.poly is not None:
         coeffs = {m: Fraction(c) for m, c in f.poly.items()}
         for (i, j), c in coeffs.items():
@@ -187,24 +193,23 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet,
         bad = {m: c for m, c in acc.items() if c != 0}
         if bad:
             failures.append(("cocycle", (sorted(bad)[0],)))
-        return failures
-
-    grid = [base.from_ints([n] * base.num_atoms) for n in range(-sample_range, sample_range + 1)]
-    zero = base.zero()
-    for c, d in itertools.product(grid, repeat=2):
-        if f(c, d) != f(d, c):
-            failures.append(("symmetry", (c, d)))
-            return failures
-    for c in grid:
-        if any(v != 0 for v in f(c, zero)) or any(v != 0 for v in f(zero, c)):
-            failures.append(("normalization", (c,)))
-            return failures
-    for c, d, e in itertools.product(grid, repeat=3):
-        lhs = tuple(a + b for a, b in zip(f(d, e), f(c, tuple(u + v for u, v in zip(d, e)))))
-        rhs = tuple(a + b for a, b in zip(f(c, d), f(tuple(u + v for u, v in zip(c, d)), e)))
-        if lhs != rhs:
-            failures.append(("cocycle", (c, d, e)))
-            return failures
+    else:
+        zero = base.zero()
+        for c, d in itertools.product(grid, repeat=2):
+            if f(c, d) != f(d, c):
+                return [("symmetry", (c, d))]
+        for c in grid:
+            if any(v != 0 for v in f(c, zero)) or any(v != 0 for v in f(zero, c)):
+                return [("normalization", (c,))]
+        for c, d, e in itertools.product(grid, repeat=3):
+            lhs = tuple(a + b for a, b in zip(f(d, e), f(c, tuple(u + v for u, v in zip(d, e)))))
+            rhs = tuple(a + b for a, b in zip(f(c, d), f(tuple(u + v for u, v in zip(c, d)), e)))
+            if lhs != rhs:
+                return [("cocycle", (c, d, e))]
+    if not failures and f.fn is not None:
+        for c, d in itertools.product(grid, repeat=2):
+            if not fiber.contains(f(c, d)):
+                return [("fiber", (c, d))]
     return failures
 
 
@@ -311,10 +316,10 @@ class Group:
     # -- elements -------------------------------------------------------
 
     def zero(self) -> tuple:
-        return (Fraction(0),) * self.num_atoms
+        return (0,) * self.num_atoms
 
     def from_ints(self, values: Iterable) -> tuple:
-        return tuple(Fraction(v) for v in values)
+        return tuple(map(canon, values))
 
     def contains(self, x: tuple) -> bool:
         return len(x) == self.num_atoms and all(a.contains(v) for a, v in zip(self.atoms, x))
@@ -324,7 +329,7 @@ class Group:
             raise ValueError(f"expected {self.num_atoms} coordinates, got {x!r}")
         if not self.contains(x):
             raise ValueError(f"{self.format_element(x)} is not in {self.format()}")
-        return x
+        return tuple(map(canon, x))
 
     def _split(self, x: tuple) -> tuple[tuple, tuple]:
         bm = self.base.num_atoms
@@ -344,19 +349,19 @@ class Group:
             c1, a1 = self._split(x)
             c2, a2 = self._split(y)
             tw = self._twist(c1, c2)
-            c = tuple(u + v for u, v in zip(c1, c2))
-            a = tuple(u + v + w for u, v, w in zip(a1, a2, tw))
+            c = tuple(map(canon, map(operator.add, c1, c2)))
+            a = tuple(canon(u + v + w) for u, v, w in zip(a1, a2, tw))
             return c + a
-        return tuple(u + v for u, v in zip(x, y))
+        return tuple(map(canon, map(operator.add, x, y)))
 
     def neg(self, x: tuple) -> tuple:
         if self.base is not None:
             c, a = self._split(x)
-            nc = tuple(-u for u in c)
+            nc = tuple(map(canon, map(operator.neg, c)))
             tw = self._twist(c, nc)
-            na = tuple(-u - w for u, w in zip(a, tw))
+            na = tuple(canon(-u - w) for u, w in zip(a, tw))
             return nc + na
-        return tuple(-u for u in x)
+        return tuple(map(canon, map(operator.neg, x)))
 
     def sub(self, x: tuple, y: tuple) -> tuple:
         return self.add(x, self.neg(y))
@@ -375,7 +380,7 @@ class Group:
         if self.num_atoms == 0:
             return None
         if self.atoms[-1].discrete:
-            return (Fraction(0),) * (self.num_atoms - 1) + (Fraction(1),)
+            return (0,) * (self.num_atoms - 1) + (1,)
         return None
 
     @property

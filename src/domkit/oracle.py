@@ -25,8 +25,6 @@ is an elementary coordinate flip.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from domkit.groups import Group
 from domkit import cuts as ct
 from domkit.cuts import (
@@ -50,7 +48,7 @@ def ascending_chain(g: Group, cut: Cut, n: int) -> list[tuple]:
     out = []
     anchor_idx = g.num_atoms - k - 1
     for i in range(n):
-        tail = (Fraction(i),) * k
+        tail = (i,) * k
         if cut.side == PLUS:
             out.append(tuple(p) + tail)
         else:
@@ -69,9 +67,9 @@ def _top_reached(g: Group, cut: Cut, k: int) -> tuple[tuple, bool]:
         return t, False
     for j in range(m - k, m):
         if j < m - cut.level:
-            probe.append(Fraction(scalar_floor(cut.prefix[j]) - 1))
+            probe.append(scalar_floor(cut.prefix[j]) - 1)
         else:
-            probe.append(Fraction(0))
+            probe.append(0)
     return t, member_below(g, tuple(probe), cut)
 
 
@@ -144,7 +142,7 @@ def _check_least(g: Group, a: Cut, b: Cut, cand: Cut, shifts: list[Cut], n: int)
         return
     if cand.kind == "hi":
         probe = make_node(g, g.num_atoms - 1,
-                          (Fraction(3 ** (n // 2)),), PLUS)
+                          (3 ** (n // 2),), PLUS)
         if all(compare(g, s, probe) <= 0 for s in shifts):
             raise OracleError("chain does not grow towards +inf")
         return

@@ -1,10 +1,20 @@
 """Exact scalar values used in group coordinates and cut anchors.
 
-Two scalar kinds circulate in the package: plain ``fractions.Fraction``
-and ``Sqrt2`` (an element a + b*sqrt(2) of the real quadratic field
-Q(sqrt 2), kept exact).  The two interoperate through the usual
+Three scalar kinds circulate in the package: ``int`` for integral
+values, ``fractions.Fraction`` for the other rationals, and ``Sqrt2``
+(an element a + b*sqrt(2) of the real quadratic field Q(sqrt 2), kept
+exact) for the irrational ones.  They interoperate through the usual
 arithmetic/comparison operators, so code downstream never needs to
 branch on the kind.
+
+``canon`` is the one normalizer: it returns an ``int`` when the value is
+integral, otherwise a ``Fraction`` when it is rational, otherwise a
+``Sqrt2`` with ``b != 0`` (whose own ``a`` and ``b`` are again ``int`` or
+``Fraction``).  Parsing, group arithmetic and cut construction return
+canonical scalars, so most coordinates are plain ``int`` and cost
+machine-word arithmetic.  The invariant is a matter of speed only: a
+stray ``Fraction(3)`` still equals ``3`` and hashes like it, so every
+answer and every structural cut equality is the same either way.
 """
 
 from __future__ import annotations
@@ -13,7 +23,16 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-Scalar = Union[Fraction, "Sqrt2"]
+Scalar = Union[int, Fraction, "Sqrt2"]
+
+
+def _rational(x) -> "int | Fraction":
+    """``x`` as an exact rational: an ``int`` when integral."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Sqrt2:
@@ -22,8 +41,8 @@ class Sqrt2:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        object.__setattr__(self, "a", _rational(a))
+        object.__setattr__(self, "b", _rational(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sqrt2 values are immutable")
@@ -123,8 +142,20 @@ class Sqrt2:
         return format_scalar(self)
 
 
-def _normalize(a: Fraction, b: Fraction) -> Scalar:
-    return a if b == 0 else Sqrt2(a, b)
+def _normalize(a, b) -> Scalar:
+    return _rational(a) if b == 0 else Sqrt2(a, b)
+
+
+def canon(x) -> Scalar:
+    """The canonical form of a scalar: ``int`` when integral, otherwise
+    ``Fraction`` when rational, otherwise ``Sqrt2`` with ``b != 0``."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Sqrt2):
+        return x if x.b != 0 else x.a
+    return _rational(x)
 
 
 SQRT2 = Sqrt2(0, 1)
@@ -143,8 +174,10 @@ def as_fraction(x: Scalar) -> Fraction:
 
 
 def scalar_cmp(x: Scalar, y: Scalar) -> int:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        # denominators are positive: one cross-multiplication decides
+    if type(x) is int and type(y) is int:
+        return (x > y) - (x < y)
+    if not isinstance(x, Sqrt2) and not isinstance(y, Sqrt2):
+        # int or Fraction, denominators positive: one cross-multiplication
         d = x.numerator * y.denominator - y.numerator * x.denominator
         return (d > 0) - (d < 0)
     if x == y:
@@ -154,9 +187,10 @@ def scalar_cmp(x: Scalar, y: Scalar) -> int:
 
 def scalar_floor(x: Scalar) -> int:
     """Exact floor, also for irrational a + b*sqrt2 values."""
+    if type(x) is int:
+        return x
     if not isinstance(x, Sqrt2):
-        f = x if isinstance(x, Fraction) else Fraction(x)
-        return f.numerator // f.denominator
+        return x.numerator // x.denominator
     if x.b == 0:
         return x.a.numerator // x.a.denominator
     # x = (A/B) + (C/D) sqrt2 = (AD + CB*sqrt2) / (BD) with BD > 0.
@@ -188,9 +222,9 @@ def format_scalar(x: Scalar) -> str:
     return f"{a}+{bs}" if b > 0 else f"{a}{bs}"
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> "int | Fraction":
     try:
-        return Fraction(text)
+        return _rational(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -211,10 +245,10 @@ def parse_scalar(text: str) -> Scalar:
     else:
         a_txt, b_txt = head[:cut], head[cut:]
     if b_txt in ("", "+"):
-        b = Fraction(1)
+        b = 1
     elif b_txt == "-":
-        b = Fraction(-1)
+        b = -1
     else:
         b = _parse_fraction(b_txt)
-    a = _parse_fraction(a_txt) if a_txt not in ("", "+") else Fraction(0)
+    a = _parse_fraction(a_txt) if a_txt not in ("", "+") else 0
     return _normalize(a, b)

@@ -1,3 +1,5 @@
+import pytest
+
 from domkit.cli import main
 
 
@@ -196,3 +198,27 @@ def test_construct_embed_odd_chain(capsys):
     assert code == 0
     assert out.splitlines()[1:] == ["0 -> -inf", "1 -> cut(0)-", "2 -> 0",
                                     "3 -> cut(0)+", "4 -> +inf"]
+
+
+def test_usage_errors_exit_4(capsys):
+    # argparse's own errors are usage errors: exit 4, as documented
+    for argv in (["eval", "cut(0)+"], [], ["enumerate", "x"],
+                 ["eval", "--carrier", "cuts(Q)"], ["enumerate", "3", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "usage: dom" in out.err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert "--carrier CARRIER expr" in capsys.readouterr().out
+
+
+def test_expression_may_start_with_a_dash(capsys):
+    for argv in (["eval", "--carrier", "cuts(Q)", "-inf"],
+                 ["eval", "-inf", "--carrier", "cuts(Q)"],
+                 ["eval", "--carrier", "cuts(Q)", "--", "-inf"]):
+        assert run(capsys, *argv) == (0, "-inf\n", "")
+    assert run(capsys, "eval", "--carrier", "Q", "-1/2 + 1") == (0, "1/2\n", "")
+    assert run(capsys, "eval", "--carrier", "Q", "-1/2")[:2] == (0, "-1/2\n")

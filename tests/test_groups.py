@@ -221,10 +221,15 @@ def test_quotient_range_checked_after_the_cache():
 
 
 def test_factor_set_values_must_lie_in_the_fiber():
-    # f(c, d) = (cd/2, 0) passes the grid laws but leaves lex(Z,Z) at (1, 1);
-    # the sum raises instead of returning a tuple outside the group
+    # f(c, d) = (cd/2, 0) passes the grid laws but leaves lex(Z,Z) at (1, 1):
+    # the group is refused when it is built, and a group built around the
+    # check still raises in the sum instead of returning a tuple outside it
     half = FactorSet(lambda c, d: (F(c[0] * d[0], 2), F(0)), name="xy/2")
-    g = Group.crossed(Z, Group.lex(Z, Z), half)
+    ZZ = Group.lex(Z, Z)
+    assert validate_factor_set(Z, ZZ, half)[0][0] == "fiber"
+    with pytest.raises(ValueError, match="factor-set law 'fiber' fails"):
+        Group.crossed(Z, ZZ, half)
+    g = Group(Z.atoms + ZZ.atoms, base=Z, fiber=ZZ, factor=half)
     assert g.add(el(2, 0, 0), el(1, 0, 0)) == el(3, 1, 0)
     with pytest.raises(ValueError, match="leaves lex"):
         g.add(el(1, 0, 0), el(1, 0, 0))
