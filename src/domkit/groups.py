@@ -271,6 +271,8 @@ class Group:
     def crossed(cls, base: "Group", fiber: "Group", f: FactorSet) -> "Group":
         if base.is_crossed or fiber.is_crossed:
             raise ValueError("nested crossed products are not supported")
+        if f.fn is None:
+            raise ValueError(f"factor set {f.name} has no function to evaluate")
         failures = validate_factor_set(base, fiber, f)
         if failures:
             law, witness = failures[0]

@@ -6,11 +6,14 @@ axioms hold the neutral element is forced to sit at index n//2. The
 enumerator searches symmetric row-monotone matrices with the neutral
 row pinned and prunes with the per-cell sign constraints. Each
 associativity triple is checked once, when the last of its four lookups
-is placed, and a final full pass re-checks every leaf.
+is placed. A leaf is built unchecked from the search's own matrix, and
+one ``validate`` call on that matrix re-checks it: a final full
+associativity pass and, when MC' is asked for, MC' over all triples.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, lt
 from typing import Iterable, Optional, Sequence
 
 from domkit import doms
@@ -37,6 +40,15 @@ class FiniteDomTable:
         self.n = n
         self.plus = tuple(rows)
 
+    @classmethod
+    def _of(cls, plus: tuple) -> "FiniteDomTable":
+        """Unchecked: ``plus`` is already a square tuple of int tuples with
+        entries in 0..n-1, as the search builds it."""
+        t = object.__new__(cls)
+        t.n = len(plus)
+        t.plus = plus
+        return t
+
     def __eq__(self, other):
         return isinstance(other, FiniteDomTable) and self.plus == other.plus
 
@@ -47,13 +59,11 @@ class FiniteDomTable:
         return f"FiniteDomTable({[list(r) for r in self.plus]})"
 
     def neutral(self) -> Optional[int]:
-        for e in range(self.n):
-            if all(self.plus[e][j] == j for j in range(self.n)):
+        identity = tuple(range(self.n))
+        for e, row in enumerate(self.plus):
+            if row == identity:
                 return e
         return None
-
-    def key(self) -> tuple:
-        return tuple(v for row in self.plus for v in row)
 
 
 def serialize_table(t: FiniteDomTable) -> str:
@@ -160,10 +170,12 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
     if e is None:
         return report
 
-    d = FiniteDom(t)
-    rest = [a for a in axioms if a in ("minus", "MA", "MB", "MCa", "MCb", "MCprime")]
+    rest = [a for a in axioms if a in ("minus", "MA", "MB", "MCa", "MCb")]
     if rest:
+        d = FiniteDom(t)
         report.update(doms.check_axioms(d, universe=d.iter_elements(), which=rest))
+    if "MCprime" in axioms:
+        report["MCprime"] = _mcprime_verdict(t.plus)
     return report
 
 
@@ -176,6 +188,23 @@ def _assoc_verdict(plus: tuple) -> tuple:
             left = plus[px[y]]
             if left != tuple(map(through_x, py)):
                 z = next(z for z, yz in enumerate(py) if left[z] != px[yz])
+                return (False, (x, y, z))
+    return (True, None)
+
+
+def _mcprime_verdict(plus: tuple) -> tuple:
+    # MC' fails at (x, y, z) when (x + y) -R z < x + (y -R z).  With the
+    # minus i -> top - i, a -R z = top - plus[top - a][z], so row rsub[a]
+    # holds a -R z over all z, and x + (y -R z) is row rsub[y] read
+    # through row plus[x]
+    top = len(plus) - 1
+    rsub = [tuple(top - v for v in plus[top - a]) for a in range(top + 1)]
+    for x, px in enumerate(plus):
+        through_x = px.__getitem__
+        for y, xy in enumerate(px):
+            left = rsub[xy]
+            if any(map(lt, left, map(through_x, rsub[y]))):
+                z = next(z for z, yz in enumerate(rsub[y]) if left[z] < px[yz])
                 return (False, (x, y, z))
     return (True, None)
 
@@ -211,7 +240,7 @@ def enumerate_tables(n: int, axioms: Iterable[str] = DOM_AXIOM_SET,
     results: list[FiniteDomTable] = []
     for e in _neutral_candidates(n, axioms):
         results.extend(_search_with_neutral(n, e, axioms))
-    results.sort(key=lambda t: t.key())
+    results.sort(key=attrgetter("plus"))
     return results
 
 
@@ -229,6 +258,7 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
             where[j].append((j, e))
     cells = [(i, j) for i in range(n) for j in range(i, n)
              if i != e and j != e]
+    checks = ("assoc", "MCprime") if "MCprime" in axioms else ("assoc",)
     out: list[FiniteDomTable] = []
 
     def assoc_ok_around(pairs: tuple, v: int) -> bool:
@@ -266,9 +296,8 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
 
     def place(idx: int) -> None:
         if idx == len(cells):
-            t = FiniteDomTable([row[:] for row in P])
-            rep = validate(t, ("assoc",))
-            if rep["assoc"][0] and _mcprime_holds(t, axioms):
+            t = FiniteDomTable._of(tuple(map(tuple, P)))
+            if table_passes(t, checks):
                 out.append(t)
             return
         i, j = cells[idx]
@@ -296,10 +325,3 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
 
     place(0)
     return out
-
-
-def _mcprime_holds(t: FiniteDomTable, axioms: frozenset) -> bool:
-    if "MCprime" not in axioms:
-        return True
-    rep = validate(t, ("MCprime",))
-    return rep["MCprime"][0]

@@ -148,6 +148,18 @@ def test_factor_set_validation():
     assert failures and failures[0][0] == "cocycle"
 
 
+def test_crossed_refuses_a_factor_set_with_no_function():
+    # the laws of a polynomial-only rule check symbolically, but the
+    # group's add needs values of the rule
+    poly_only = FactorSet(None, poly={(1, 1): F(-2)})
+    assert validate_factor_set(Z, Z, poly_only) == []
+    with pytest.raises(ValueError, match="no function"):
+        Group.crossed(Z, Z, poly_only)
+    with_fn = FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly={(1, 1): F(-2)})
+    g = Group.crossed(Z, Z, with_fn)
+    assert g.add((1, 0), (1, 0)) == (2, -2)
+
+
 def test_crossed_product_of_section_is_the_extension():
     # a crossed product made from a section is order-isomorphic to the
     # original extension through (c, a) -> (c, a - s(c))

@@ -191,6 +191,49 @@ def test_mcprime_equivalence():
             assert rep["MCa"][0] and rep["MCb"][0]
 
 
+def test_mcprime_equivalence_beyond_six():
+    for n in (7, 8):
+        assert enumerate_tables(n, {"MA", "MB", "MCprime"}, bound=n) == \
+            enumerate_tables(n, {"MA", "MB", "MCa", "MCb"}, bound=n), n
+
+
+def random_symmetric_table(rng, n):
+    """A symmetric matrix on the n-chain with one row pinned to the identity."""
+    e = rng.randrange(n)
+    plus = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            plus[i][j] = plus[j][i]
+    for k in range(n):
+        plus[e][k] = plus[k][e] = k
+    return FiniteDomTable(plus)
+
+
+def test_mcprime_verdict_matches_generic_check():
+    # the row-wise MC' check against the carrier-generic one, witness included
+    rng = random.Random(7)
+    cases = [random_symmetric_table(rng, n) for n in range(1, 7) for _ in range(150)]
+    cases += [t for n in range(1, 6) for t in enumerate_tables(n, {"MA", "MB"})]
+    failing = 0
+    for t in cases:
+        d = FiniteDom(t)
+        expected = check_axioms(d, universe=d.iter_elements(), which=["MCprime"])["MCprime"]
+        assert validate(t, ("MCprime",))["MCprime"] == expected, t
+        failing += not expected[0]
+    assert 0 < failing < len(cases)
+
+
+def test_search_leaves_equal_checked_tables():
+    for n in range(1, 7):
+        for axioms in (set(), {"MB"}, {"MA", "MB", "MCprime"}):
+            for t in enumerate_tables(n, axioms):
+                checked = FiniteDomTable([list(row) for row in t.plus])
+                assert t == checked and hash(t) == hash(checked)
+                assert t.n == n and type(t.plus) is tuple
+                assert all(type(row) is tuple and len(row) == n for row in t.plus)
+                assert all(type(v) is int for row in t.plus for v in row)
+
+
 def test_axiom_independence_witnesses():
     # comparison axioms: witnessed by finite tables
     for t, failing in ((BAD3, "MCb"), (BAD4A, "MCa"), (BAD4B, "MCa")):
