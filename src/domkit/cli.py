@@ -2,6 +2,11 @@
 carrier, table validation, exhaustive enumeration, classification,
 constructions and valuation reports.
 
+Each subcommand imports only the modules it runs: ``tables``,
+``constructions`` and ``valuations`` are imported inside the commands
+that use them, so ``eval`` and ``classify`` load only the carrier
+layers and a ``dom`` process starts sooner.
+
 Exit codes: 0 success, 1 failed checks, 2 parse errors, 3 type errors,
 4 bad usage/preconditions (argparse's own usage errors included).  An
 expression that starts with ``-``, such as ``-inf``, is read as the
@@ -15,14 +20,8 @@ import os
 import random
 import sys
 
-from domkit import tables, valuations
-from domkit.constructions import (
-    collapse, cuts_of_dom, dual, embed_finite, infinity_extension, mu_product,
-    quotient_equiv, split_at_width, to_table,
-)
 from domkit.doms import CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set
 from domkit.groups import parse_group
-from domkit.tables import FiniteDom, enumerate_tables, parse_table, serialize_table, trivial_dom
 
 
 class ParseError(ValueError):
@@ -177,13 +176,15 @@ def _fmt_witness(w) -> str:
 
 
 def _cmd_check_table(args) -> int:
+    from domkit.tables import parse_table, validate
+
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             t = parse_table(fh.read())
     except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    report = tables.validate(t)
+    report = validate(t)
     failed = False
     for key, label in AXIOM_LABELS:
         if key not in report:
@@ -207,6 +208,8 @@ def _parse_axioms(text: str) -> frozenset:
 
 
 def _cmd_enumerate(args) -> int:
+    from domkit.tables import enumerate_tables, serialize_table
+
     try:
         found = enumerate_tables(args.n, _parse_axioms(args.axioms), bound=args.bound)
     except ValueError as exc:
@@ -230,7 +233,9 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _load_table_arg(text: str) -> FiniteDom:
+def _load_table_arg(text: str):
+    from domkit.tables import FiniteDom, parse_table, trivial_dom
+
     if text.startswith("trivial:"):
         return FiniteDom(trivial_dom(int(text.split(":", 1)[1])))
     with open(text, "r", encoding="utf-8") as fh:
@@ -238,6 +243,12 @@ def _load_table_arg(text: str) -> FiniteDom:
 
 
 def _cmd_construct(args) -> int:
+    from domkit.constructions import (
+        collapse, cuts_of_dom, dual, embed_finite, infinity_extension, mu_product,
+        quotient_equiv, split_at_width, to_table,
+    )
+    from domkit.tables import serialize_table, trivial_dom
+
     kind = args.kind
     try:
         if kind == "trivial":
@@ -278,6 +289,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
+    from domkit import valuations
+
     try:
         d = parse_carrier(args.carrier)
         maker = {

@@ -9,7 +9,6 @@ tagged pairs); finite ones can be materialized to addition tables with
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from domkit import cuts as ct
@@ -465,7 +464,6 @@ def split_iso(glued: GlueDom) -> HomCandidate:
                         universe=glued.iter_elements())
 
 
-@dataclass
 class PointGroup:
     """A subgroup of the double-point classes, given by representatives.
 
@@ -473,14 +471,16 @@ class PointGroup:
     class inside the host carrier.
     """
 
-    name: str
-    zero: object
-    add: Callable
-    neg: Callable
-    cmp: Callable
-    plus_image: Callable
-    member: Callable
-    samples: Sequence = ()
+    def __init__(self, name: str, zero: object, add: Callable, neg: Callable, cmp: Callable,
+                 plus_image: Callable, member: Callable, samples: Sequence = ()):
+        self.name = name
+        self.zero = zero
+        self.add = add
+        self.neg = neg
+        self.cmp = cmp
+        self.plus_image = plus_image
+        self.member = member
+        self.samples = samples
 
 
 class PointGroupDom(Dom):

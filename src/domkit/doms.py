@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -33,14 +32,15 @@ DOM_AXIOMS = PREDOM_AXIOMS + ("MA", "MB", "MCa", "MCb")
 ALL_AXIOMS = DOM_AXIOMS + ("MCprime",)
 
 
-@dataclass
 class AssociatedGroup:
     """The ordered group of width-zero classes and the map onto it."""
 
-    group: Optional[Group]
-    shifted_minus: bool
-    note: str
-    class_of: Callable = field(repr=False, default=lambda x: x)
+    def __init__(self, group: Optional[Group], shifted_minus: bool, note: str,
+                 class_of: Callable = lambda x: x):
+        self.group = group
+        self.shifted_minus = shifted_minus
+        self.note = note
+        self.class_of = class_of
 
 
 class Dom:
@@ -919,13 +919,14 @@ def lambda_map(d: Dom, target: Group, a):
 # -- homomorphisms ----------------------------------------------------------------
 
 
-@dataclass
 class HomCandidate:
-    source: Dom
-    target: Dom
-    mapping: Callable
-    kind: str = "dom"  # "dom" preserves the zero; "quasi-dom" need not
-    universe: Optional[list] = None
+    def __init__(self, source: Dom, target: Dom, mapping: Callable, kind: str = "dom",
+                 universe: Optional[list] = None):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
+        self.kind = kind  # "dom" preserves the zero; "quasi-dom" need not
+        self.universe = universe
 
     def __call__(self, x):
         return self.mapping[x] if isinstance(self.mapping, dict) else self.mapping(x)

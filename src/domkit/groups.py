@@ -98,12 +98,32 @@ class FactorSet:
     scalar variables (base and fiber of one atom each), pass ``poly`` as
     ``{(i, j): coeff}`` for sum(coeff * x^i * y^j); the factor-set laws
     are then verified symbolically, otherwise on a finite sample grid.
+    The polynomial reads the leading base coordinate of each argument and
+    gives the leading fiber coordinate; any further fiber coordinates are 0.
+
+    Two factor sets that both have a ``poly`` are equal when their
+    polynomials are, zero coefficients dropped; ``validate_factor_set``
+    checks that ``fn`` agrees with ``poly``. A factor set without a
+    ``poly`` is equal only to itself.
     """
 
     def __init__(self, fn: Callable, name: str = "f", poly: dict | None = None):
         self.fn = fn
         self.name = name
         self.poly = poly
+
+    def _poly_key(self) -> frozenset:
+        return frozenset((m, canon(c)) for m, c in self.poly.items() if c != 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, FactorSet):
+            return NotImplemented
+        if self.poly is None or other.poly is None:
+            return self is other
+        return self._poly_key() == other._poly_key()
+
+    def __hash__(self):
+        return object.__hash__(self) if self.poly is None else hash(self._poly_key())
 
     @classmethod
     def zero(cls, fiber_width: int = 1) -> "FactorSet":
@@ -165,8 +185,9 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet,
     Returns a list of (law, witness) failures; empty means valid on the
     checked domain.  Polynomial rules are expanded symbolically, other
     rules are probed on an integer grid.  When the laws hold, the values
-    of ``f`` on that grid must lie in the fiber (a rule given only as a
-    polynomial, with no function, has no values to probe).
+    of ``f`` on that grid must lie in the fiber and, when ``f`` has both a
+    function and a polynomial, agree with the polynomial there (a rule
+    given only as a polynomial, with no function, has no values to probe).
     """
     failures: list[tuple[str, tuple]] = []
     grid = [base.from_ints([n] * base.num_atoms) for n in range(-sample_range, sample_range + 1)]
@@ -207,9 +228,14 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet,
             if lhs != rhs:
                 return [("cocycle", (c, d, e))]
     if not failures and f.fn is not None:
+        pad = (0,) * (fiber.num_atoms - 1)
         for c, d in itertools.product(grid, repeat=2):
-            if not fiber.contains(f(c, d)):
+            v = f(c, d)
+            if not fiber.contains(v):
                 return [("fiber", (c, d))]
+            if f.poly is not None and v != (sum(
+                    k * c[0] ** i * d[0] ** j for (i, j), k in coeffs.items()),) + pad:
+                return [("poly", (c, d))]
     return failures
 
 
@@ -300,7 +326,7 @@ class Group:
 
     def __hash__(self):
         if self.is_crossed:
-            return hash((self.base, self.fiber, id(self.factor)))
+            return hash((self.base, self.fiber, self.factor))
         return hash(self.atoms)
 
     def __repr__(self):
@@ -412,7 +438,7 @@ class Group:
             return self.base.quotient(k - fm)
         quot_fiber = self.fiber.quotient(k)
         proj = FactorSet(lambda c, d, _f=self.factor, _k=k: _f(c, d)[:fm - _k],
-                         name=f"{self.factor.name}/{k}")
+                         name=f"{self.factor.name}/{k}", poly=self.factor.poly)
         return Group(self.base.atoms + quot_fiber.atoms, base=self.base,
                      fiber=quot_fiber, factor=proj)
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import domkit
 from domkit.cli import main
 
 
@@ -222,3 +228,54 @@ def test_expression_may_start_with_a_dash(capsys):
         assert run(capsys, *argv) == (0, "-inf\n", "")
     assert run(capsys, "eval", "--carrier", "Q", "-1/2 + 1") == (0, "1/2\n", "")
     assert run(capsys, "eval", "--carrier", "Q", "-1/2")[:2] == (0, "-1/2\n")
+
+
+def _cold(*args, cwd=None):
+    """Run ``python`` in a fresh process that imports domkit from this tree."""
+    src = str(Path(domkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("DOMKIT_SEED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+def test_import_leaves_unused_modules_out():
+    # `dom eval` and `dom classify` need only the carrier layers; the rest
+    # is imported by the commands that run it
+    probe = "import sys, {}; print(' '.join(sorted(sys.modules)))"
+    loaded = set(_cold("-c", probe.format("domkit.cli")).stdout.split())
+    assert "domkit.cli" in loaded
+    assert not loaded & {"domkit.constructions", "domkit.tables", "domkit.valuations",
+                         "domkit.oracle", "dataclasses"}
+    loaded = set(_cold("-c", probe.format("domkit")).stdout.split())
+    assert "domkit" in loaded and "dataclasses" not in loaded
+
+
+BAD3 = "3\n0 0 2\n0 1 2\n2 2 2\n"
+
+
+FRESH_CASES = [
+    (["eval", "--carrier", "cuts(Zloc(2))", "fill(1/2) + fill(1/2)"], 0, "cut(1)-\n"),
+    (["check-table", "bad3.tbl"], 1,
+     "monoid: PASS\nassociativity: PASS\ncommutativity: PASS\nPA: PASS\nminus: PASS\n"
+     "MA: PASS\nMB: PASS\nMC(a): PASS\nMC(b): FAIL witness x=0\n"
+     "MC': FAIL witness x=0 y=1 z=0\n"),
+    (["enumerate", "4", "--axioms=dom"], 0,
+     "count: 1\n# table 1\n4\n0 0 0 0\n0 1 1 3\n0 1 2 3\n0 3 3 3\n"),
+    (["classify", "--carrier", "cuts(Z)"], 0, "type: second\n"),
+    (["construct", "cuts", "trivial:3"], 0, "4\n0 0 0 0\n0 1 1 3\n0 1 2 3\n0 3 3 3\n"),
+    (["valuation", "natural", "--carrier", "cuts(Z)"], 0,
+     "value cut(0)+: cut(-1)+ cut(-2)+ cut(-3)+ cut(-4)+ cut(0)+ cut(1)+ cut(2)+ cut(3)+\n"
+     "value -inf: +inf -inf\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", FRESH_CASES,
+                         ids=[argv[0] for argv, _, _ in FRESH_CASES])
+def test_each_subcommand_in_a_fresh_process(tmp_path, argv, code, stdout):
+    # in-process tests run with every module already loaded; a fresh
+    # process sees an import missing from a command body
+    (tmp_path / "bad3.tbl").write_text(BAD3)
+    proc = _cold("-m", "domkit", *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")

@@ -160,6 +160,36 @@ def test_crossed_refuses_a_factor_set_with_no_function():
     assert g.add((1, 0), (1, 0)) == (2, -2)
 
 
+def test_crossed_products_built_separately_are_equal():
+    def twisted(poly):
+        return Group.crossed(Z, Z, FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly=poly))
+
+    a, b = twisted({(1, 1): F(-2)}), twisted({(1, 1): -2, (2, 0): F(0)})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    wide = [Group.crossed(Z, QQ, FactorSet.zero(2)) for _ in range(2)]
+    assert wide[0] == wide[1] and hash(wide[0]) == hash(wide[1])
+    assert wide[0].quotient(1) == wide[1].quotient(1)
+    # two polynomials that are both valid factor sets, but different ones
+    xy = FactorSet(lambda c, d: (c[0] * d[0],), poly={(1, 1): 1})
+    assert Group.crossed(Z, Z, xy) != a
+    # without a polynomial a factor set is equal only to itself
+    sect = FactorSet.from_section(lambda c: (c[0] * c[0],), name="ds")
+    same = Group.crossed(Z, Z, sect)
+    assert same == Group.crossed(Z, Z, sect) and hash(same) == hash(Group.crossed(Z, Z, sect))
+    other = FactorSet.from_section(lambda c: (c[0] * c[0],), name="ds")
+    assert same != Group.crossed(Z, Z, other)
+
+
+def test_factor_set_function_must_agree_with_its_polynomial():
+    # -2xy and 2xy both satisfy the laws; given together they disagree
+    mixed = FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly={(1, 1): F(2)})
+    failures = validate_factor_set(Z, Z, mixed)
+    assert [law for law, _ in failures] == ["poly"]
+    with pytest.raises(ValueError, match="poly"):
+        Group.crossed(Z, Z, mixed)
+
+
 def test_crossed_product_of_section_is_the_extension():
     # a crossed product made from a section is order-isomorphic to the
     # original extension through (c, a) -> (c, a - s(c))
