@@ -11,19 +11,34 @@ without the closed-form side-combination tables used by ``cuts.add``:
   part?), which only use ``member_below``;
 * the answer is validated against an ascending sampled chain: every
   translated cut must stay below the candidate, and the chain must cross
-  every probe strictly below it; failure raises ``OracleError`` (a
-  non-cofinal sampler is detected by instability under refinement).
+  a probe strictly below it; failure raises ``OracleError`` (a
+  non-cofinal sampler is detected by instability under refinement, and
+  a caller's chain with an element outside the group is refused).
   The check runs at ``chain_len`` and at ``2 * chain_len`` elements.
   The built-in chain of length n is the first n elements of the chain
   of length 2n, so it is drawn and walked once, with the shorter check
   made at the halfway point; a sampler passed in by the caller still
   gets two independent draws.
+* the walk is one ordered pass: each element is checked to lie below
+  the cut and its shift to be no less than the previous shift.  Since
+  ``compare`` is a total order, the shifts so far then ascend, so the
+  last shift alone decides both "some shift exceeds the candidate" and
+  "some shift crosses the probe": each is one comparison per segment,
+  and the candidate check is also made before any other error is
+  raised, so the first error is the one an element-by-element check
+  would report.
+* the probe below a ``-`` or ``fill`` candidate sits exactly
+  base^-(n//2+1) below its anchor, where n is the chain length and the
+  base is the component's approximation base; the chain gets within
+  base^-n of the anchor.
 
 Right sums and both differences reduce to this through the minus, which
 is an elementary coordinate flip.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from domkit.groups import Group
 from domkit import cuts as ct
@@ -108,59 +123,72 @@ def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> Non
     n2 = 2 * chain_len
     if sampler is ascending_chain:
         chain = ascending_chain(g, b, n2)
-        shifts = _walk_chain(g, a, b, cand, chain[:chain_len], [])
-        _check_least(g, a, b, cand, shifts, chain_len)
-        _walk_chain(g, a, b, cand, chain[chain_len:], shifts)
-        _check_least(g, a, b, cand, shifts, n2)
+        last = _walk_chain(g, a, b, cand, chain[:chain_len], None)
+        _check_least(g, cand, last, chain_len)
+        last = _walk_chain(g, a, b, cand, chain[chain_len:], last)
+        _check_least(g, cand, last, n2)
         return
     for n in (chain_len, n2):
-        shifts = _walk_chain(g, a, b, cand, sampler(g, b, n), [])
-        _check_least(g, a, b, cand, shifts, n)
+        chain = sampler(g, b, n)
+        if not all(map(g.contains, chain)):
+            raise OracleError("sampler produced an element outside the group")
+        last = _walk_chain(g, a, b, cand, chain, None)
+        _check_least(g, cand, last, n)
 
 
 def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],
-                shifts: list[Cut]) -> list[Cut]:
-    """Check each chain element and append its shift of ``a`` to ``shifts``."""
+                last: Cut | None) -> Cut | None:
+    """Check each chain element and return the last shift of ``a``.
+
+    Each element must lie below ``b`` and its shift must be no less than
+    ``last``, the shift before it; the last shift is compared with the
+    candidate at the end and before any other error is raised.
+    """
     for gamma in chain:
         if not member_below(g, gamma, b):
-            raise OracleError("sampler produced an element not below the cut")
+            _fail(g, cand, last, "sampler produced an element not below the cut")
         s = shift_by(g, gamma, a)
-        if compare(g, s, cand) > 0:
-            raise OracleError("a shifted cut exceeds the candidate supremum")
-        if shifts and compare(g, shifts[-1], s) > 0:
-            raise OracleError("sampled chain of shifts is not ascending")
-        shifts.append(s)
-    return shifts
+        if last is not None and compare(g, last, s) > 0:
+            _fail(g, cand, last, "sampled chain of shifts is not ascending")
+        last = s
+    _check_below(g, cand, last)
+    return last
 
 
-def _check_least(g: Group, a: Cut, b: Cut, cand: Cut, shifts: list[Cut], n: int) -> None:
-    """The sampled chain must cross representative cuts strictly below
-    the candidate; otherwise the candidate is not the least upper bound."""
-    if not shifts:
+def _check_below(g: Group, cand: Cut, last: Cut | None) -> None:
+    if last is not None and compare(g, last, cand) > 0:
+        raise OracleError("a shifted cut exceeds the candidate supremum")
+
+
+def _fail(g: Group, cand: Cut, last: Cut | None, message: str) -> None:
+    _check_below(g, cand, last)
+    raise OracleError(message)
+
+
+def _check_least(g: Group, cand: Cut, last: Cut | None, n: int) -> None:
+    """The sampled chain must cross a representative cut strictly below
+    the candidate; otherwise the candidate is not the least upper bound.
+    The shifts ascend, so the chain crosses it iff its last shift does."""
+    if last is None:
         if cand.kind != "lo":
             raise OracleError("empty chain can only have supremum -inf")
         return
     if cand.kind == "hi":
-        probe = make_node(g, g.num_atoms - 1,
-                          (3 ** (n // 2),), PLUS)
-        if all(compare(g, s, probe) <= 0 for s in shifts):
+        probe = make_node(g, g.num_atoms - 1, (3 ** (n // 2),), PLUS)
+        if compare(g, last, probe) <= 0:
             raise OracleError("chain does not grow towards +inf")
         return
     k = cand.level
-    probes = []
     if cand.side == PLUS:
-        low = make_node(g, k, cand.prefix, MINUS)
-        if low != cand:
-            probes.append(low)
+        probe = make_node(g, k, cand.prefix, MINUS)
     else:
-        idx = g.num_atoms - k - 1
-        eps_anchor = approach_below(g, idx, cand.prefix[-1], n // 2)
-        probes.append(make_node(g, k, cand.prefix[:-1] + (eps_anchor,), PLUS))
-    for probe in probes:
-        if compare(g, probe, cand) >= 0:
-            continue
-        if all(compare(g, s, probe) <= 0 for s in shifts):
-            raise OracleError("candidate is not approached by the sampled chain")
+        # not a grid point below the anchor: one can sit closer to an
+        # anchor off the grid than the chain ever gets
+        atom = g.atoms[g.num_atoms - k - 1]
+        v = cand.prefix[-1] - Fraction(1, atom.dense_denominator() ** (n // 2 + 1))
+        probe = make_node(g, k, cand.prefix[:-1] + (v,), PLUS if atom.contains(v) else FILLED)
+    if compare(g, probe, cand) < 0 and compare(g, last, probe) <= 0:
+        raise OracleError("candidate is not approached by the sampled chain")
 
 
 def oracle_radd(g: Group, a: Cut, b: Cut, chain_len: int = 8) -> Cut:

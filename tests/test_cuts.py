@@ -176,6 +176,26 @@ def test_compare_laws_fuzzed():
     check()
 
 
+def test_compare_is_a_total_order_on_seeded_pools():
+    # the oracle's ordered pass compares only the last of its ascending
+    # shifts, which is sound only for a total order
+    rng = random.Random(5)
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), CutDom(Q, "Qr2")):
+        g = d.group
+        pool = list(dict.fromkeys(d.sample(rng, 120) + [NEG_INF, POS_INF]))
+        # equal cuts built separately
+        pool += [make_node(g, c.level, c.prefix, c.side) for c in pool[:10] if c.kind == "n"]
+        cmp = [[compare(g, x, y) for y in pool] for x in pool]
+        for (i, x), (j, y) in itertools.product(enumerate(pool), repeat=2):
+            assert cmp[i][j] == -cmp[j][i], (x, y)
+            assert (cmp[i][j] == 0) == (x == y), (x, y)
+        for i, j, k in itertools.product(range(len(pool)), repeat=3):
+            if cmp[i][j] <= 0 and cmp[j][k] <= 0:
+                assert cmp[i][k] <= 0, (pool[i], pool[j], pool[k])
+                if cmp[i][j] or cmp[j][k]:
+                    assert cmp[i][k] < 0, (pool[i], pool[j], pool[k])
+
+
 def test_infinity_conventions():
     for g, lam in ((Q, cc(Q, "cut(2)+")), (QQ, OMEGA)):
         assert add(g, NEG_INF, POS_INF) == NEG_INF

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from domkit import cuts as ct
-from domkit.cuts import FILLED, make_node, parse_cut
+from domkit.cuts import FILLED, MINUS, PLUS, make_node, parse_cut
 from domkit.doms import CutDom
 from domkit.groups import Group
 from domkit.oracle import (
@@ -101,6 +101,24 @@ def _sum_or_error(g, a, b, sampler):
         return ("OracleError", str(e))
 
 
+def _verify_or_error(verify, g, a, b, cand, sampler):
+    try:
+        verify(g, a, b, cand, 8, sampler)
+        return cand
+    except OracleError as e:
+        return ("OracleError", str(e))
+
+
+def _wrong_candidates(g, s):
+    """For a finite sum: the infinities, and the sum moved one unit down
+    and up.  The chain exceeds those below the sum and never approaches
+    those above it."""
+    if s.kind != "n":
+        return []
+    return [ct.NEG_INF, ct.POS_INF] + [
+        ct.shift_by(g, g.from_ints([v] * g.num_atoms), s) for v in (-1, 1)]
+
+
 def test_single_walk_matches_two_draws():
     rng = random.Random(3)
     errors = 0
@@ -108,14 +126,140 @@ def test_single_walk_matches_two_draws():
         g = d.group
         pool = d.sample(rng, 40)
         pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]
-        if d is R2:
-            # known spurious "not approached" at chain_len 8
-            pairs.append((parse_cut(Q, "cut(-4/3)-"), parse_cut(Q, "fill(1/2-r2)")))
         for a, b in pairs:
             fast = _sum_or_error(g, a, b, None)
             assert fast == _sum_or_error(g, a, b, passthrough)
-            errors += isinstance(fast, tuple)
+            for cand in _wrong_candidates(g, fast):
+                fast = _verify_or_error(_verify, g, a, b, cand, ascending_chain)
+                assert fast == _verify_or_error(_verify, g, a, b, cand, passthrough)
+                errors += isinstance(fast, tuple)
     assert errors > 0  # the error path was compared too
+
+
+# The per-element walk the ordered pass replaced: every shift is compared
+# with the candidate and kept, and the least check compares every shift
+# with the probe.  The probe is placed as the oracle places it now.
+
+def _reference_verify(g, a, b, cand, chain_len, sampler):
+    n2 = 2 * chain_len
+    if sampler is ascending_chain:
+        chain = ascending_chain(g, b, n2)
+        shifts = _reference_walk(g, a, b, cand, chain[:chain_len], [])
+        _reference_least(g, cand, shifts, chain_len)
+        _reference_walk(g, a, b, cand, chain[chain_len:], shifts)
+        _reference_least(g, cand, shifts, n2)
+        return
+    for n in (chain_len, n2):
+        shifts = _reference_walk(g, a, b, cand, sampler(g, b, n), [])
+        _reference_least(g, cand, shifts, n)
+
+
+def _reference_walk(g, a, b, cand, chain, shifts):
+    for gamma in chain:
+        if not ct.member_below(g, gamma, b):
+            raise OracleError("sampler produced an element not below the cut")
+        s = ct.shift_by(g, gamma, a)
+        if ct.compare(g, s, cand) > 0:
+            raise OracleError("a shifted cut exceeds the candidate supremum")
+        if shifts and ct.compare(g, shifts[-1], s) > 0:
+            raise OracleError("sampled chain of shifts is not ascending")
+        shifts.append(s)
+    return shifts
+
+
+def _reference_least(g, cand, shifts, n):
+    if not shifts:
+        if cand.kind != "lo":
+            raise OracleError("empty chain can only have supremum -inf")
+        return
+    if cand.kind == "hi":
+        probe = make_node(g, g.num_atoms - 1, (3 ** (n // 2),), PLUS)
+        if all(ct.compare(g, s, probe) <= 0 for s in shifts):
+            raise OracleError("chain does not grow towards +inf")
+        return
+    k = cand.level
+    if cand.side == PLUS:
+        probe = make_node(g, k, cand.prefix, MINUS)
+    else:
+        atom = g.atoms[g.num_atoms - k - 1]
+        v = cand.prefix[-1] - F(1, atom.dense_denominator() ** (n // 2 + 1))
+        probe = make_node(g, k, cand.prefix[:-1] + (v,), PLUS if atom.contains(v) else FILLED)
+    if ct.compare(g, probe, cand) < 0 and all(ct.compare(g, s, probe) <= 0 for s in shifts):
+        raise OracleError("candidate is not approached by the sampled chain")
+
+
+def descending(g, cut, n):
+    return ascending_chain(g, cut, n)[::-1]
+
+
+def leaving(g, cut, n):
+    # climbs halfway, then steps past the cut
+    chain = ascending_chain(g, cut, n)
+    if not chain:
+        return chain
+    out = g.add(chain[-1], g.from_ints([3] * g.num_atoms))
+    return chain[: n // 2] + [out] * (n - n // 2)
+
+
+def rising_then_falling(g, cut, n):
+    # the upper half of the chain, then its lower half: with a candidate
+    # below the sum it exceeds the candidate and then descends
+    chain = ascending_chain(g, cut, n)
+    return chain[n // 2:] + chain[: n // 2]
+
+
+def stuck(g, cut, n):
+    # repeats the chain's first element: not cofinal
+    return ascending_chain(g, cut, 1) * n
+
+
+def empty(g, cut, n):
+    return []
+
+
+def test_ordered_pass_raises_what_the_per_element_walk_raised():
+    rng = random.Random(11)
+    samplers = (ascending_chain, passthrough, descending, leaving,
+                rising_then_falling, stuck, empty)
+    outcomes = set()
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2):
+        g = d.group
+        # oracle_sum verifies finite sums of finite operands only
+        pool = [c for c in d.sample(rng, 60) if c.kind == "n"]
+        for _ in range(40):
+            a, b = rng.choice(pool), rng.choice(pool)
+            s = d.add(a, b)
+            for cand in [s] + _wrong_candidates(g, s):
+                for sampler in samplers:
+                    got = _verify_or_error(_verify, g, a, b, cand, sampler)
+                    want = _verify_or_error(_reference_verify, g, a, b, cand, sampler)
+                    assert got == want, (d.fmt(a), d.fmt(b), d.fmt(cand), sampler.__name__)
+                    outcomes.add(got[1] if isinstance(got, tuple) else "ok")
+    # every outcome of the walk was compared
+    assert outcomes == {
+        "ok",
+        "a shifted cut exceeds the candidate supremum",
+        "sampler produced an element not below the cut",
+        "sampled chain of shifts is not ascending",
+        "candidate is not approached by the sampled chain",
+        "chain does not grow towards +inf",
+        "empty chain can only have supremum -inf",
+    }
+
+
+def test_oracle_equivalence_on_cuts_q_r2():
+    # the criterion-5 loop on the sqrt-2 anchored carrier, which the
+    # standard carriers leave out; the last pair once raised a spurious
+    # "not approached" at chain_len 8
+    rng = random.Random(202)
+    pool = R2.sample(rng, 400)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(2000)]
+    pairs.append((parse_cut(Q, "cut(-4/3)-"), parse_cut(Q, "fill(1/2-r2)")))
+    for a, b in pairs:
+        assert R2.add(a, b) == oracle_sum(Q, a, b), (R2.fmt(a), R2.fmt(b))
+        assert R2.radd(a, b) == oracle_radd(Q, a, b), (R2.fmt(a), R2.fmt(b))
+        assert R2.rsub(a, b) == oracle_diff(Q, "right", a, b), (R2.fmt(a), R2.fmt(b))
+        assert R2.lsub(a, b) == oracle_diff(Q, "left", a, b), (R2.fmt(a), R2.fmt(b))
 
 
 def test_oracle_detects_non_cofinal_sampler():
@@ -140,3 +284,13 @@ def test_oracle_detects_non_cofinal_sampler():
         return [(F(1) - F(1, 2) ** (i + 1),) for i in range(n)]
 
     assert oracle_sum(Q, a, b, sampler=fine) == parse_cut(Q, "cut(1)-")
+
+
+def test_oracle_rejects_chain_elements_outside_the_group():
+    def halves(g, cut, n):
+        # ascending and below cut(1)+, and its last shift reaches the sum,
+        # but (1/2,) is no element of Z
+        return [(F(1, 2),)] * (n - 1) + [(1,)]
+
+    with pytest.raises(OracleError, match="outside the group"):
+        oracle_sum(Z, parse_cut(Z, "cut(0)+"), parse_cut(Z, "cut(1)+"), sampler=halves)
