@@ -1,9 +1,10 @@
 """Carrier constructions: duals, quotients, gluing, products, collapse,
 cuts of a finite carrier, the shift, and embeddings of the finite chains.
 
-Constructed carriers are lazy views over their parents (elements are
-tagged pairs); finite ones can be materialized to addition tables with
-``to_table`` for exact comparisons.
+Constructed carriers are lazy: the dual, the shift and the quotient are
+``View``s of their parent, the others tag their elements (a glued
+``PointGroup`` carrier is the lower part of an insemination); finite
+ones can be materialized to addition tables with ``to_table``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Callable, Optional, Sequence
 from domkit import cuts as ct
 from domkit.cuts import NEG_INF, POS_INF
 from domkit.doms import (
-    CutDom, Dom, HomCandidate, SubDomView, TildeDom,
-    classify_type, f_plus, multiplicity, sign_of, special_set,
+    CutDom, Dom, HomCandidate, SubDomView, TildeDom, View,
+    classify_type, f_plus, is_convex, multiplicity, sign_of, special_set,
 )
 from domkit.groups import Group
 from domkit.tables import FiniteDom, FiniteDomTable, trivial_dom
@@ -43,12 +44,11 @@ def to_table(d: Dom) -> FiniteDomTable:
 # -- dual ---------------------------------------------------------------------
 
 
-class DualDom(Dom):
+class DualDom(View):
     """Same carrier with reversed order, displaced zero and the right sum."""
 
     def __init__(self, parent: Dom):
-        self.parent = parent
-        self.name = f"dual({parent.name})"
+        super().__init__(parent, f"dual({parent.name})")
 
     def zero(self):
         return self.parent.delta()
@@ -59,24 +59,12 @@ class DualDom(Dom):
     def radd(self, x, y):
         return self.parent.add(x, y)
 
-    def neg(self, x):
-        return self.parent.neg(x)
-
     def cmp(self, x, y):
         return -self.parent.cmp(x, y)
-
-    def contains(self, x):
-        return self.parent.contains(x)
 
     def iter_elements(self):
         elems = self.parent.iter_elements()
         return None if elems is None else list(reversed(elems))
-
-    def sample(self, rng, count):
-        return self.parent.sample(rng, count)
-
-    def fmt(self, x):
-        return self.parent.fmt(x)
 
 
 def dual(d: Dom) -> Dom:
@@ -151,37 +139,15 @@ def infinity_extension(d: Dom) -> InfinityExtension:
 # -- shift ----------------------------------------------------------------------
 
 
-class ShiftedMinusDom(Dom):
+class ShiftedMinusDom(View):
     """Parent carrier with minus replaced by x -> pivot - x."""
 
     def __init__(self, parent: Dom, pivot, name: str):
-        self.parent = parent
+        super().__init__(parent, name)
         self.pivot = pivot
-        self.name = name
-
-    def zero(self):
-        return self.parent.zero()
-
-    def add(self, x, y):
-        return self.parent.add(x, y)
 
     def neg(self, x):
         return self.parent.rsub(self.pivot, x)
-
-    def cmp(self, x, y):
-        return self.parent.cmp(x, y)
-
-    def contains(self, x):
-        return self.parent.contains(x)
-
-    def iter_elements(self):
-        return self.parent.iter_elements()
-
-    def sample(self, rng, count):
-        return self.parent.sample(rng, count)
-
-    def fmt(self, x):
-        return self.parent.fmt(x)
 
     def minimal_positive(self):
         return self.parent.minimal_positive()  # same carrier and order
@@ -213,19 +179,12 @@ def shift(d: Dom) -> Dom:
 
 
 def _is_convex_subdom(d: Dom, sub: list, universe: list) -> bool:
-    zero = d.zero()
-    if not any(d.eq(zero, s) for s in sub):
-        return False
-    for a in sub:
-        if not any(d.eq(d.neg(a), s) for s in sub):
-            return False
-        for b in sub:
-            if not any(d.eq(d.add(a, b), s) for s in sub):
-                return False
-            for x in universe:
-                if d.le(a, x) and d.le(x, b) and not any(d.eq(x, s) for s in sub):
-                    return False
-    return True
+    def held(x):
+        return any(d.eq(x, s) for s in sub)
+
+    return (held(d.zero()) and all(held(d.neg(a)) for a in sub)
+            and all(held(d.add(a, b)) for a in sub for b in sub)
+            and is_convex(d, sub, universe))
 
 
 def quotient_by_subdom(d: Dom, sub: list) -> tuple[FiniteDom, HomCandidate]:
@@ -259,7 +218,7 @@ def quotient_by_subdom(d: Dom, sub: list) -> tuple[FiniteDom, HomCandidate]:
     n = len(classes)
     plus = [[class_index(d.add(reps[i], reps[j])) for j in range(n)] for i in range(n)]
     q = FiniteDom(FiniteDomTable(plus))
-    hom = HomCandidate(d, q, class_index, kind="dom", universe=elems)
+    hom = HomCandidate(d, q, class_index, universe=elems)
     return q, hom
 
 
@@ -270,16 +229,15 @@ def factor_through_quotient(qhom: HomCandidate, phi: HomCandidate) -> HomCandida
     reps: dict[int, object] = {}
     for x in elems:
         reps.setdefault(qhom(x), x)
-    return HomCandidate(qhom.target, phi.target, lambda c: phi(reps[c]), kind=phi.kind,
+    return HomCandidate(qhom.target, phi.target, lambda c: phi(reps[c]),
                         universe=sorted(reps))
 
 
-class QuotientEquiv(Dom):
+class QuotientEquiv(View):
     """Quotient by the class relation of the largest-member map."""
 
     def __init__(self, parent: Dom):
-        self.parent = parent
-        self.name = f"{parent.name}/~"
+        super().__init__(parent, f"{parent.name}/~")
 
     def rep(self, x):
         return f_plus(self.parent, x)
@@ -292,9 +250,6 @@ class QuotientEquiv(Dom):
 
     def neg(self, x):
         return self.rep(self.parent.neg(x))
-
-    def cmp(self, x, y):
-        return self.parent.cmp(x, y)
 
     def contains(self, x):
         return self.parent.contains(x) and self.parent.eq(x, self.rep(x))
@@ -313,11 +268,8 @@ class QuotientEquiv(Dom):
     def sample(self, rng, count):
         return [self.rep(x) for x in self.parent.sample(rng, count)]
 
-    def fmt(self, x):
-        return self.parent.fmt(x)
-
     def quotient_map(self) -> HomCandidate:
-        return HomCandidate(self.parent, self, self.rep, kind="dom",
+        return HomCandidate(self.parent, self, self.rep,
                             universe=self.parent.iter_elements())
 
 
@@ -332,7 +284,7 @@ def s_k_map(d: Dom, k) -> HomCandidate:
         raise ValueError("the shift base must be a width element")
     upper = special_set(d, "Mge", k)
     target = QuotientEquiv(upper)
-    return HomCandidate(d, target, lambda y: target.rep(d.add(y, k)), kind="dom",
+    return HomCandidate(d, target, lambda y: target.rep(d.add(y, k)),
                         universe=d.iter_elements())
 
 
@@ -460,57 +412,49 @@ def split_at_width(m: Dom, k) -> GlueDom:
 def split_iso(glued: GlueDom) -> HomCandidate:
     """The natural bijection from a re-glued carrier back to the original."""
     m = glued.upper.parent if isinstance(glued.upper, SubDomView) else glued.upper
-    return HomCandidate(glued, m, lambda x: x[1], kind="dom",
+    return HomCandidate(glued, m, lambda x: x[1],
                         universe=glued.iter_elements())
 
 
-class PointGroup:
-    """A subgroup of the double-point classes, given by representatives.
+class PointGroup(Dom):
+    """A subgroup of the double-point classes, given by representatives,
+    as a carrier (a group: the right sum is the sum).
 
     ``plus_image`` sends a class value to the largest member of the
-    class inside the host carrier.
+    class inside the host carrier; ``member`` decides membership.
     """
 
     def __init__(self, name: str, zero: object, add: Callable, neg: Callable, cmp: Callable,
                  plus_image: Callable, member: Callable, samples: Sequence = ()):
         self.name = name
-        self.zero = zero
-        self.add = add
-        self.neg = neg
-        self.cmp = cmp
+        self._zero = zero
+        self._add = add
+        self._neg = neg
+        self._cmp = cmp
         self.plus_image = plus_image
         self.member = member
         self.samples = samples
 
-
-class PointGroupDom(Dom):
-    def __init__(self, pg: PointGroup):
-        self.pg = pg
-        self.name = pg.name
-
     def zero(self):
-        return self.pg.zero
+        return self._zero
 
     def add(self, x, y):
-        return self.pg.add(x, y)
+        return self._add(x, y)
 
     def neg(self, x):
-        return self.pg.neg(x)
+        return self._neg(x)
 
     def cmp(self, x, y):
-        return self.pg.cmp(x, y)
+        return self._cmp(x, y)
 
     def radd(self, x, y):
-        return self.pg.add(x, y)
+        return self._add(x, y)
 
     def contains(self, x):
-        return self.pg.member(x)
-
-    def iter_elements(self):
-        return None
+        return self.member(x)
 
     def sample(self, rng, count):
-        vals = list(self.pg.samples)
+        vals = list(self.samples)
         if not vals:
             raise ValueError("point group has no sample values")
         return [rng.choice(vals) for _ in range(count)]
@@ -525,9 +469,8 @@ def inseminate(m: Dom, pg: PointGroup) -> GlueDom:
         if multiplicity(m, x) != 2 or sign_of(m, x) != 1:
             raise ValueError("point group values must name double points by their "
                              "largest member")
-    lower = PointGroupDom(pg)
     zero_width = m.width_of(m.zero())
-    return GlueDom(lower, m, pg.plus_image, zero_width, name=f"ins({m.name},{pg.name})")
+    return GlueDom(pg, m, pg.plus_image, zero_width, name=f"ins({m.name},{pg.name})")
 
 
 def insemination_projection(ins: GlueDom) -> HomCandidate:
@@ -539,7 +482,7 @@ def insemination_projection(ins: GlueDom) -> HomCandidate:
         t, v = x
         return q.rep(theta(v)) if t == "m" else q.rep(v)
 
-    return HomCandidate(ins, q, proj, kind="dom")
+    return HomCandidate(ins, q, proj)
 
 
 # -- products -------------------------------------------------------------------
@@ -548,123 +491,21 @@ def insemination_projection(ins: GlueDom) -> HomCandidate:
 MU = ("mu",)
 
 
-class FiberedProduct(Dom):
-    """Replace each point of a width-zero sub-carrier by a copy of ``n``.
-
-    ``n`` must have a minimum and a maximum exchanged by its minus;
-    points outside the sub-carrier get paired with the minimum.
-    """
-
-    def __init__(self, m: Dom, a_member: Callable, n: Dom, name: Optional[str] = None):
-        self.m = m
-        self.a_member = a_member
-        self.n = n
-        n_elems = n.iter_elements()
-        if n_elems:
-            self.mu = n_elems[0]
-            if not n.eq(n.neg(self.mu), n_elems[-1]):
-                raise ValueError("fiber extremes must be exchanged by the minus")
-        else:
-            raise ValueError("the fiber carrier must be finite with a minimum")
-        self.name = name or f"fibered({m.name},{n.name})"
+class _PairProduct(Dom):
+    """Pairs (x, y) of a point x of ``m`` and an element y of ``n``, in
+    lexicographic order. A point outside the fibers (``_in_fiber``) is
+    paired with the ``filler`` only, which sorts lowest."""
 
     def zero(self):
         return (self.m.zero(), self.n.zero())
-
-    def add(self, p, q):
-        x = self.m.add(p[0], q[0])
-        if self.a_member(x):
-            return (x, self.n.add(p[1], q[1]))
-        return (x, self.mu)
-
-    def neg(self, p):
-        x = self.m.neg(p[0])
-        if self.a_member(x):
-            return (x, self.n.neg(p[1]))
-        return (x, self.mu)
-
-    def cmp(self, p, q):
-        c = self.m.cmp(p[0], q[0])
-        return c if c else self.n.cmp(p[1], q[1])
-
-    def contains(self, p):
-        if not (isinstance(p, tuple) and len(p) == 2):
-            return False
-        x, y = p
-        if not self.m.contains(x):
-            return False
-        if self.a_member(x):
-            return self.n.contains(y)
-        return y == self.mu
-
-    def iter_elements(self):
-        m_elems = self.m.iter_elements()
-        n_elems = self.n.iter_elements()
-        if m_elems is None or n_elems is None:
-            return None
-        out = []
-        for x in m_elems:
-            if self.a_member(x):
-                out.extend((x, y) for y in n_elems)
-            else:
-                out.append((x, self.mu))
-        return out
-
-    def sample(self, rng, count):
-        xs = self.m.sample(rng, count)
-        n_elems = self.n.iter_elements()
-        return [(x, rng.choice(n_elems)) if self.a_member(x) else (x, self.mu)
-                for x in xs]
-
-    def fmt(self, p):
-        return f"({self.m.fmt(p[0])},{self.n.fmt(p[1])})"
-
-    def projection(self) -> HomCandidate:
-        return HomCandidate(self, self.m, lambda p: p[0], kind="dom",
-                            universe=self.iter_elements())
-
-
-def fibered_product(m: Dom, a_member: Callable, n: Dom) -> FiberedProduct:
-    return FiberedProduct(m, a_member, n)
-
-
-class MuProduct(Dom):
-    """Copy of ``n`` inside every width-zero point of ``m``; a fresh
-    bottom symbol marks the fibers of the width-positive points."""
-
-    def __init__(self, m: Dom, n: Dom, name: Optional[str] = None):
-        if classify_type(m) != "first":
-            raise ValueError("the base of the product must be of the first type")
-        self.m = m
-        self.n = n
-        self.name = name or f"mu({m.name},{n.name})"
-
-    def _narrow(self, x) -> bool:
-        return self.m.eq(self.m.width_of(x), self.m.zero())
-
-    def zero(self):
-        return (self.m.zero(), self.n.zero())
-
-    def add(self, p, q):
-        x = self.m.add(p[0], q[0])
-        if self._narrow(p[0]) and self._narrow(q[0]):
-            return (x, self.n.add(p[1], q[1]))
-        return (x, MU)
-
-    def neg(self, p):
-        x = self.m.neg(p[0])
-        if p[1] is not MU and self._narrow(x):
-            return (x, self.n.neg(p[1]))
-        return (x, MU)
 
     def cmp(self, p, q):
         c = self.m.cmp(p[0], q[0])
         if c:
             return c
-        if p[1] is MU or q[1] is MU:
-            if p[1] is MU and q[1] is MU:
-                return 0
-            return -1 if p[1] is MU else 1
+        fp, fq = p[1] == self.filler, q[1] == self.filler
+        if fp or fq:
+            return fq - fp
         return self.n.cmp(p[1], q[1])
 
     def contains(self, p):
@@ -673,9 +514,9 @@ class MuProduct(Dom):
         x, y = p
         if not self.m.contains(x):
             return False
-        if self._narrow(x):
+        if self._in_fiber(x):
             return y is not MU and self.n.contains(y)
-        return y is MU
+        return y == self.filler
 
     def iter_elements(self):
         m_elems = self.m.iter_elements()
@@ -684,29 +525,95 @@ class MuProduct(Dom):
             return None
         out = []
         for x in m_elems:
-            if self._narrow(x):
+            if self._in_fiber(x):
                 out.extend((x, y) for y in n_elems)
             else:
-                out.append((x, MU))
+                out.append((x, self.filler))
         return out
 
     def sample(self, rng, count):
-        xs = self.m.sample(rng, count)
-        out = []
-        for x in xs:
-            if self._narrow(x):
-                out.append((x, rng.choice(self.n.sample(rng, 1))))
-            else:
-                out.append((x, MU))
-        return out
+        return [(x, self._fiber_draw(rng)) if self._in_fiber(x) else (x, self.filler)
+                for x in self.m.sample(rng, count)]
 
     def fmt(self, p):
         tail = "mu" if p[1] is MU else self.n.fmt(p[1])
         return f"({self.m.fmt(p[0])},{tail})"
 
     def projection(self) -> HomCandidate:
-        return HomCandidate(self, self.m, lambda p: p[0], kind="dom",
+        return HomCandidate(self, self.m, lambda p: p[0],
                             universe=self.iter_elements())
+
+
+class FiberedProduct(_PairProduct):
+    """Replace each point of a width-zero sub-carrier by a copy of ``n``.
+
+    ``n`` must have a minimum and a maximum exchanged by its minus;
+    points outside the sub-carrier get paired with the minimum.
+    """
+
+    def __init__(self, m: Dom, a_member: Callable, n: Dom, name: Optional[str] = None):
+        self.m = m
+        self._in_fiber = a_member
+        self.n = n
+        n_elems = n.iter_elements()
+        if n_elems:
+            self.filler = n_elems[0]
+            if not n.eq(n.neg(self.filler), n_elems[-1]):
+                raise ValueError("fiber extremes must be exchanged by the minus")
+        else:
+            raise ValueError("the fiber carrier must be finite with a minimum")
+        self.name = name or f"fibered({m.name},{n.name})"
+        self._n_elems = n_elems
+
+    def add(self, p, q):
+        x = self.m.add(p[0], q[0])
+        if self._in_fiber(x):
+            return (x, self.n.add(p[1], q[1]))
+        return (x, self.filler)
+
+    def neg(self, p):
+        x = self.m.neg(p[0])
+        if self._in_fiber(x):
+            return (x, self.n.neg(p[1]))
+        return (x, self.filler)
+
+    def _fiber_draw(self, rng):
+        return rng.choice(self._n_elems)
+
+
+def fibered_product(m: Dom, a_member: Callable, n: Dom) -> FiberedProduct:
+    return FiberedProduct(m, a_member, n)
+
+
+class MuProduct(_PairProduct):
+    """Copy of ``n`` inside every width-zero point of ``m``; a fresh
+    bottom symbol marks the fibers of the width-positive points."""
+
+    def __init__(self, m: Dom, n: Dom, name: Optional[str] = None):
+        if classify_type(m) != "first":
+            raise ValueError("the base of the product must be of the first type")
+        self.m = m
+        self.n = n
+        self.filler = MU
+        self.name = name or f"mu({m.name},{n.name})"
+
+    def _in_fiber(self, x) -> bool:
+        return self.m.eq(self.m.width_of(x), self.m.zero())
+
+    def add(self, p, q):
+        x = self.m.add(p[0], q[0])
+        if self._in_fiber(p[0]) and self._in_fiber(q[0]):
+            return (x, self.n.add(p[1], q[1]))
+        return (x, MU)
+
+    def neg(self, p):
+        x = self.m.neg(p[0])
+        if p[1] is not MU and self._in_fiber(x):
+            return (x, self.n.neg(p[1]))
+        return (x, MU)
+
+    def _fiber_draw(self, rng):
+        return rng.choice(self.n.sample(rng, 1))
 
 
 def mu_product(m: Dom, n: Dom) -> MuProduct:
@@ -819,4 +726,4 @@ def embed_finite(n: int) -> HomCandidate:
     if len(images) != n:
         raise AssertionError(f"embedding size mismatch: {len(images)} != {n}")
     mapping = dict(enumerate(images))
-    return HomCandidate(src, target, mapping, kind="dom", universe=list(range(n)))
+    return HomCandidate(src, target, mapping, universe=list(range(n)))

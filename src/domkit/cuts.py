@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from domkit.groups import Group
-from domkit.scalars import Scalar, canon, format_scalar, parse_scalar, scalar_cmp, scalar_floor
+from domkit.groups import Group, parse_coords
+from domkit.scalars import Scalar, canon, format_scalar, scalar_cmp, scalar_floor
 
 MINUS, FILLED, PLUS = -1, 0, 1
 _SIDE_TEXT = {MINUS: "-", FILLED: "fill", PLUS: "+"}
@@ -354,23 +354,13 @@ def fills(g: Group, gp: Group, x: tuple, cut: Cut) -> bool:
 def fill_le(g: Group, gp: Group, x: tuple, cut: Cut) -> bool:
     """cut <= x: every group element below the cut is below x."""
     _check_pair(g, gp)
-    if cut.kind == "lo":
-        return True
-    if cut.kind == "hi":
-        return False
-    c = _prefix_cmp(gp.project(x, cut.level), cut.prefix)
-    return c > 0 or (c == 0 and cut.side != PLUS)
+    return not member_below(gp, x, cut)
 
 
 def fill_ge(g: Group, gp: Group, x: tuple, cut: Cut) -> bool:
     """cut >= x: every group element above the cut is above x."""
     _check_pair(g, gp)
-    if cut.kind == "hi":
-        return True
-    if cut.kind == "lo":
-        return False
-    c = _prefix_cmp(gp.project(x, cut.level), cut.prefix)
-    return c < 0 or (c == 0 and cut.side != MINUS)
+    return not member_above(gp, x, cut)
 
 
 def edge_below(g: Group, gp: Group, x: tuple) -> Cut:
@@ -441,18 +431,12 @@ def element_between(g: Group, a: Cut, b: Cut) -> tuple:
 # -- text form --------------------------------------------------------------
 
 
-def _fmt_tuple(prefix: tuple) -> str:
-    if len(prefix) == 1:
-        return format_scalar(prefix[0])
-    return "(" + ",".join(format_scalar(v) for v in prefix) + ")"
-
-
 def format_cut(g: Group, cut: Cut) -> str:
     if cut.kind == "lo":
         return "-inf"
     if cut.kind == "hi":
         return "+inf"
-    body = _fmt_tuple(cut.prefix)
+    body = g.format_element(cut.prefix)
     if cut.level == 0:
         if cut.side == FILLED:
             return f"fill({body})"
@@ -460,13 +444,6 @@ def format_cut(g: Group, cut: Cut) -> str:
     if cut.side == FILLED:
         return f"edge({cut.level})fill({body})"
     return f"edge({cut.level})" + ("+" if cut.side == PLUS else "-") + body
-
-
-def _parse_tuple(text: str) -> tuple:
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    return tuple(parse_scalar(p) for p in s.split(","))
 
 
 def parse_cut(g: Group, text: str) -> Cut:
@@ -477,19 +454,19 @@ def parse_cut(g: Group, text: str) -> Cut:
         return POS_INF
     if s.startswith("cut(") and s[-1] in "+-":
         side = PLUS if s[-1] == "+" else MINUS
-        return make_node(g, 0, _parse_tuple(s[4:-2]), side)
+        return make_node(g, 0, parse_coords(s[4:-2]), side)
     if s.startswith("fill(") and s.endswith(")"):
-        return make_node(g, 0, _parse_tuple(s[5:-1]), FILLED)
+        return make_node(g, 0, parse_coords(s[5:-1]), FILLED)
     if s.startswith("edge("):
         close = s.index(")")
         k = int(s[5:close])
         rest = s[close + 1:]
         if rest.startswith("fill(") and rest.endswith(")"):
-            return make_node(g, k, _parse_tuple(rest[5:-1]), FILLED)
+            return make_node(g, k, parse_coords(rest[5:-1]), FILLED)
         if rest and rest[0] in "+-":
             side = PLUS if rest[0] == "+" else MINUS
             body = rest[1:]
             if not body:
                 return level_edge(g, k) if side == PLUS else neg(g, level_edge(g, k))
-            return make_node(g, k, _parse_tuple(body), side)
+            return make_node(g, k, parse_coords(body), side)
     raise ValueError(f"cannot parse cut {text!r}")

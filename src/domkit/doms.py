@@ -12,6 +12,10 @@ Facts about one carrier are methods of that carrier: ``associated_group``,
 syntax ``parse_literal``/``format_literal``. A finite carrier decides each
 by enumerating its elements; an infinite one answers where it overrides
 the method exactly, and raises ``ValueError`` otherwise.
+
+A carrier derived from another one is a ``View`` of it, overriding only
+what it changes. ``check_axioms``, ``verify_hom`` and
+``valuations.check_valuation`` draw their tuples from ``law_tuples``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from domkit.groups import Atom, Group
+from domkit.groups import Atom, Group, parse_coords
 from domkit import cuts as ct
 from domkit.cuts import Cut, NEG_INF, POS_INF, SIGN_INF, SIGN_SPADE
 from domkit.scalars import Sqrt2, canon, is_rational
@@ -161,18 +165,11 @@ class Dom:
         raise ValueError(f"associated group unsupported for {self.name}")
 
     def width_set(self) -> list:
-        """The set of width elements, ordered (exact for the built-in carriers;
-        a seeded sample of widths for infinite constructions)."""
+        """The set of width elements, ordered."""
         elems = self.iter_elements()
-        if elems is not None:
-            return [x for x in elems if self.eq(self.width_of(x), x)]
-        seen = []
-        for x in self.sample(random.Random(0), 200):
-            w = self.width_of(x)
-            if not any(self.eq(w, s) for s in seen):
-                seen.append(w)
-        seen.sort(key=_cmp_key(self))
-        return seen
+        if elems is None:
+            raise ValueError(f"width set undecidable for {self.name}")
+        return [x for x in elems if self.eq(self.width_of(x), x)]
 
     def _width_zero(self, elems: list) -> list:
         zero = self.zero()
@@ -210,7 +207,7 @@ class Dom:
             raise ValueError(f"minimal positive element undecidable for {self.name}")
         zero = self.zero()
         pos = [x for x in elems if self.lt(zero, x)]
-        return min(pos, key=_cmp_key(self)) if pos else None
+        return min(pos, key=functools.cmp_to_key(self.cmp)) if pos else None
 
     def least_positives(self) -> list:
         """The least elements above the zero in increasing order, as many of
@@ -239,8 +236,39 @@ class Dom:
         return wx if best is None else best
 
 
-def _cmp_key(d: Dom):
-    return functools.cmp_to_key(lambda a, b: d.cmp(a, b))
+class View(Dom):
+    """A carrier derived from ``parent``: the primitives, the universe and
+    formatting are the parent's until a subclass overrides them. The
+    derived operations are not forwarded; they stay ``Dom``'s generic
+    forms over the view's own primitives."""
+
+    def __init__(self, parent: Dom, name: str):
+        self.parent = parent
+        self.name = name
+
+    def zero(self):
+        return self.parent.zero()
+
+    def add(self, x, y):
+        return self.parent.add(x, y)
+
+    def neg(self, x):
+        return self.parent.neg(x)
+
+    def cmp(self, x, y):
+        return self.parent.cmp(x, y)
+
+    def contains(self, x):
+        return self.parent.contains(x)
+
+    def iter_elements(self):
+        return self.parent.iter_elements()
+
+    def sample(self, rng, count):
+        return self.parent.sample(rng, count)
+
+    def fmt(self, x):
+        return self.parent.fmt(x)
 
 
 # -- sampling palettes ------------------------------------------------------
@@ -315,12 +343,7 @@ class GroupDom(Dom):
         return self.group.format_element(x)
 
     def parse_literal(self, tok):
-        # parse_element does not tell a malformed literal from one outside
-        # the group, so both are type errors
-        try:
-            return self.group.parse_element(tok)
-        except ValueError as exc:
-            raise TypeError(str(exc)) from exc
+        return _group_literal(self.group, tok)
 
     def associated_group(self):
         return AssociatedGroup(self.group, False, "", class_of=lambda x: x)
@@ -507,6 +530,17 @@ class CutDom(Dom):
         return self._edges[x.level]
 
 
+def _group_literal(group: Group, tok: str) -> tuple:
+    """The group element a literal names: ValueError when the literal does
+    not parse, TypeError when it has the wrong coordinate count or lies
+    outside the group."""
+    parse_coords(tok)  # parse_element would not tell this failure apart
+    try:
+        return group.parse_element(tok)
+    except ValueError as exc:
+        raise TypeError(str(exc)) from exc
+
+
 def _is_cut_literal(tok: str) -> bool:
     return tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge("))
 
@@ -599,10 +633,7 @@ class TildeDom(Dom):
             return ("c", _cut_literal(self.cutdom, tok, self))
         if tok.startswith("g(") and tok.endswith(")"):
             tok = tok[2:-1]
-        try:
-            return ("g", self.group.parse_element(tok))
-        except ValueError as exc:
-            raise TypeError(str(exc)) from exc
+        return ("g", _group_literal(self.group, tok))
 
     def format_literal(self, x):
         t, v = x
@@ -644,82 +675,72 @@ class TildeDom(Dom):
 # -- axiom checking ----------------------------------------------------------
 
 
+def is_exhaustive(d: Dom, universe: Sequence) -> bool:
+    """Does the universe hold every element of a finite carrier, each once?"""
+    elems = d.iter_elements()
+    return (elems is not None and len(universe) == len(elems)
+            and all(universe.count(e) == 1 for e in elems))
+
+
+def law_tuples(universe: Sequence, k: int, exhaustive: bool, samples: int,
+               rng: random.Random) -> Iterable[tuple]:
+    """Every k-tuple of an exhaustive universe, else ``samples`` seeded
+    draws of k elements each (drawn lazily, one tuple at a time)."""
+    if exhaustive:
+        return itertools.product(universe, repeat=k)
+    return (tuple(rng.choice(universe) for _ in range(k)) for _ in range(samples))
+
+
+def first_witness(tuples: Iterable[tuple], fails: Callable) -> tuple:
+    """(True, None) when no tuple fails, else (False, the first that does)."""
+    w = next((t for t in tuples if fails(*t)), None)
+    return (w is None, w)
+
+
 def check_axioms(d: Dom, universe: Optional[Sequence] = None,
                  which: Iterable[str] = ALL_AXIOMS,
                  samples: int = 300, seed: int = 0) -> dict:
     """Per-axiom verdicts with a first witness on failure.
 
-    Finite carriers are checked exhaustively over all tuples; infinite
-    ones over seeded samples drawn from ``universe`` (or the carrier's
-    own sampler).
+    A universe that holds every element of a finite carrier once is
+    checked over all tuples; any other over seeded samples drawn from
+    ``universe`` (or the carrier's own sampler).
     """
     rng = random.Random(seed)
     if universe is None:
         universe = d.universe(rng, samples)
     universe = list(universe)
-    exhaustive = d.iter_elements() is not None and universe == d.iter_elements()
+    exhaustive = is_exhaustive(d, universe)
     zero = d.zero()
     delta = d.delta()
 
-    def pairs():
-        if exhaustive:
-            yield from itertools.product(universe, repeat=2)
-        else:
-            for _ in range(samples):
-                yield rng.choice(universe), rng.choice(universe)
+    def draw(k):  # lazy: a law's tuples are drawn only when it is checked
+        return law_tuples(universe, k, exhaustive, samples, rng)
 
-    def triples():
-        if exhaustive:
-            yield from itertools.product(universe, repeat=3)
-        else:
-            for _ in range(samples):
-                yield rng.choice(universe), rng.choice(universe), rng.choice(universe)
-
-    report: dict = {}
-    which = list(which)
-
-    if "assoc" in which:
-        w = next(((x, y, z) for x, y, z in triples()
-                  if not d.eq(d.add(d.add(x, y), z), d.add(x, d.add(y, z)))), None)
-        report["assoc"] = (w is None, w)
-    if "comm" in which:
-        w = next(((x, y) for x, y in pairs() if not d.eq(d.add(x, y), d.add(y, x))), None)
-        report["comm"] = (w is None, w)
-    if "neutral" in which:
-        w = next(((x,) for x in universe if not d.eq(d.add(x, zero), x)), None)
-        report["neutral"] = (w is None, w)
-    if "PA" in which:
-        w = next(((x, y, t) for x, y, t in triples()
-                  if d.lt(x, y) and d.cmp(d.add(x, t), d.add(y, t)) > 0), None)
-        report["PA"] = (w is None, w)
-    if "minus" in which:
-        w = None
-        for x, y in pairs():
-            if not d.eq(d.neg(d.neg(x)), x):
-                w = (x,)
-                break
-            if d.le(x, y) and d.cmp(d.neg(y), d.neg(x)) > 0:
-                w = (x, y)
-                break
-        report["minus"] = (w is None, w)
-    if "MA" in which:
-        ok = d.le(delta, zero)
-        report["MA"] = (ok, None if ok else (delta,))
-    if "MB" in which:
-        w = next(((x,) for x in universe if d.lt(d.abs_of(x), zero)), None)
-        report["MB"] = (w is None, w)
-    if "MCa" in which:
-        w = next(((x, y) for x, y in pairs()
-                  if d.lt(x, y) and not d.lt(d.rsub(x, y), zero)), None)
-        report["MCa"] = (w is None, w)
-    if "MCb" in which:
+    # each law's tuples (laws in one variable run over the whole universe)
+    # and the test that a tuple is a witness against it
+    singles = [(x,) for x in universe]
+    laws = {
+        "assoc": (draw(3), lambda x, y, z: not d.eq(d.add(d.add(x, y), z), d.add(x, d.add(y, z)))),
+        "comm": (draw(2), lambda x, y: not d.eq(d.add(x, y), d.add(y, x))),
+        "neutral": (singles, lambda x: not d.eq(d.add(x, zero), x)),
+        "PA": (draw(3), lambda x, y, t: d.lt(x, y) and d.cmp(d.add(x, t), d.add(y, t)) > 0),
+        "minus": (draw(2), lambda x, y: not d.eq(d.neg(d.neg(x)), x)
+                  or (d.le(x, y) and d.cmp(d.neg(y), d.neg(x)) > 0)),
+        "MA": ([(delta,)], lambda x: not d.le(x, zero)),
+        "MB": (singles, lambda x: d.lt(d.abs_of(x), zero)),
+        "MCa": (draw(2), lambda x, y: d.lt(x, y) and not d.lt(d.rsub(x, y), zero)),
         # single-variable equivalent: every width is nonnegative
-        w = next(((x,) for x in universe if d.lt(d.width_of(x), zero)), None)
-        report["MCb"] = (w is None, w)
-    if "MCprime" in which:
-        w = next(((x, y, z) for x, y, z in triples()
-                  if d.cmp(d.rsub(d.add(x, y), z), d.add(x, d.rsub(y, z))) < 0), None)
-        report["MCprime"] = (w is None, w)
+        "MCb": (singles, lambda x: d.lt(d.width_of(x), zero)),
+        "MCprime": (draw(3), lambda x, y, z: d.cmp(
+            d.rsub(d.add(x, y), z), d.add(x, d.rsub(y, z))) < 0),
+    }
+    which = set(which)
+    report = {name: first_witness(tuples, fails)
+              for name, (tuples, fails) in laws.items() if name in which}
+    ok, w = report.get("minus", (True, None))
+    if not ok and not d.eq(d.neg(d.neg(w[0])), w[0]):
+        report["minus"] = (False, w[:1])  # the minus is not an involution at x
     return report
 
 
@@ -782,28 +803,18 @@ def sign_of(d: Dom, x):
 # -- distinguished subsets -----------------------------------------------------
 
 
-class SubDomView(Dom):
+class SubDomView(View):
     """Restriction of a carrier to a symmetric subset, with its own zero."""
 
     def __init__(self, parent: Dom, pred: Callable, zero_elem, name: str,
                  staples: Sequence = ()):
-        self.parent = parent
+        super().__init__(parent, name)
         self.pred = pred
         self._zero = zero_elem
-        self.name = name
         self._staples = list(staples)
 
     def zero(self):
         return self._zero
-
-    def add(self, x, y):
-        return self.parent.add(x, y)
-
-    def neg(self, x):
-        return self.parent.neg(x)
-
-    def cmp(self, x, y):
-        return self.parent.cmp(x, y)
 
     def contains(self, x):
         return self.parent.contains(x) and self.pred(x)
@@ -825,9 +836,6 @@ class SubDomView(Dom):
         if len(out) < max(2, count // 8):
             raise ValueError(f"could not sample enough elements of {self.name}")
         return out[:count]
-
-    def fmt(self, x):
-        return self.parent.fmt(x)
 
     def minimal_positive(self):
         if self.iter_elements() is not None:
@@ -920,12 +928,13 @@ def lambda_map(d: Dom, target: Group, a):
 
 
 class HomCandidate:
-    def __init__(self, source: Dom, target: Dom, mapping: Callable, kind: str = "dom",
+    """A map between carriers, to be checked as a homomorphism."""
+
+    def __init__(self, source: Dom, target: Dom, mapping: Callable,
                  universe: Optional[list] = None):
         self.source = source
         self.target = target
         self.mapping = mapping
-        self.kind = kind  # "dom" preserves the zero; "quasi-dom" need not
         self.universe = universe
 
     def __call__(self, x):
@@ -933,43 +942,23 @@ class HomCandidate:
 
 
 def verify_hom(h: HomCandidate, samples: int = 250, seed: int = 0) -> dict:
-    """Order/plus/minus(/zero) preservation with witnesses."""
+    """Order/plus/minus/zero preservation with witnesses; injectivity is
+    decided (True/False) on an exhaustive universe only, else None."""
     rng = random.Random(seed)
     universe = h.universe if h.universe is not None else h.source.universe(rng, samples)
     s, t = h.source, h.target
-    exhaustive = s.iter_elements() is not None and len(universe) == len(s.iter_elements())
-
-    def pairs():
-        if exhaustive:
-            yield from itertools.product(universe, repeat=2)
-        else:
-            for _ in range(samples):
-                yield rng.choice(universe), rng.choice(universe)
-
-    report = {}
-    w = next(((x, y) for x, y in pairs()
-              if s.le(x, y) and t.cmp(h(x), h(y)) > 0), None)
-    report["order"] = (w is None, w)
-    w = next(((x, y) for x, y in pairs()
-              if not t.eq(h(s.add(x, y)), t.add(h(x), h(y)))), None)
-    report["plus"] = (w is None, w)
-    w = next(((x,) for x in universe if not t.eq(h(s.neg(x)), t.neg(h(x)))), None)
-    report["minus"] = (w is None, w)
-    if h.kind == "dom":
-        ok = t.eq(h(s.zero()), t.zero())
-        report["zero"] = (ok, None if ok else (s.zero(),))
-    inj = None
-    if exhaustive:
-        seen = set()
-        inj = True
-        for x in universe:
-            key = h(x)
-            if key in seen:
-                inj = False
-                break
-            seen.add(key)
-    report["injective"] = (inj, None)
-    return report
+    exhaustive = is_exhaustive(s, universe)
+    return {
+        "order": first_witness(law_tuples(universe, 2, exhaustive, samples, rng),
+                               lambda x, y: s.le(x, y) and t.cmp(h(x), h(y)) > 0),
+        "plus": first_witness(law_tuples(universe, 2, exhaustive, samples, rng),
+                              lambda x, y: not t.eq(h(s.add(x, y)), t.add(h(x), h(y)))),
+        "minus": first_witness(((x,) for x in universe),
+                               lambda x: not t.eq(h(s.neg(x)), t.neg(h(x)))),
+        "zero": first_witness([(s.zero(),)], lambda z: not t.eq(h(z), t.zero())),
+        "injective": (len({h(x) for x in universe}) == len(universe) if exhaustive else None,
+                      None),
+    }
 
 
 def hom_kernel(h: HomCandidate, universe: Optional[list] = None,
@@ -981,11 +970,11 @@ def hom_kernel(h: HomCandidate, universe: Optional[list] = None,
     return [x for x in universe if h.target.eq(h(x), tz)]
 
 
+def is_convex(d: Dom, sub: list, universe: list) -> bool:
+    """Every element of the universe between two members of ``sub`` is one."""
+    return not any(d.le(a, x) and d.le(x, b) and not any(d.eq(x, k) for k in sub)
+                   for a in sub for b in sub for x in universe)
+
+
 def kernel_is_convex(h: HomCandidate, kernel: list, universe: list) -> bool:
-    s = h.source
-    for a in kernel:
-        for b in kernel:
-            for x in universe:
-                if s.le(a, x) and s.le(x, b) and not any(s.eq(x, k) for k in kernel):
-                    return False
-    return True
+    return is_convex(h.source, kernel, universe)

@@ -32,6 +32,7 @@ from domkit.scalars import (
 )
 
 ATOM_KINDS = ("Z", "Q", "Zloc", "Qr2")
+_GRID_RANGE = 3  # validate_factor_set probes coordinates -3..3
 
 
 class Atom:
@@ -177,8 +178,7 @@ def _poly_subst(poly: dict, sub_x: dict, sub_y: dict, nvars: int) -> dict:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet,
-                        sample_range: int = 3) -> list[tuple[str, tuple]]:
+def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet) -> list[tuple[str, tuple]]:
     """Check symmetry, normalization, the cocycle law and that the values
     lie in the fiber.
 
@@ -190,7 +190,7 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet,
     given only as a polynomial, with no function, has no values to probe).
     """
     failures: list[tuple[str, tuple]] = []
-    grid = [base.from_ints([n] * base.num_atoms) for n in range(-sample_range, sample_range + 1)]
+    grid = [base.from_ints([n] * base.num_atoms) for n in range(-_GRID_RANGE, _GRID_RANGE + 1)]
     if f.poly is not None:
         coeffs = {m: Fraction(c) for m, c in f.poly.items()}
         for (i, j), c in coeffs.items():

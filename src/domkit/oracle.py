@@ -14,7 +14,7 @@ without the closed-form side-combination tables used by ``cuts.add``:
   a probe strictly below it; failure raises ``OracleError`` (a
   non-cofinal sampler is detected by instability under refinement, and
   a caller's chain with an element outside the group is refused).
-  The check runs at ``chain_len`` and at ``2 * chain_len`` elements.
+  The check runs at ``CHAIN_LEN`` and at ``2 * CHAIN_LEN`` elements.
   The built-in chain of length n is the first n elements of the chain
   of length 2n, so it is drawn and walked once, with the shorter check
   made at the halfway point; a sampler passed in by the caller still
@@ -30,7 +30,8 @@ without the closed-form side-combination tables used by ``cuts.add``:
 * the probe below a ``-`` or ``fill`` candidate sits exactly
   base^-(n//2+1) below its anchor, where n is the chain length and the
   base is the component's approximation base; the chain gets within
-  base^-n of the anchor.
+  base^-n of the anchor.  A ``-inf`` candidate needs no probe: the
+  candidate check has already put every shift at ``-inf``.
 
 Right sums and both differences reduce to this through the minus, which
 is an elementary coordinate flip.
@@ -47,6 +48,9 @@ from domkit.cuts import (
     approach_below, compare, make_node, member_below, shift_by,
 )
 from domkit.scalars import scalar_floor
+
+
+CHAIN_LEN = 8
 
 
 class OracleError(AssertionError):
@@ -88,8 +92,7 @@ def _top_reached(g: Group, cut: Cut, k: int) -> tuple[tuple, bool]:
     return t, member_below(g, tuple(probe), cut)
 
 
-def oracle_sum(g: Group, a: Cut, b: Cut, chain_len: int = 8,
-               sampler=None) -> Cut:
+def oracle_sum(g: Group, a: Cut, b: Cut, sampler=None) -> Cut:
     """Left sum computed as the verified supremum of shifted cuts.
 
     ``sampler(g, cut, n)`` may replace the built-in chain generator; a
@@ -110,7 +113,7 @@ def oracle_sum(g: Group, a: Cut, b: Cut, chain_len: int = 8,
     else:
         side = MINUS if g.atoms[g.num_atoms - k - 1].contains(p[-1]) else FILLED
         cand = make_node(g, k, p, side)
-    _verify(g, a, b, cand, chain_len, sampler or ascending_chain)
+    _verify(g, a, b, cand, CHAIN_LEN, sampler or ascending_chain)
     return cand
 
 
@@ -169,10 +172,10 @@ def _check_least(g: Group, cand: Cut, last: Cut | None, n: int) -> None:
     """The sampled chain must cross a representative cut strictly below
     the candidate; otherwise the candidate is not the least upper bound.
     The shifts ascend, so the chain crosses it iff its last shift does."""
+    if cand.kind == "lo":
+        return  # _check_below has put every shift, if any, at -inf
     if last is None:
-        if cand.kind != "lo":
-            raise OracleError("empty chain can only have supremum -inf")
-        return
+        raise OracleError("empty chain can only have supremum -inf")
     if cand.kind == "hi":
         probe = make_node(g, g.num_atoms - 1, (3 ** (n // 2),), PLUS)
         if compare(g, last, probe) <= 0:
@@ -191,14 +194,14 @@ def _check_least(g: Group, cand: Cut, last: Cut | None, n: int) -> None:
         raise OracleError("candidate is not approached by the sampled chain")
 
 
-def oracle_radd(g: Group, a: Cut, b: Cut, chain_len: int = 8) -> Cut:
+def oracle_radd(g: Group, a: Cut, b: Cut) -> Cut:
     """Right sum via the order anti-automorphism: -((-a) + (-b))."""
-    return ct.neg(g, oracle_sum(g, ct.neg(g, a), ct.neg(g, b), chain_len))
+    return ct.neg(g, oracle_sum(g, ct.neg(g, a), ct.neg(g, b)))
 
 
-def oracle_diff(g: Group, mode: str, a: Cut, b: Cut, chain_len: int = 8) -> Cut:
+def oracle_diff(g: Group, mode: str, a: Cut, b: Cut) -> Cut:
     if mode == "right":
-        return oracle_radd(g, a, ct.neg(g, b), chain_len)
+        return oracle_radd(g, a, ct.neg(g, b))
     if mode == "left":
-        return oracle_sum(g, a, ct.neg(g, b), chain_len)
+        return oracle_sum(g, a, ct.neg(g, b))
     raise ValueError(f"unknown difference mode {mode!r}")

@@ -158,9 +158,6 @@ def canon(x) -> Scalar:
     return _rational(x)
 
 
-SQRT2 = Sqrt2(0, 1)
-
-
 def is_rational(x: Scalar) -> bool:
     return not isinstance(x, Sqrt2) or x.b == 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Optional
 
-from domkit.doms import Dom
+from domkit.doms import Dom, first_witness, is_exhaustive, law_tuples
 
 
 class Valuation:
@@ -121,37 +121,27 @@ def check_valuation(v: Valuation, which: Iterable[str] = VAL_AXIOMS,
         universe = d.universe(rng, samples)
     which = list(which)
     report: dict = {}
+    exhaustive = is_exhaustive(d, universe)
 
     def pairs():
-        exhaustive = d.iter_elements() is not None and len(universe) == len(d.iter_elements())
-        if exhaustive:
-            for x in universe:
-                for y in universe:
-                    yield x, y
-        else:
-            for _ in range(samples):
-                yield rng.choice(universe), rng.choice(universe)
+        return law_tuples(universe, 2, exhaustive, samples, rng)
 
     if "V1" in which:
         ok = all(v.value_cmp(v.min_value(), v(x)) <= 0 for x in universe) \
             and v.is_min(v(d.zero()))
         report["V1"] = (ok, None if ok else (d.zero(),))
     if "V2" in which:
-        w = next(((x,) for x in universe if v.value_cmp(v(d.neg(x)), v(x)) != 0), None)
-        report["V2"] = (w is None, w)
+        report["V2"] = first_witness(((x,) for x in universe),
+                                     lambda x: v.value_cmp(v(d.neg(x)), v(x)) != 0)
     if "V3" in which:
-        w = next(((x, y) for x, y in pairs()
-                  if v.value_cmp(v(d.add(x, y)), _vmax(v, v(x), v(y))) > 0), None)
-        report["V3"] = (w is None, w)
+        report["V3"] = first_witness(pairs(), lambda x, y: v.value_cmp(
+            v(d.add(x, y)), _vmax(v, v(x), v(y))) > 0)
     if "V4" in which:
-        w = next(((x, y) for x, y in pairs()
-                  if d.le(d.abs_of(x), d.abs_of(y))
-                  and v.value_cmp(v(x), v(y)) > 0), None)
-        report["V4"] = (w is None, w)
+        report["V4"] = first_witness(pairs(), lambda x, y: d.le(d.abs_of(x), d.abs_of(y))
+                                     and v.value_cmp(v(x), v(y)) > 0)
     if "strong" in which:
-        w = next(((x, y) for x, y in pairs()
-                  if v.value_cmp(v(d.add(x, y)), _vmax(v, v(x), v(y))) != 0), None)
-        report["strong"] = (w is None, w)
+        report["strong"] = first_witness(pairs(), lambda x, y: v.value_cmp(
+            v(d.add(x, y)), _vmax(v, v(x), v(y))) != 0)
     return report
 
 

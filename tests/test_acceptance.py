@@ -246,7 +246,7 @@ def test_criterion_7_construction_contracts():
         d = FiniteDom(trivial_dom(n))
         coll, eta = collapse(d, special_set(d, "H").contains)
         assert to_table(coll) == trivial_dom(n)
-        h = HomCandidate(d, coll, eta, kind="dom", universe=d.iter_elements())
+        h = HomCandidate(d, coll, eta, universe=d.iter_elements())
         rep = verify_hom(h)
         assert all(ok for key, (ok, _) in rep.items())
     # cut carrier of the three-chain, and the defective alternative sum

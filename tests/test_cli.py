@@ -70,17 +70,19 @@ def test_eval_error_codes(capsys):
 
 def test_eval_zero_denominator(capsys):
     # a ZeroDivisionError escaping main would fail the test as a traceback;
-    # cut literals report a parse error, group literals that do not parse
-    # a type error (as for "abc")
+    # a literal that does not parse is a parse error, for cuts and group
+    # elements alike
     for carrier, expr, expected in (
             ("cuts(Q)", "cut(1/0)+", 2),
             ("cuts(Q,r2)", "fill(1/0r2)", 2),
             ("cuts(Q,r2)", "fill(1+1/0r2)", 2),
-            ("Q", "1/0", 3),
-            ("Qr2", "1/0r2", 3)):
+            ("Q", "1/0", 2),
+            ("Qr2", "1/0r2", 2)):
         code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
         assert (code, out) == (expected, ""), (carrier, expr)
         assert "zero denominator" in err
+    code, out, err = run(capsys, "eval", "--carrier", "Q", "abc")
+    assert (code, out) == (2, "") and "parse error" in err
 
 
 def test_eval_cut_outside_anchor_field(capsys):

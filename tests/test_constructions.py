@@ -7,13 +7,13 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.constructions import (
-    GlueDom, PointGroup, collapse, cuts_of_dom, dual, embed_finite,
+    GlueDom, PointGroup, ShiftedMinusDom, collapse, cuts_of_dom, dual, embed_finite,
     factor_through_quotient, fibered_product, infinity_extension, inseminate,
     insemination_projection, mu_product, quotient_by_subdom,
     quotient_equiv, s_k_map, shift, split_at_width, split_iso, to_table,
 )
 from domkit.doms import (
-    CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, check_axioms,
+    CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, View, check_axioms,
     classify_type, f_minus, f_plus, hom_kernel, special_set, verify_hom,
 )
 from domkit.groups import Group
@@ -102,6 +102,21 @@ def test_shift_preconditions():
         shift(t(5))  # first type, but the minimal positive does not cancel
 
 
+def test_minus_witness_shapes():
+    # a minus that is no involution at x is reported by x alone; one
+    # that is an involution but keeps the order, by the pair (x, y)
+    s1 = ShiftedMinusDom(CutDom(Q), cc(Q, "cut(1)+"), "s1")
+    rep = check_axioms(s1, samples=60, seed=3)
+    assert rep["minus"] == (False, (cc(Q, "cut(-3)-"),))
+    assert rep["MCa"] == (False, (cc(Q, "cut(0)-"), cc(Q, "cut(0)+")))
+
+    class FixedMinus(View):
+        def neg(self, x):
+            return x
+
+    assert check_axioms(FixedMinus(t(3), "fixed"))["minus"] == (False, (0, 1))
+
+
 # -- quotients ------------------------------------------------------------------------
 
 
@@ -122,7 +137,7 @@ def test_quotient_by_convex_hull():
     assert classify_type(q) == "first"   # nontrivial kernel lands in the first type
     # factorization through the quotient
     phi = HomCandidate(d, t(3), lambda x: {0: 0, 1: 1, 2: 1, 3: 1, 4: 2}[x],
-                       kind="dom", universe=d.iter_elements())
+                       universe=d.iter_elements())
     bar = factor_through_quotient(hom, phi)
     assert hom_ok(verify_hom(bar))
     assert bar.universe is not None and verify_hom(bar)["injective"][0]
@@ -149,6 +164,15 @@ def test_quotient_equiv():
     assert d.eq(f_plus(d, d.delta()), d.zero())
     q4, _ = quotient_equiv(t(4))
     assert to_table(q4) == trivial_dom(3)
+
+
+def test_width_set_of_an_infinite_view_raises():
+    # no exact width set is known for the dual of the cut carrier
+    d = dual(CutDom(Q))
+    with pytest.raises(ValueError):
+        d.width_set()
+    with pytest.raises(ValueError):
+        special_set(d, "W")
 
 
 # -- the width-shift maps ---------------------------------------------------------------
@@ -259,7 +283,7 @@ def test_insemination_is_the_mixed_carrier():
         return ("g", v) if tag == "m" else ("c", v)
 
     rng = random.Random(5)
-    h = HomCandidate(ins, tilde, iso, kind="dom", universe=ins.sample(rng, 80))
+    h = HomCandidate(ins, tilde, iso, universe=ins.sample(rng, 80))
     assert hom_ok(verify_hom(h))
     assert classify_type(ins) == "first"
     assert all_pass(check_axioms(ins, samples=150, seed=5))
@@ -298,7 +322,7 @@ def test_insemination_projection_kernel():
     assert kernel == expected
     rng = random.Random(7)
     proj_universe = ins.sample(rng, 50)
-    h = HomCandidate(ins, proj.target, proj.mapping, kind="dom", universe=proj_universe)
+    h = HomCandidate(ins, proj.target, proj.mapping, universe=proj_universe)
     assert hom_ok(verify_hom(h))
 
 
@@ -322,7 +346,7 @@ def test_insemination_of_subgroup_points():
     rng = random.Random(8)
     h = HomCandidate(ins, tilde,
                      lambda x: ("g", x[1]) if x[0] == "m" else ("c", x[1]),
-                     kind="dom", universe=ins.sample(rng, 60))
+                     universe=ins.sample(rng, 60))
     assert hom_ok(verify_hom(h))
 
 
@@ -455,7 +479,7 @@ def test_collapse_recovers_finite_carriers():
         assert to_table(coll) == trivial_dom(n)
         imgs = [eta(x) for x in d.iter_elements()]
         assert len(set(imgs)) == n
-        h = HomCandidate(d, coll, eta, kind="dom", universe=d.iter_elements())
+        h = HomCandidate(d, coll, eta, universe=d.iter_elements())
         assert hom_ok(verify_hom(h))
 
 

@@ -391,7 +391,7 @@ def test_hom_successor_cuts_not_a_hom():
     # width-zero cuts of the integers, but does not preserve the minus
     src = GroupDom(Z)
     tgt = CutDom(Z)
-    h = HomCandidate(src, tgt, lambda x: make_node(Z, 0, x, PLUS), kind="dom",
+    h = HomCandidate(src, tgt, lambda x: make_node(Z, 0, x, PLUS),
                      universe=[(F(v),) for v in range(-5, 6)])
     rep = verify_hom(h)
     assert rep["order"][0] and rep["plus"][0] and rep["zero"][0]
@@ -402,16 +402,26 @@ def test_hom_inclusion_passes():
     d = CutDom(Q)
     m0 = special_set(d, "M0")
     rng = random.Random(8)
-    h = HomCandidate(m0, d, lambda x: x, kind="dom", universe=m0.sample(rng, 40))
+    h = HomCandidate(m0, d, lambda x: x, universe=m0.sample(rng, 40))
     rep = verify_hom(h)
     assert all(ok for ok, _ in rep.values() if ok is not None)
+
+
+def test_hom_injectivity_needs_an_exhaustive_universe():
+    # a universe is exhaustive when it holds every element once, in any
+    # order; with a repeated element it is sampled and injectivity is open
+    t5 = FiniteDom(trivial_dom(5))
+    h = HomCandidate(t5, t5, lambda x: x, universe=[0] * 5)
+    assert verify_hom(h)["injective"] == (None, None)
+    h.universe = [3, 1, 4, 0, 2]
+    assert verify_hom(h)["injective"] == (True, None)
 
 
 def test_kernel_convexity():
     t5 = FiniteDom(trivial_dom(5))
     t3 = FiniteDom(trivial_dom(3))
     mapping = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2}
-    h = HomCandidate(t5, t3, lambda x: mapping[x], kind="dom",
+    h = HomCandidate(t5, t3, lambda x: mapping[x],
                      universe=t5.iter_elements())
     rep = verify_hom(h)
     assert rep["order"][0] and rep["plus"][0] and rep["minus"][0] and rep["zero"][0]

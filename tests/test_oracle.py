@@ -294,3 +294,12 @@ def test_oracle_rejects_chain_elements_outside_the_group():
 
     with pytest.raises(OracleError, match="outside the group"):
         oracle_sum(Z, parse_cut(Z, "cut(0)+"), parse_cut(Z, "cut(1)+"), sampler=halves)
+
+
+def test_neg_inf_candidate_with_all_shifts_at_neg_inf():
+    # every shift of -inf is -inf, so the candidate -inf is least
+    b = parse_cut(Q, "cut(1)+")
+    assert _verify(Q, ct.NEG_INF, b, ct.NEG_INF, 8, ascending_chain) is None
+    # a finite a has finite shifts, all above the candidate -inf
+    with pytest.raises(OracleError, match="a shifted cut exceeds"):
+        _verify(Q, parse_cut(Q, "cut(0)+"), b, ct.NEG_INF, 8, ascending_chain)
