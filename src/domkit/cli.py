@@ -7,8 +7,9 @@ Each subcommand imports only the modules it runs: ``tables``,
 that use them, so ``eval`` and ``classify`` load only the carrier
 layers and a ``dom`` process starts sooner.
 
-Exit codes: 0 success, 1 failed checks, 2 parse errors, 3 type errors,
-4 bad usage/preconditions (argparse's own usage errors included).  An
+Exit codes: 0 success, 1 failed checks or stdout closed before all
+output was written, 2 parse errors, 3 type errors, 4 bad
+usage/preconditions (argparse's own usage errors included).  An
 expression that starts with ``-``, such as ``-inf``, is read as the
 expression, not as an option.
 """
@@ -373,7 +374,16 @@ def main(argv=None) -> int:
             eval_parser.error("the following arguments are required: expr")
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``dom enumerate 7 | head -1``):
+        # send what is still buffered to devnull, so that the flush at
+        # exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,16 +4,21 @@ A table lives on the labeled chain 0 < 1 < ... < n-1. The minus is the
 unique order anti-involution of the chain, i = n-1-i, and when the sign
 axioms hold the neutral element is forced to sit at index n//2. The
 enumerator searches symmetric row-monotone matrices with the neutral
-row pinned and prunes with the per-cell sign constraints. Each
+row pinned and prunes with the per-cell sign constraints. Since the
+neutral e's row and column are placed first, monotonicity bounds every
+cell before the search starts: P[i][j] <= i left of column e and >= i
+right of it, P[i][j] <= j above row e and >= j below it. Each
 associativity triple is checked once, when the last of its four lookups
-is placed. A leaf is built unchecked from the search's own matrix, and
-one ``validate`` call on that matrix re-checks it: a final full
-associativity pass and, when MC' is asked for, MC' over all triples.
+is placed. When MC' is asked for, it is checked on every triple whose
+four lookups are placed each time a row is completed. A leaf is built
+unchecked from the search's own matrix, and one ``validate`` call on
+that matrix re-checks it: a final full associativity pass and, when MC'
+is asked for, MC' over all triples.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
 from domkit import doms
@@ -181,13 +186,18 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
 
 def _assoc_verdict(plus: tuple) -> tuple:
     # row-wise: (x + y) + z over all z is row plus[x + y], and x + (y + z)
-    # is row plus[y] read through row plus[x]
+    # is row plus[x] read at the indices of row plus[y], which one
+    # itemgetter per row does in C
+    if len(plus) < 2:
+        # the one 1x1 table is associative; itemgetter of a single index
+        # would return a scalar, not a row
+        return (True, None)
+    reads = [itemgetter(*py) for py in plus]
     for x, px in enumerate(plus):
-        through_x = px.__getitem__
-        for y, py in enumerate(plus):
+        for y, read_y in enumerate(reads):
             left = plus[px[y]]
-            if left != tuple(map(through_x, py)):
-                z = next(z for z, yz in enumerate(py) if left[z] != px[yz])
+            if left != read_y(px):
+                z = next(z for z, yz in enumerate(plus[y]) if left[z] != px[yz])
                 return (False, (x, y, z))
     return (True, None)
 
@@ -231,6 +241,8 @@ def enumerate_tables(n: int, axioms: Iterable[str] = DOM_AXIOM_SET,
     laws (commutative ordered monoid with the forced minus) are always
     required.  Deterministic canonical (row-major lexicographic) order.
     """
+    if n < 1:
+        raise ValueError("need at least one element")
     if n > bound:
         raise ValueError(f"size {n} exceeds the enumeration bound {bound}")
     axioms = frozenset(axioms) - {"assoc", "comm", "neutral", "PA", "minus", "predom"}
@@ -245,9 +257,9 @@ def enumerate_tables(n: int, axioms: Iterable[str] = DOM_AXIOM_SET,
 
 
 def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTable]:
-    delta = n - 1 - e
-    need_mca = "MCa" in axioms
-    need_mcb = "MCb" in axioms
+    top = n - 1
+    delta = top - e
+    need_mcprime = "MCprime" in axioms
     P = [[-1] * n for _ in range(n)]
     # where[v]: the placed ordered pairs (a, b) with P[a][b] == v
     where: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -258,7 +270,29 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
             where[j].append((j, e))
     cells = [(i, j) for i in range(n) for j in range(i, n)
              if i != e and j != e]
-    checks = ("assoc", "MCprime") if "MCprime" in axioms else ("assoc",)
+    # per cell: its ordered pairs, the bounds that hold before any other
+    # cell is placed, and whether MC' is checked once it is placed: at the
+    # end of each row
+    plan = []
+    for idx, (i, j) in enumerate(cells):
+        lo, hi = 0, top
+        # monotone against the neutral's row and column: P[i][e] = i, P[e][j] = j
+        if j < e:
+            hi = min(hi, i)
+        if j > e:
+            lo = max(lo, i)
+        if i < e:
+            hi = min(hi, j)
+        if i > e:
+            lo = max(lo, j)
+        if "MCb" in axioms and i + j == top:
+            hi = min(hi, delta)
+        if "MCa" in axioms and i + j > top:
+            lo = max(lo, delta + 1)
+        row_end = idx + 1 == len(cells) or cells[idx + 1][0] != i
+        pairs = ((i, j),) if i == j else ((i, j), (j, i))
+        plan.append((i, j, pairs, lo, hi, need_mcprime and row_end))
+    checks = ("assoc", "MCprime") if need_mcprime else ("assoc",)
     out: list[FiniteDomTable] = []
 
     def assoc_ok_around(pairs: tuple, v: int) -> bool:
@@ -294,30 +328,38 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
                     return False
         return True
 
+    def mcprime_ok_so_far() -> bool:
+        # MC' on every triple whose four lookups are placed: it fails at
+        # (x, y, z) when (x + y) -R z < x + (y -R z), with
+        # a -R z = top - P[top - a][z]
+        for px in P:
+            for y, xy in enumerate(px):
+                if xy < 0:
+                    continue
+                for xy_z, y_z in zip(P[top - xy], P[top - y]):
+                    if xy_z >= 0 and y_z >= 0:
+                        right = px[top - y_z]
+                        if right >= 0 and top - xy_z < right:
+                            return False
+        return True
+
     def place(idx: int) -> None:
-        if idx == len(cells):
+        if idx == len(plan):
             t = FiniteDomTable._of(tuple(map(tuple, P)))
             if table_passes(t, checks):
                 out.append(t)
             return
-        i, j = cells[idx]
-        pairs = ((i, j),) if i == j else ((i, j), (j, i))
-        lo, hi = 0, n - 1
-        if j > 0 and P[i][j - 1] >= 0:
+        i, j, pairs, lo, hi, check_mcprime = plan[idx]
+        # in row-major order the cells left of and above (i, j) are placed;
+        # those right of and below it are placed only in the neutral's row
+        # and column, whose bounds lo and hi already hold
+        if j > 0:
             lo = max(lo, P[i][j - 1])
-        if i > 0 and P[i - 1][j] >= 0:
+        if i > 0:
             lo = max(lo, P[i - 1][j])
-        if j + 1 < n and P[i][j + 1] >= 0:
-            hi = min(hi, P[i][j + 1])
-        if i + 1 < n and P[i + 1][j] >= 0:
-            hi = min(hi, P[i + 1][j])
-        if need_mcb and i + j == n - 1:
-            hi = min(hi, delta)
-        if need_mca and i + j > n - 1:
-            lo = max(lo, delta + 1)
         for v in range(lo, hi + 1):
             P[i][j] = P[j][i] = v
-            if assoc_ok_around(pairs, v):
+            if assoc_ok_around(pairs, v) and (not check_mcprime or mcprime_ok_so_far()):
                 where[v].extend(pairs)
                 place(idx + 1)
                 del where[v][-len(pairs):]

@@ -130,6 +130,12 @@ def test_enumerate_output(capsys):
     assert code == 4
 
 
+def test_enumerate_refuses_sizes_below_one(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "enumerate", n)
+        assert (code, out) == (4, "") and "at least one" in err, n
+
+
 def test_classify(capsys):
     for carrier, expected in (("cuts(Z)", "second"), ("cuts(Q)", "third"),
                               ("tilde(Z)", "first"), ("Q", "first"),
@@ -232,14 +238,19 @@ def test_expression_may_start_with_a_dash(capsys):
     assert run(capsys, "eval", "--carrier", "Q", "-1/2")[:2] == (0, "-1/2\n")
 
 
-def _cold(*args, cwd=None):
-    """Run ``python`` in a fresh process that imports domkit from this tree."""
+def _cold_env():
+    """The environment of a fresh process that imports domkit from this tree."""
     src = str(Path(domkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     env.pop("DOMKIT_SEED", None)
+    return env
+
+
+def _cold(*args, cwd=None):
+    """Run ``python`` in a fresh process that imports domkit from this tree."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=120)
+                          env=_cold_env(), cwd=cwd, timeout=120)
 
 
 def test_import_leaves_unused_modules_out():
@@ -281,3 +292,16 @@ def test_each_subcommand_in_a_fresh_process(tmp_path, argv, code, stdout):
     (tmp_path / "bad3.tbl").write_text(BAD3)
     proc = _cold("-m", "domkit", *argv, cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # `dom enumerate 7 --axioms=predom | head -1`: its 240 kB of output
+    # overfill the pipe, so writing meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "domkit", "enumerate", "7",
+                             "--axioms=predom"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_cold_env())
+    assert proc.stdout.readline() == b"count: 2146\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -70,14 +70,22 @@ def test_validate_trivial_up_to_seven():
 
 
 def test_uniqueness_small_sizes():
-    for n in range(1, 7):
-        found = enumerate_tables(n)
+    for n in range(1, 19):
+        found = enumerate_tables(n, bound=n)
         assert found == [trivial_dom(n)], n
 
 
 def test_enumeration_bound():
     with pytest.raises(ValueError, match="bound"):
         enumerate_tables(9)
+
+
+def test_enumeration_refuses_sizes_below_one():
+    # the empty table has no neutral element, so it is no answer
+    assert not validate(FiniteDomTable([]), ("neutral",))["neutral"][0]
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least one"):
+            enumerate_tables(n)
 
 
 GOLDEN_COUNTS = {
@@ -103,6 +111,17 @@ GOLDEN_COUNTS = {
 def test_golden_counts():
     for (n, axioms), expected in GOLDEN_COUNTS.items():
         assert len(enumerate_tables(n, axioms)) == expected, (n, sorted(axioms))
+
+
+# recorded from the search before the neutral row's bounds and the
+# row-end MC' check were added to it; test_reference_search_matches_search
+# derives the smaller sizes again by another search
+RECORDED_COUNTS_AT_EIGHT = {frozenset(): 11634, frozenset({"MB"}): 6676}
+
+
+def test_recorded_counts_at_eight():
+    for axioms, expected in RECORDED_COUNTS_AT_EIGHT.items():
+        assert len(enumerate_tables(8, axioms, bound=8)) == expected, sorted(axioms)
 
 
 SEARCH_AXIOMS = ("MA", "MB", "MCa", "MCb", "MCprime")
@@ -136,22 +155,87 @@ def test_brute_force_matches_search():
                 assert len(expected) == GOLDEN_COUNTS[n, axioms]
 
 
-def test_no_search_leaf_fails_associativity(monkeypatch):
-    # each associativity triple is checked when its last cell is placed,
-    # so the final pass over a leaf never finds a witness
+STRUCTURAL = ("neutral", "assoc", "comm", "PA", "minus")
+
+
+def reference_search(n):
+    """The leaves of a plain search on the n-chain that pass the structural
+    laws, with their axiom reports.  For each neutral row it places the
+    free cells of a symmetric matrix in column-major order and bounds each
+    cell only by monotonicity against every placed cell: no sign bounds,
+    no associativity or MC' during the search, everything at the leaf."""
+
+    def place(P, cells, k):
+        if k == len(cells):
+            t = FiniteDomTable(P)
+            # associativity first: it rejects most leaves, and cheaply
+            if table_passes(t, ("assoc",)):
+                rep = validate(t, STRUCTURAL + SEARCH_AXIOMS)
+                if all(rep[a][0] for a in STRUCTURAL):
+                    yield t, rep
+            return
+        i, j = cells[k]
+        lo = max((P[a][b] for a in range(i + 1) for b in range(j + 1) if P[a][b] >= 0),
+                 default=0)
+        hi = min((P[a][b] for a in range(i, n) for b in range(j, n) if P[a][b] >= 0),
+                 default=n - 1)
+        for v in range(lo, hi + 1):
+            P[i][j] = P[j][i] = v
+            yield from place(P, cells, k + 1)
+        P[i][j] = P[j][i] = -1
+
+    for e in range(n):
+        P = [[-1] * n for _ in range(n)]
+        for k in range(n):
+            P[e][k] = P[k][e] = k
+        cells = [(i, j) for j in range(n) for i in range(j + 1) if e not in (i, j)]
+        yield from place(P, cells, 0)
+
+
+def test_reference_search_matches_search():
+    # the brute force stops at n = 4; this search reaches 6 in seconds
+    for n in (5, 6):
+        found = sorted(reference_search(n), key=lambda tr: tr[0].plus)
+        for axioms in AXIOM_SUBSETS:
+            expected = [t for t, rep in found if all(rep[a][0] for a in axioms)]
+            assert enumerate_tables(n, axioms) == expected, (n, sorted(axioms))
+
+
+def final_pass_verdicts(monkeypatch, law, sizes, axiom_sets):
+    """The verdicts on ``law`` of the final ``validate`` pass over every
+    leaf the search reaches for these sizes and axiom sets."""
     verdicts = []
     real_validate = tables.validate
 
     def spy(t, *args):
         rep = real_validate(t, *args)
-        if "assoc" in rep:
-            verdicts.append(rep["assoc"])
+        if law in rep:
+            verdicts.append(rep[law])
         return rep
 
     monkeypatch.setattr(tables, "validate", spy)
-    for n in range(1, 7):
-        for axioms in (set(), {"MB"}, {"MA", "MB"}, {"MA", "MB", "MCprime"}):
+    for n in sizes:
+        for axioms in axiom_sets:
             enumerate_tables(n, axioms)
+    return verdicts
+
+
+def test_no_search_leaf_fails_mcprime(monkeypatch):
+    # when MC' is asked for, it is checked on every placed triple as each
+    # row is completed, so the final pass over a leaf never finds a witness
+    verdicts = final_pass_verdicts(
+        monkeypatch, "MCprime", range(1, 8),
+        ({"MCprime"}, {"MA", "MCprime"}, {"MB", "MCprime"}, {"MA", "MB", "MCprime"}))
+    assert len(verdicts) > 500
+    assert all(v == (True, None) for v in verdicts)
+
+
+def test_no_search_leaf_fails_associativity(monkeypatch):
+    # each associativity triple is checked when its last cell is placed,
+    # so the final pass over a leaf never finds a witness
+    verdicts = final_pass_verdicts(
+        monkeypatch, "assoc", range(1, 7),
+        (set(), {"MA"}, {"MB"}, {"MA", "MB"}, {"MA", "MB", "MCprime"}))
     assert len(verdicts) > 1000
     assert all(v == (True, None) for v in verdicts)
 
@@ -192,7 +276,7 @@ def test_mcprime_equivalence():
 
 
 def test_mcprime_equivalence_beyond_six():
-    for n in (7, 8):
+    for n in (7, 8, 9, 10):
         assert enumerate_tables(n, {"MA", "MB", "MCprime"}, bound=n) == \
             enumerate_tables(n, {"MA", "MB", "MCa", "MCb"}, bound=n), n
 
