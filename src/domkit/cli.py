@@ -9,9 +9,11 @@ layers and a ``dom`` process starts sooner.
 
 Exit codes: 0 success, 1 failed checks or stdout closed before all
 output was written, 2 parse errors, 3 type errors, 4 bad
-usage/preconditions (argparse's own usage errors included).  An
-expression that starts with ``-``, such as ``-inf``, is read as the
-expression, not as an option.
+usage/preconditions (argparse's own usage errors included, and a
+``--samples`` below 1).  An expression that starts with ``-``, such as
+``-inf``, is read as the expression, not as an option.  ``sign(..)`` is
+read only as the outermost operation: its inner part is a plain
+expression, so a nested ``sign`` is a parse error.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ def eval_expr(d: Dom, text: str):
     """Evaluate; returns ('sign', s) or ('val', element)."""
     s = text.strip()
     if s.startswith("sign(") and s.endswith(")") and _balanced(s[5:-1]):
-        _, inner = eval_expr(d, s[5:-1])
-        return ("sign", sign_of(d, inner))
+        return ("sign", sign_of(d, _eval(d, s[5:-1])))
     return ("val", _eval(d, s))
 
 
@@ -374,6 +375,8 @@ def main(argv=None) -> int:
             eval_parser.error("the following arguments are required: expr")
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -4,7 +4,9 @@ cuts of a finite carrier, the shift, and embeddings of the finite chains.
 Constructed carriers are lazy: the dual, the shift and the quotient are
 ``View``s of their parent, the others tag their elements (a glued
 ``PointGroup`` carrier is the lower part of an insemination); finite
-ones can be materialized to addition tables with ``to_table``.
+ones can be materialized to addition tables with ``to_table``. The
+n-chain embeds through one list of level edges of Q^a, with the group
+zero of the mixed carrier in the middle for odd n.
 """
 
 from __future__ import annotations
@@ -410,9 +412,10 @@ def split_at_width(m: Dom, k) -> GlueDom:
 
 
 def split_iso(glued: GlueDom) -> HomCandidate:
-    """The natural bijection from a re-glued carrier back to the original."""
-    m = glued.upper.parent if isinstance(glued.upper, SubDomView) else glued.upper
-    return HomCandidate(glued, m, lambda x: x[1],
+    """The natural bijection from a carrier re-glued by ``union`` back to
+    the original."""
+    # ``union`` builds the lower part as a sub-carrier view of the original
+    return HomCandidate(glued, glued.lower.parent, lambda x: x[1],
                         universe=glued.iter_elements())
 
 
@@ -684,46 +687,23 @@ def cuts_of_dom(d: Dom, plus_rule: str = "right") -> FiniteDom:
 def embed_finite(n: int) -> HomCandidate:
     """A verified copy of the n-element chain inside a cut or mixed carrier.
 
-    Even chains land among the cuts of a dense lexicographic power of
-    the rationals (level edges around the zero pair); odd chains land in
-    the mixed group-plus-cuts carrier, with the chain zero at the group
-    zero.
+    The images come from one list over the dense lexicographic power
+    Q^a, a = max(n - 2, 0) // 2: -inf, the negated finite widths of its
+    cut carrier from the widest down, the widths from the zero cut up,
+    then +inf. Even chains land among those cuts; odd chains land in the
+    mixed group-plus-cuts carrier, with the chain zero at the group zero
+    in the middle (the 1-chain is that zero alone).
     """
     if n < 1:
         raise ValueError("chain size must be positive")
-    src = FiniteDom(trivial_dom(n))
-    if n % 2 == 0:
-        atoms = (n - 2) // 2
-        g = Group.trivial() if atoms == 0 else Group.lex(*([Group.Q()] * atoms))
-        target: Dom = CutDom(g)
-        images: list = [NEG_INF]
-        if atoms:
-            for k in range(atoms - 1, 0, -1):
-                images.append(ct.neg(g, ct.level_edge(g, k)))
-            images.append(ct.neg(g, ct.zero_cut(g)))
-            images.append(ct.zero_cut(g))
-            for k in range(1, atoms):
-                images.append(ct.level_edge(g, k))
-        images.append(POS_INF)
-    else:
-        atoms = (n - 3) // 2 if n >= 3 else 0
-        g = Group.trivial() if atoms == 0 else Group.lex(*([Group.Q()] * atoms))
+    a = max(n - 2, 0) // 2
+    g = Group.trivial() if a == 0 else Group.lex(*([Group.Q()] * a))
+    target: Dom = CutDom(g)
+    widths = target.width_set()[:-1]
+    images = [NEG_INF, *(ct.neg(g, w) for w in reversed(widths)), *widths, POS_INF]
+    if n % 2:
         target = TildeDom(g)
-        images = [("c", NEG_INF)]
-        if atoms:
-            for k in range(atoms - 1, 0, -1):
-                images.append(("c", ct.neg(g, ct.level_edge(g, k))))
-            images.append(("c", ct.neg(g, ct.zero_cut(g))))
-        if n >= 3:
-            images.append(("g", g.zero()))
-            if atoms:
-                images.append(("c", ct.zero_cut(g)))
-                for k in range(1, atoms):
-                    images.append(("c", ct.level_edge(g, k)))
-            images.append(("c", POS_INF))
-        else:
-            images = [("g", g.zero())]
-    if len(images) != n:
-        raise AssertionError(f"embedding size mismatch: {len(images)} != {n}")
-    mapping = dict(enumerate(images))
-    return HomCandidate(src, target, mapping, universe=list(range(n)))
+        cuts = [("c", x) for x in images] if n > 1 else []
+        images = cuts[:a + 1] + [("g", g.zero())] + cuts[a + 1:]
+    return HomCandidate(FiniteDom(trivial_dom(n)), target, images.__getitem__,
+                        universe=list(range(n)))

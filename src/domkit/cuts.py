@@ -24,6 +24,10 @@ and ``neg`` only canonicalize their results, without re-checking them:
 their operands are cuts, already checked, and group addition and
 negation keep non-anchor coordinates inside their components (a crossed
 product raises when its factor set leaves the fiber).
+
+``approach_below`` is the one approximation helper, for the oracle's
+chains; a group element between two given cuts is computed from their
+anchors where it is needed (``doms.CutDom.lambda_map``).
 """
 
 from __future__ import annotations
@@ -377,7 +381,7 @@ def edge_above(g: Group, gp: Group, x: tuple) -> Cut:
     return make_node(g, 0, x, PLUS if g.contains(x) else FILLED)
 
 
-# -- helpers used by samplers and witnesses --------------------------------
+# -- approximation from below, for the oracle's chains ----------------------
 
 
 def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
@@ -385,47 +389,6 @@ def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
     d = g.atoms[atom_index].dense_denominator() ** (n + 1)
     ceil_td = -scalar_floor(-(target * d))
     return canon(Fraction(ceil_td - 1, d))
-
-
-def approach_above(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
-    d = g.atoms[atom_index].dense_denominator() ** (n + 1)
-    floor_td = scalar_floor(target * d)
-    return canon(Fraction(floor_td + 1, d))
-
-
-def element_between(g: Group, a: Cut, b: Cut) -> tuple:
-    """Some group element strictly between two cuts a < b."""
-    if compare(g, a, b) >= 0:
-        raise ValueError("element_between needs a < b")
-    m = g.num_atoms
-    candidates: list[tuple] = []
-
-    def pad(prefix, value):
-        return tuple(prefix) + (value,) * (m - len(prefix))
-
-    for cut in (a, b):
-        if cut.kind != "n":
-            continue
-        p = cut.prefix
-        base = p[:-1]
-        anchor = p[-1]
-        idx = m - cut.level - 1
-        candidates.append(pad(base + (scalar_floor(anchor),), 0))
-        candidates.append(pad(base + (scalar_floor(anchor) + 1,), 0))
-        for n in range(6):
-            if not g.atoms[idx].discrete:
-                candidates.append(pad(base + (approach_below(g, idx, anchor, n),), 0))
-                candidates.append(pad(base + (approach_above(g, idx, anchor, n),), 0))
-            for t in (-(3 ** n), 3 ** n):
-                if g.atoms[idx].contains(anchor):
-                    candidates.append(pad(base + (anchor,), t))
-    for n in range(4):
-        candidates.append(pad((), 3 ** n))
-        candidates.append(pad((), -(3 ** n)))
-    for gamma in candidates:
-        if g.contains(gamma) and member_above(g, gamma, a) and member_below(g, gamma, b):
-            return gamma
-    raise ValueError("no group element found between the two cuts")
 
 
 # -- text form --------------------------------------------------------------

@@ -11,7 +11,10 @@ Facts about one carrier are methods of that carrier: ``associated_group``,
 (and ``least_positives``), ``top``, ``witness_width``, and the literal
 syntax ``parse_literal``/``format_literal``. A finite carrier decides each
 by enumerating its elements; an infinite one answers where it overrides
-the method exactly, and raises ``ValueError`` otherwise.
+the method exactly, and raises ``ValueError`` otherwise. The cut-valued
+embedding of wide elements is ``CutDom.lambda_map``; when a target
+group has no cut there, its error names a target element between the
+two edges, computed from the anchor.
 
 A carrier derived from another one is a ``View`` of it, overriding only
 what it changes. ``check_axioms``, ``verify_hom`` and
@@ -529,6 +532,42 @@ class CutDom(Dom):
             return self._zero
         return self._edges[x.level]
 
+    def lambda_map(self, target: Group, a) -> Cut:
+        """Cut of ``target`` carved out by the width-zero classes below ``a``.
+
+        ``a`` must have positive width. Requires that no element of the
+        target group straddles the approximating classes: the two edges
+        below and above them must agree, else the error names a target
+        element strictly between them.
+        """
+        if a.kind != "n":
+            return NEG_INF if a.kind == "lo" else POS_INF
+        if a.level == 0:
+            raise ValueError("the embedding is defined on width-positive elements only")
+        k = a.level
+        src_atom = self.group.atoms[self.group.num_atoms - k - 1]
+        tgt_atom = target.atoms[target.num_atoms - k - 1]
+        if a.side != ct.FILLED and not tgt_atom.contains(a.anchor):
+            raise ValueError("target group does not contain the approximating classes")
+        low = ct.make_node(target, k, a.prefix, ct.MINUS if a.side == ct.FILLED else a.side)
+        high = low
+        if a.side == ct.PLUS and src_atom.discrete:
+            bumped = a.prefix[:-1] + (a.anchor + 1,)
+            high = ct.make_node(target, k, bumped, ct.MINUS)
+        elif a.side == ct.FILLED and tgt_atom.contains(a.anchor):
+            high = ct.make_node(target, k, a.prefix, ct.PLUS)
+        if low != high:
+            # between the edges: the anchor itself when it is filled, else a
+            # point of the dense target component inside (anchor, anchor + 1)
+            anchor = a.anchor
+            if a.side == ct.PLUS:
+                anchor += Fraction(1, tgt_atom.dense_denominator())
+            witness = a.prefix[:-1] + (anchor,) + (0,) * k
+            raise ValueError(
+                "no cut of the target group: "
+                f"{target.format_element(witness)} straddles the classes below and above")
+        return low
+
 
 def _group_literal(group: Group, tok: str) -> tuple:
     """The group element a literal names: ValueError when the literal does
@@ -887,43 +926,6 @@ def special_set(d: Dom, which: str, a=None) -> "SubDomView | list":
     raise ValueError(f"unknown special set {which!r}")
 
 
-# -- the cut-valued embedding of width-positive elements -------------------------
-
-
-def lambda_map(d: Dom, target: Group, a):
-    """Cut of ``target`` carved out by the width-zero classes below ``a``.
-
-    ``a`` must have positive width. Requires that no element of the
-    target group straddles the approximating classes (checked; the
-    failure witness is reported).
-    """
-    if not isinstance(d, CutDom):
-        raise ValueError("the cut-valued embedding is implemented for cut carriers")
-    if isinstance(a, Cut) and a.kind != "n":
-        return NEG_INF if a.kind == "lo" else POS_INF
-    if a.level == 0:
-        raise ValueError("the embedding is defined on width-positive elements only")
-    g = d.group
-    k = a.level
-    src_atom = g.atoms[g.num_atoms - k - 1]
-    tgt_atom = target.atoms[target.num_atoms - k - 1]
-    if a.side != ct.FILLED and not tgt_atom.contains(a.anchor):
-        raise ValueError("target group does not contain the approximating classes")
-    low = ct.make_node(target, k, a.prefix, ct.MINUS if a.side == ct.FILLED else a.side)
-    high = low
-    if a.side == ct.PLUS and src_atom.discrete:
-        bumped = a.prefix[:-1] + (a.prefix[-1] + 1,)
-        high = ct.make_node(target, k, bumped, ct.MINUS)
-    elif a.side == ct.FILLED and tgt_atom.contains(a.anchor):
-        high = ct.make_node(target, k, a.prefix, ct.PLUS)
-    if low != high:
-        witness = ct.element_between(target, low, high)
-        raise ValueError(
-            "no cut of the target group: "
-            f"{target.format_element(witness)} straddles the classes below and above")
-    return low
-
-
 # -- homomorphisms ----------------------------------------------------------------
 
 
@@ -938,7 +940,7 @@ class HomCandidate:
         self.universe = universe
 
     def __call__(self, x):
-        return self.mapping[x] if isinstance(self.mapping, dict) else self.mapping(x)
+        return self.mapping(x)
 
 
 def verify_hom(h: HomCandidate, samples: int = 250, seed: int = 0) -> dict:

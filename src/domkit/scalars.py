@@ -15,6 +15,9 @@ canonical scalars, so most coordinates are plain ``int`` and cost
 machine-word arithmetic.  The invariant is a matter of speed only: a
 stray ``Fraction(3)`` still equals ``3`` and hashes like it, so every
 answer and every structural cut equality is the same either way.
+
+``parse_scalar`` reads ``a``, ``br2``, ``a+br2`` and ``a-br2``; the
+``r2`` term ends the literal, and any text after it is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -231,7 +234,9 @@ def parse_scalar(text: str) -> Scalar:
     s = text.strip().replace(" ", "")
     if "r2" not in s:
         return _parse_fraction(s)
-    head, _, _ = s.partition("r2")
+    head, _, tail = s.partition("r2")
+    if tail:
+        raise ValueError(f"unexpected text after r2 in {text!r}")
     # split head into rational part and sqrt2 coefficient
     cut = -1
     for i in range(1, len(head)):

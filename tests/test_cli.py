@@ -1,12 +1,16 @@
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import domkit
-from domkit.cli import main
+from domkit.cli import eval_expr, main, parse_carrier
 
 
 def run(capsys, *argv):
@@ -66,6 +70,14 @@ def test_eval_error_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--carrier", "Z", "1/2")
     assert code == 3
+    # the inner part of sign(..) is a plain expression, in which sign(..)
+    # is refused: on a cut carrier and on a group alike
+    for carrier, expr in (("cuts(Q)", "sign(sign(cut(0)+))"), ("Q", "sign(sign(1))")):
+        code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
+        assert (code, out) == (2, ""), (carrier, expr)
+        assert "may only be the outermost operation" in err
+    code, out, err = run(capsys, "eval", "--carrier", "Qr2", "2+r2/3")
+    assert (code, out) == (2, "") and "after r2" in err
 
 
 def test_eval_zero_denominator(capsys):
@@ -217,7 +229,9 @@ def test_construct_embed_odd_chain(capsys):
 def test_usage_errors_exit_4(capsys):
     # argparse's own errors are usage errors: exit 4, as documented
     for argv in (["eval", "cut(0)+"], [], ["enumerate", "x"],
-                 ["eval", "--carrier", "cuts(Q)"], ["enumerate", "3", "--bogus"]):
+                 ["eval", "--carrier", "cuts(Q)"], ["enumerate", "3", "--bogus"],
+                 ["--samples", "0", "valuation", "width", "--carrier", "cuts(Q)"],
+                 ["--samples", "-5", "valuation", "width", "--carrier", "cuts(Q)"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 4, argv
@@ -236,6 +250,88 @@ def test_expression_may_start_with_a_dash(capsys):
         assert run(capsys, *argv) == (0, "-inf\n", "")
     assert run(capsys, "eval", "--carrier", "Q", "-1/2 + 1") == (0, "1/2\n", "")
     assert run(capsys, "eval", "--carrier", "Q", "-1/2")[:2] == (0, "-1/2\n")
+
+
+# -- fuzzing the eval grammar -----------------------------------------------------
+
+FUZZ_CARRIERS = ["Q", "Z", "Zloc(3)", "Qr2", "lex(Q,Q)", "cuts(Q)", "cuts(Z)",
+                 "cuts(Zloc(2))", "cuts(lex(Q,Q))", "cuts(Q,r2)", "tilde(Q)", "tilde(Z)"]
+
+
+def _mostly(common, rare):
+    """Nine draws in ten from ``common``, the rest from ``rare``."""
+    return st.sampled_from([common] * 9 + [rare]).flatmap(lambda s: s)
+
+
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6).map(str)
+_surd = st.builds(lambda a, s, b: f"{a}{s}{b}r2", st.sampled_from(["", "1", "-1/2", "3"]),
+                  st.sampled_from("+-"), st.sampled_from(["", "2", "1/3"]))
+_malformed = st.sampled_from(["r2+1", "2+r2/3", "r2r2", "1/0", "abc", ""])
+
+
+def _literals(scalar, coords, levels):
+    cut = st.one_of(
+        st.builds(lambda c, side: f"cut({c}){side}", coords, st.sampled_from("+-")),
+        coords.map(lambda c: f"fill({c})"),
+        st.builds(lambda k, side: f"edge({k}){side}", levels, st.sampled_from("+-")),
+        st.builds(lambda k, side, c: f"edge({k}){side}{c}", levels,
+                  st.sampled_from(["+", "-", "fill"]), scalar),
+        st.sampled_from(["-inf", "+inf"]))
+    return {"group": coords, "cuts": cut,
+            "tilde": st.one_of(coords.map(lambda c: f"g({c})"), cut)}
+
+
+def _literal_for(carrier):
+    """Mostly literals that the carrier reads, sometimes any literal."""
+    scalar = _mostly(st.one_of(_rational, _surd) if "r2" in carrier else _rational,
+                     st.one_of(_surd, _malformed))
+    pair = st.builds(lambda a, b: f"({a},{b})", scalar, scalar)
+    lex = "lex(" in carrier
+    own = _literals(scalar, pair if lex else scalar, st.integers(0, int(lex)))
+    kind = carrier.split("(")[0] if carrier.startswith(("cuts(", "tilde(")) else "group"
+    anything = _literals(scalar, st.one_of(scalar, pair), st.integers(0, 2))
+    return _mostly(own[kind], st.one_of(*anything.values()))
+
+
+def _chain(terms):
+    ops = st.sampled_from(["+", "+R", "-", "-L"])
+    return st.builds(lambda first, rest: " ".join([first] + [f"{op} {t}" for op, t in rest]),
+                     terms, st.lists(st.tuples(ops, terms), max_size=2))
+
+
+@functools.lru_cache(maxsize=None)
+def _expr_for(carrier):
+    terms = st.recursive(
+        _literal_for(carrier),
+        lambda inner: st.builds(lambda u, e: f"{u}({e})",
+                                st.sampled_from(["neg", "width", "abs", "sign"]), _chain(inner)),
+        max_leaves=3)
+    # sign(..) is read only as the outermost operation: draw it there
+    # around whole expressions and around single terms, sign(..) included
+    expr = _chain(terms)
+    signed = st.one_of(expr, terms).map(lambda e: f"sign({e})")
+    return st.sampled_from([expr, expr, signed]).flatmap(lambda s: s)
+
+
+def _eval_in_process(carrier, expr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--carrier", carrier, expr])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(FUZZ_CARRIERS).flatmap(
+    lambda c: st.tuples(st.just(c), _expr_for(c))))
+def test_eval_fuzz_exit_codes_and_round_trip(case):
+    # every input ends in a result, a parse error or a type error, never
+    # in a traceback; a printed value reads back to the same text
+    carrier, expr = case
+    code, out, err = _eval_in_process(carrier, expr)
+    assert code in (0, 2, 3), (carrier, expr, code, err)
+    assert (out == "") == (code != 0), (carrier, expr, out, err)
+    if code == 0 and eval_expr(parse_carrier(carrier), expr)[0] == "val":
+        assert _eval_in_process(carrier, out.strip()) == (0, out, ""), (carrier, expr, out)
 
 
 def _cold_env():

@@ -533,7 +533,7 @@ def test_cuts_of_dom_alternative_plus_defect():
 # -- embeddings of the finite chains ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_embed_finite(n):
     h = embed_finite(n)
     rep = verify_hom(h)

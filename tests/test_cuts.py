@@ -6,7 +6,7 @@ import pytest
 
 from domkit.cuts import (
     FILLED, MINUS, NEG_INF, PLUS, POS_INF,
-    add, compare, edge_above, edge_below, element_between, fill_ge, fill_le,
+    add, compare, edge_above, edge_below, fill_ge, fill_le,
     fills, format_cut, induced_cut, invariance_level, level_edge, lsub,
     make_node, member_above, member_below, neg, parse_cut, project_cut, radd,
     rsub, shift_by, signature, width, zero_cut,
@@ -471,14 +471,6 @@ def test_sum_of_filled_cuts_is_edge_of_witness_sums(g, gp):
         s = gp.add(x0, y0)
         assert edge_below(g, gp, s) == add(g, lam, gam)
         assert edge_above(g, gp, s) == radd(g, lam, gam)
-
-
-def test_element_between():
-    a, b = cc(Q, "cut(0)-"), cc(Q, "cut(0)+")
-    x = element_between(Q, a, b)
-    assert member_above(Q, x, a) and member_below(Q, x, b)
-    x = element_between(QQ, neg(QQ, OMEGA), OMEGA)
-    assert member_above(QQ, x, neg(QQ, OMEGA)) and member_below(QQ, x, OMEGA)
 
 
 # -- text round trips ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from domkit import cuts as ct
 from domkit.cuts import FILLED, MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.doms import (
     CutDom, GroupDom, HomCandidate, TildeDom, check_axioms, classify_type,
-    equiv_class, f_minus, f_plus, hom_kernel, kernel_is_convex, lambda_map,
+    equiv_class, f_minus, f_plus, hom_kernel, kernel_is_convex,
     multiplicity, sign_of, special_set, verify_hom,
 )
 from domkit.groups import Group
@@ -361,26 +361,51 @@ def test_lambda_map_recovers_cuts():
     wide = [x for x in d.sample(rng, 150)
             if isinstance(x, ct.Cut) and x.kind == "n" and x.level >= 1]
     for a in wide:
-        assert lambda_map(d, QQ, a) == a
-        assert lambda_map(d, QQ, d.neg(a)) == ct.neg(QQ, lambda_map(d, QQ, a))
+        assert d.lambda_map(QQ, a) == a
+        assert d.lambda_map(QQ, d.neg(a)) == ct.neg(QQ, d.lambda_map(QQ, a))
     for a, b in zip(wide, wide[1:]):
-        la, lb = lambda_map(d, QQ, a), lambda_map(d, QQ, b)
+        la, lb = d.lambda_map(QQ, a), d.lambda_map(QQ, b)
         assert (d.cmp(a, b) <= 0) == (ct.compare(QQ, la, lb) <= 0)
         if d.cmp(a, b) != 0:
             assert la != lb
-        assert lambda_map(d, QQ, d.add(a, b)) == ct.add(QQ, la, lb)
-    assert lambda_map(d, QQ, POS_INF) == POS_INF
+        assert d.lambda_map(QQ, d.add(a, b)) == ct.add(QQ, la, lb)
+    assert d.lambda_map(QQ, POS_INF) == POS_INF
+
+
+def _straddle_witness(d, target, a):
+    with pytest.raises(ValueError, match="straddles") as info:
+        d.lambda_map(target, a)
+    text = str(info.value).split(": ", 1)[1].split(" straddles")[0]
+    return text, target.parse_element(text)
 
 
 def test_lambda_map_straddle_error():
     # over a mixed discrete/dense group the wide cuts fall into gaps of
-    # a denser target group: the map must refuse, naming a witness
+    # a denser target group: the map must refuse, naming a target element
+    # strictly between the edges below and above the classes
     zq = Group.lex(Z, Q)
     d = CutDom(zq)
     a = ct.level_edge(zq, 1)
-    with pytest.raises(ValueError, match="straddles"):
-        lambda_map(d, QQ, a)
-    assert lambda_map(d, zq, a) == a  # the group itself always works
+    for target, witness in ((QQ, "(1/2,0)"), (Group.lex(Group.Zloc(3), Q), "(1/4,0)")):
+        text, gamma = _straddle_witness(d, target, a)
+        assert text == witness
+        low = make_node(target, 1, (0,), PLUS)
+        high = make_node(target, 1, (1,), MINUS)
+        assert ct.member_above(target, gamma, low) and ct.member_below(target, gamma, high)
+    assert d.lambda_map(zq, a) == a  # the group itself always works
+
+
+def test_lambda_map_filled_straddle_names_the_anchor():
+    # a cut filled in the source whose anchor the target holds: the
+    # anchor itself lies between the target's two edges
+    src = Group.lex(Z2, Q)
+    d = CutDom(src)
+    a = make_node(src, 1, (F(1, 2),), FILLED)
+    text, gamma = _straddle_witness(d, QQ, a)
+    assert text == "(1/2,0)"
+    low = make_node(QQ, 1, (F(1, 2),), MINUS)
+    high = make_node(QQ, 1, (F(1, 2),), PLUS)
+    assert ct.member_above(QQ, gamma, low) and ct.member_below(QQ, gamma, high)
 
 
 # -- homomorphism checking ------------------------------------------------------------------

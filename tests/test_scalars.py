@@ -54,6 +54,13 @@ def test_parse_forms():
     assert parse_scalar("-5/7") == F(-5, 7)
 
 
+def test_parse_refuses_text_after_r2():
+    # the r2 term closes the literal: nothing may follow it
+    for text in ("2+r2/3", "r2+1", "3r2-1", "r2r2", "1/2+r2 3"):
+        with pytest.raises(ValueError, match="after r2"):
+            parse_scalar(text)
+
+
 def test_parse_zero_denominator_is_value_error():
     # in the rational part and in the r2 coefficient alike
     for text in ("1/0", "-3/0", "1/0r2", "1/0+r2", "1+1/0r2", "1/2-1/0r2"):
