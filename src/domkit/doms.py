@@ -346,6 +346,8 @@ class GroupDom(Dom):
         return self.group.format_element(x)
 
     def parse_literal(self, tok):
+        if _is_cut_literal(tok):
+            raise TypeError(f"{tok!r} is a cut literal, not an element of {self.name}")
         return _group_literal(self.group, tok)
 
     def associated_group(self):

@@ -7,13 +7,19 @@ enumerator searches symmetric row-monotone matrices with the neutral
 row pinned and prunes with the per-cell sign constraints. Since the
 neutral e's row and column are placed first, monotonicity bounds every
 cell before the search starts: P[i][j] <= i left of column e and >= i
-right of it, P[i][j] <= j above row e and >= j below it. Each
-associativity triple is checked once, when the last of its four lookups
-is placed. When MC' is asked for, it is checked on every triple whose
-four lookups are placed each time a row is completed. A leaf is built
-unchecked from the search's own matrix, and one ``validate`` call on
-that matrix re-checks it: a final full associativity pass and, when MC'
-is asked for, MC' over all triples.
+right of it, P[i][j] <= j above row e and >= j below it. The free cells
+are placed in one static order per (n, e, axioms): by shell, the
+Chebyshev distance max(|i-e|, |j-e|) from the neutral, outermost first;
+within a shell by the width of the static bounds, narrowest first; then
+row-major. Each cell is also bounded by the placed cells nearest to it
+on either side in its row and in its column, worked out from the order
+before the search starts. Each associativity triple is checked once,
+when the last of its four lookups is placed. When MC' is asked for, it
+is checked on every triple whose four lookups are placed each time a
+shell is completed, the last cell included. A leaf is built unchecked
+from the search's own matrix, and one ``validate`` call on that matrix
+re-checks it: a final full associativity pass and, when MC' is asked
+for, MC' over all triples.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ def parse_table(text: str) -> FiniteDomTable:
             continue
         if n is None:
             n = int(line)
+            if n < 1:
+                raise ValueError(f"table size {n} is below 1")
             continue
         rows.append([int(tok) for tok in line.split()])
     if n is None:
@@ -268,30 +276,55 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
         where[j].append((e, j))
         if j != e:
             where[j].append((j, e))
-    cells = [(i, j) for i in range(n) for j in range(i, n)
-             if i != e and j != e]
-    # per cell: its ordered pairs, the bounds that hold before any other
-    # cell is placed, and whether MC' is checked once it is placed: at the
-    # end of each row
+    # the bounds that hold before any other cell is placed
+    static = {}
+    for i in range(n):
+        for j in range(i, n):
+            if i == e or j == e:
+                continue
+            lo, hi = 0, top
+            # monotone against the neutral's row and column: P[i][e] = i, P[e][j] = j
+            if j < e:
+                hi = min(hi, i)
+            if j > e:
+                lo = max(lo, i)
+            if i < e:
+                hi = min(hi, j)
+            if i > e:
+                lo = max(lo, j)
+            if "MCb" in axioms and i + j == top:
+                hi = min(hi, delta)
+            if "MCa" in axioms and i + j > top:
+                lo = max(lo, delta + 1)
+            static[i, j] = (lo, hi)
+
+    def shell(cell: tuple) -> int:
+        return max(abs(cell[0] - e), abs(cell[1] - e))
+
+    # outermost shell first; within a shell the narrowest static bounds
+    # first, then row-major
+    cells = sorted(static, key=lambda c: (-shell(c), static[c][1] - static[c][0], c))
+    # per cell: its ordered pairs, its static bounds, the placed cells
+    # nearest to it on each side in its row i and its column j (the
+    # column is row j by symmetry; the neutral's row and column are left
+    # to the static bounds), and whether MC' is checked once it is placed:
+    # at the end of each shell
+    placed = [[k == e or i == e for k in range(n)] for i in range(n)]
     plan = []
     for idx, (i, j) in enumerate(cells):
-        lo, hi = 0, top
-        # monotone against the neutral's row and column: P[i][e] = i, P[e][j] = j
-        if j < e:
-            hi = min(hi, i)
-        if j > e:
-            lo = max(lo, i)
-        if i < e:
-            hi = min(hi, j)
-        if i > e:
-            lo = max(lo, j)
-        if "MCb" in axioms and i + j == top:
-            hi = min(hi, delta)
-        if "MCa" in axioms and i + j > top:
-            lo = max(lo, delta + 1)
-        row_end = idx + 1 == len(cells) or cells[idx + 1][0] != i
         pairs = ((i, j),) if i == j else ((i, j), (j, i))
-        plan.append((i, j, pairs, lo, hi, need_mcprime and row_end))
+        below, above = [], []
+        for r, k in pairs:
+            left = next((c for c in range(k - 1, -1, -1) if placed[r][c]), e)
+            right = next((c for c in range(k + 1, n) if placed[r][c]), e)
+            if left != e:
+                below.append((P[r], left))
+            if right != e:
+                above.append((P[r], right))
+        placed[i][j] = placed[j][i] = True
+        shell_end = idx + 1 == len(cells) or shell(cells[idx + 1]) != shell((i, j))
+        plan.append((i, j, pairs, *static[i, j], tuple(below), tuple(above),
+                     need_mcprime and shell_end))
     checks = ("assoc", "MCprime") if need_mcprime else ("assoc",)
     out: list[FiniteDomTable] = []
 
@@ -349,14 +382,13 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
             if table_passes(t, checks):
                 out.append(t)
             return
-        i, j, pairs, lo, hi, check_mcprime = plan[idx]
-        # in row-major order the cells left of and above (i, j) are placed;
-        # those right of and below it are placed only in the neutral's row
-        # and column, whose bounds lo and hi already hold
-        if j > 0:
-            lo = max(lo, P[i][j - 1])
-        if i > 0:
-            lo = max(lo, P[i - 1][j])
+        i, j, pairs, lo, hi, below, above, check_mcprime = plan[idx]
+        for row, k in below:
+            if row[k] > lo:
+                lo = row[k]
+        for row, k in above:
+            if row[k] < hi:
+                hi = row[k]
         for v in range(lo, hi + 1):
             P[i][j] = P[j][i] = v
             if assoc_ok_around(pairs, v) and (not check_mcprime or mcprime_ok_so_far()):

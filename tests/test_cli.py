@@ -4,13 +4,15 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import domkit
-from domkit.cli import eval_expr, main, parse_carrier
+from domkit.cli import AXIOM_LABELS, eval_expr, main, parse_carrier
+from domkit.tables import parse_table, validate
 
 
 def run(capsys, *argv):
@@ -78,6 +80,13 @@ def test_eval_error_codes(capsys):
         assert "may only be the outermost operation" in err
     code, out, err = run(capsys, "eval", "--carrier", "Qr2", "2+r2/3")
     assert (code, out) == (2, "") and "after r2" in err
+    # a cut literal on a group carrier is a type error, as a group literal
+    # on a cut carrier is
+    for carrier, expr in (("Q", "fill(1)"), ("Q", "cut(0)+"), ("Q", "-inf"),
+                          ("Z", "1 + +inf"), ("lex(Q,Q)", "edge(1)")):
+        code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
+        assert (code, out) == (3, ""), (carrier, expr)
+        assert "type error" in err and "cut literal" in err
 
 
 def test_eval_zero_denominator(capsys):
@@ -313,11 +322,20 @@ def _expr_for(carrier):
     return st.sampled_from([expr, expr, signed]).flatmap(lambda s: s)
 
 
-def _eval_in_process(carrier, expr):
+def _main_in_process(argv):
+    """Exit code, stdout and stderr of ``dom argv``; a usage error's
+    SystemExit gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--carrier", carrier, expr])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _eval_in_process(carrier, expr):
+    return _main_in_process(["eval", "--carrier", carrier, expr])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -332,6 +350,121 @@ def test_eval_fuzz_exit_codes_and_round_trip(case):
     assert (out == "") == (code != 0), (carrier, expr, out, err)
     if code == 0 and eval_expr(parse_carrier(carrier), expr)[0] == "val":
         assert _eval_in_process(carrier, out.strip()) == (0, out, ""), (carrier, expr, out)
+
+
+# -- fuzzing check-table and enumerate ---------------------------------------------
+
+_STRAY = ["x", "1.5", "--", "+1", "0x1", "3 3", "\u0661"]
+
+
+@st.composite
+def _table_files(draw):
+    """Table files on at most six elements: mostly well formed, some with
+    a wrong size line, ragged rows, entries out of range or stray tokens,
+    and comments and blank lines anywhere."""
+    n = draw(st.integers(0, 6))
+    rows = [[draw(st.integers(0, max(n - 1, 0))) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        # symmetric with a neutral row, as the search builds them
+        e = draw(st.integers(0, n - 1))
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+        for k in range(n):
+            rows[e][k] = rows[k][e] = k
+    lines = [str(draw(_mostly(st.just(n), st.integers(-2, 7))))]
+    lines += [" ".join(map(str, row)) for row in rows]
+    edits = st.sampled_from(["comment", "comment", "blank", "ragged", "stray", "range"])
+    for edit in draw(st.lists(edits, max_size=3)):
+        at = draw(st.integers(0, len(lines)))
+        if edit == "comment":
+            lines.insert(at, draw(st.sampled_from(["# a comment", "  #", "#3"])))
+            if at < len(lines) - 1:
+                lines[at + 1] += " # 1 2"
+        elif edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+        elif at < len(lines):
+            toks = lines[at].split()
+            if edit == "ragged":
+                toks = toks[:-1] if toks and draw(st.booleans()) else toks + ["0"]
+            elif edit == "stray":
+                toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(_STRAY)))
+            elif toks:
+                toks[draw(st.integers(0, len(toks) - 1))] = str(draw(st.sampled_from([-1, n])))
+            lines[at] = " ".join(toks)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _verdict_line(label, ok, witness):
+    if ok:
+        return f"{label}: PASS"
+    named = "".join(f" {k}={v}" for k, v in zip("xyz", witness or ()))
+    return f"{label}: FAIL" + (f" witness{named}" if named else "")
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_table_files())
+def test_check_table_fuzz_exit_codes_and_verdicts(text):
+    # every file ends in verdicts or a parse error, never in a traceback;
+    # a file that parses prints validate's verdicts, one line per law
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tbl"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _main_in_process(["check-table", str(path)])
+    assert code in (0, 1, 2, 4), (text, code, err)
+    assert "Traceback" not in err
+    try:
+        table = parse_table(text)
+    except ValueError:
+        assert (code, out) == (2, ""), (text, out)
+        assert err.startswith("parse error: "), (text, err)
+        return
+    assert table.n >= 1, text
+    report = validate(table)
+    expected = [_verdict_line(label, *report[key]) for key, label in AXIOM_LABELS
+                if key in report]
+    assert out.splitlines() == expected, text
+    assert code == (0 if all(ok for ok, _ in report.values()) else 1), text
+    assert err == ""
+
+
+_AXIOM_NAMES = ["MA", "MB", "MCa", "MCb", "MCprime", "assoc", "PA", " MB ", "bogus"]
+
+
+@st.composite
+def _enumerate_argv(draw):
+    """``dom enumerate`` command lines that search nothing above n = 6."""
+    bound = draw(st.one_of(st.none(), _mostly(st.integers(-1, 6).map(str),
+                                              st.sampled_from(["x", "2.5"]))))
+    # the default bound is 7: without --bound, n = 7 would be searched
+    sizes = st.one_of(st.integers(1, 6), st.integers(-2, 12))
+    if bound is None:
+        sizes = sizes.filter(lambda k: k != 7)
+    argv = ["enumerate", draw(_mostly(sizes.map(str), st.sampled_from(["x", "3.5"])))]
+    if bound is not None:
+        argv.append(f"--bound={bound}")
+    axioms = st.one_of(st.sampled_from(["dom", "predom", "", " , "]),
+                       st.lists(st.sampled_from(_AXIOM_NAMES), max_size=4).map(",".join))
+    if draw(st.booleans()):
+        argv.append(f"--axioms={draw(axioms)}")
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_enumerate_argv())
+def test_enumerate_fuzz_exit_codes(argv):
+    # every command line ends in a listing or an error, never in a
+    # traceback; a listing holds as many tables as its count line says
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 1, 2, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert int(argv[1]) <= 6, argv
+        count = int(out.splitlines()[0].removeprefix("count: "))
+        assert out.count("# table ") == count, argv
+        assert err == ""
+    else:
+        assert out == "" and err, argv
 
 
 def _cold_env():

@@ -62,6 +62,10 @@ def test_round_trip_and_parse_errors():
         FiniteDomTable([(0, 0), (0,)])
     with pytest.raises(ValueError, match="rows"):
         parse_table("3\n0 0 0\n0 1 2\n")
+    # a size below 1 is refused before any row is read
+    for text in ("0\n", "-2\n"):
+        with pytest.raises(ValueError, match="below 1"):
+            parse_table(text)
 
 
 def test_validate_trivial_up_to_seven():
@@ -113,8 +117,8 @@ def test_golden_counts():
         assert len(enumerate_tables(n, axioms)) == expected, (n, sorted(axioms))
 
 
-# recorded from the search before the neutral row's bounds and the
-# row-end MC' check were added to it; test_reference_search_matches_search
+# recorded from the row-major search before the neutral row's bounds and
+# the row-end MC' check were added to it; test_reference_search_matches_search
 # derives the smaller sizes again by another search
 RECORDED_COUNTS_AT_EIGHT = {frozenset(): 11634, frozenset({"MB"}): 6676}
 
@@ -122,6 +126,16 @@ RECORDED_COUNTS_AT_EIGHT = {frozenset(): 11634, frozenset({"MB"}): 6676}
 def test_recorded_counts_at_eight():
     for axioms, expected in RECORDED_COUNTS_AT_EIGHT.items():
         assert len(enumerate_tables(8, axioms, bound=8)) == expected, sorted(axioms)
+
+
+# recorded from the row-major search with the neutral row's bounds and the
+# row-end MC' check, before cells were placed outermost shell first
+RECORDED_COUNTS_AT_TEN = {frozenset({"MA", "MB"}): 20130}
+
+
+def test_recorded_counts_at_ten():
+    for axioms, expected in RECORDED_COUNTS_AT_TEN.items():
+        assert len(enumerate_tables(10, axioms, bound=10)) == expected, sorted(axioms)
 
 
 SEARCH_AXIOMS = ("MA", "MB", "MCa", "MCb", "MCprime")
@@ -222,7 +236,8 @@ def final_pass_verdicts(monkeypatch, law, sizes, axiom_sets):
 
 def test_no_search_leaf_fails_mcprime(monkeypatch):
     # when MC' is asked for, it is checked on every placed triple as each
-    # row is completed, so the final pass over a leaf never finds a witness
+    # shell around the neutral is completed and after the last cell, so the
+    # final pass over a leaf never finds a witness
     verdicts = final_pass_verdicts(
         monkeypatch, "MCprime", range(1, 8),
         ({"MCprime"}, {"MA", "MCprime"}, {"MB", "MCprime"}, {"MA", "MB", "MCprime"}))
