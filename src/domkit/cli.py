@@ -235,13 +235,27 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _parse_count(text: str) -> int:
+    from domkit.tables import parse_int
+
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _load_table_arg(text: str):
     from domkit.tables import FiniteDom, parse_table, trivial_dom
 
     if text.startswith("trivial:"):
-        return FiniteDom(trivial_dom(int(text.split(":", 1)[1])))
+        return FiniteDom(trivial_dom(_parse_count(text.split(":", 1)[1])))
     with open(text, "r", encoding="utf-8") as fh:
-        return FiniteDom(parse_table(fh.read()))
+        content = fh.read()
+    try:
+        t = parse_table(content)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return FiniteDom(t)
 
 
 def _cmd_construct(args) -> int:
@@ -254,7 +268,7 @@ def _cmd_construct(args) -> int:
     kind = args.kind
     try:
         if kind == "trivial":
-            out = trivial_dom(int(args.args[0]))
+            out = trivial_dom(_parse_count(args.args[0]))
         elif kind == "infinity":
             out = to_table(infinity_extension(_load_table_arg(args.args[0])))
         elif kind == "dual":
@@ -273,16 +287,20 @@ def _cmd_construct(args) -> int:
             out = to_table(coll)
         elif kind == "split":
             d = _load_table_arg(args.args[0])
-            out = to_table(split_at_width(d, int(args.args[1])))
+            out = to_table(split_at_width(d, _parse_count(args.args[1])))
         elif kind == "embed":
-            h = embed_finite(int(args.args[0]))
+            n = _parse_count(args.args[0])
+            h = embed_finite(n)
             print(f"target: {h.target.name}")
-            for i in range(int(args.args[0])):
+            for i in range(n):
                 print(f"{i} -> {h.target.fmt(h(i))}")
             return 0
         else:
             print(f"error: unknown construction {kind!r}", file=sys.stderr)
             return 4
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from domkit.groups import Group, parse_coords
-from domkit.scalars import Scalar, canon, format_scalar, scalar_cmp, scalar_floor
+from domkit.groups import Group, lex_cmp, parse_coords
+from domkit.scalars import Scalar, canon, format_scalar, scalar_floor
 
 MINUS, FILLED, PLUS = -1, 0, 1
 _SIDE_TEXT = {MINUS: "-", FILLED: "fill", PLUS: "+"}
@@ -131,14 +131,6 @@ def zero_cut(g: Group) -> Cut:
     return make_node(g, 0, g.zero(), PLUS)
 
 
-def _prefix_cmp(a: tuple, b: tuple) -> int:
-    for u, v in zip(a, b):
-        c = scalar_cmp(u, v)
-        if c:
-            return c
-    return 0
-
-
 # -- order and membership ------------------------------------------------
 
 
@@ -148,7 +140,7 @@ def member_below(g: Group, gamma: tuple, cut: Cut) -> bool:
         return False
     if cut.kind == "hi":
         return True
-    c = _prefix_cmp(g.project(gamma, cut.level), cut.prefix)
+    c = lex_cmp(g.project(gamma, cut.level), cut.prefix)
     return c < 0 or (c == 0 and cut.side == PLUS)
 
 
@@ -158,7 +150,7 @@ def member_above(g: Group, gamma: tuple, cut: Cut) -> bool:
         return True
     if cut.kind == "hi":
         return False
-    c = _prefix_cmp(g.project(gamma, cut.level), cut.prefix)
+    c = lex_cmp(g.project(gamma, cut.level), cut.prefix)
     return c > 0 or (c == 0 and cut.side == MINUS)
 
 
@@ -170,7 +162,7 @@ def compare(g: Group, a: Cut, b: Cut) -> int:
         ra, rb = _RANK[a.kind], _RANK[b.kind]
         return (ra > rb) - (ra < rb)
     if a.level == b.level:
-        c = _prefix_cmp(a.prefix, b.prefix)
+        c = lex_cmp(a.prefix, b.prefix)
         if c:
             return c
         return (a.side > b.side) - (a.side < b.side)
@@ -178,7 +170,7 @@ def compare(g: Group, a: Cut, b: Cut) -> int:
     hi, lo = a, b
     if a.level < b.level:
         hi, lo, flip = b, a, -1
-    c = _prefix_cmp(hi.prefix, lo.prefix)  # up to the end of the shorter hi.prefix
+    c = lex_cmp(hi.prefix, lo.prefix)  # up to the end of the shorter hi.prefix
     if c:
         return c * flip
     # the wider cut sits just past the shared prefix, on its own side

@@ -35,6 +35,16 @@ ATOM_KINDS = ("Z", "Q", "Zloc", "Qr2")
 _GRID_RANGE = 3  # validate_factor_set probes coordinates -3..3
 
 
+def lex_cmp(x: tuple, y: tuple) -> int:
+    """Lexicographic comparison of two coordinate tuples, up to the end of
+    the shorter one: -1, 0 or 1."""
+    for u, v in zip(x, y):
+        c = scalar_cmp(u, v)
+        if c:
+            return c
+    return 0
+
+
 class Atom:
     """One rank-one component of a lexicographic product."""
 
@@ -394,12 +404,7 @@ class Group:
     def sub(self, x: tuple, y: tuple) -> tuple:
         return self.add(x, self.neg(y))
 
-    def cmp(self, x: tuple, y: tuple) -> int:
-        for u, v in zip(x, y):
-            c = scalar_cmp(u, v)
-            if c:
-                return c
-        return 0
+    cmp = staticmethod(lex_cmp)
 
     # -- order structure -------------------------------------------------
 

@@ -19,14 +19,27 @@ without the closed-form side-combination tables used by ``cuts.add``:
   of length 2n, so it is drawn and walked once, with the shorter check
   made at the halfway point; a sampler passed in by the caller still
   gets two independent draws.
-* the walk is one ordered pass: each element is checked to lie below
-  the cut and its shift to be no less than the previous shift.  Since
-  ``compare`` is a total order, the shifts so far then ascend, so the
-  last shift alone decides both "some shift exceeds the candidate" and
-  "some shift crosses the probe": each is one comparison per segment,
-  and the candidate check is also made before any other error is
-  raised, so the first error is the one an element-by-element check
-  would report.
+* the walk is one ordered pass in group coordinates: each element
+  gamma must lie below b, a lexicographic comparison of gamma's first
+  coordinates with b's prefix, and its shift of ``a`` must be no less
+  than the previous one.  Translation by a group element is an order
+  automorphism of every quotient G/H_k, and it keeps the level and the
+  side of a canonical cut (a member anchor plus a member stays a member,
+  a non-member stays a non-member; over a crossed product the twist
+  lies in the fiber), so the shifts of a finite ``a`` compare as gamma's
+  projections to ``a.level`` do; the shifts of an infinite ``a`` are all
+  ``a``.  The chain's elements are group members: the built-in chain by
+  construction, a caller's by the membership check above.
+  The shifts so far then ascend, so the last shift alone decides both
+  "some shift exceeds the candidate" and "some shift crosses the probe":
+  it is the one shift built as a cut (``shift_by``), once per walk, and
+  it is compared with the candidate before any other error is raised,
+  so the first error is the one an element-by-element check would
+  report.
+* the engine calls that remain are ``member_below`` in the membership
+  probes, ``make_node`` for the candidate and the probe, one
+  ``shift_by`` per walk, and ``compare`` of that shift with the
+  candidate and the probe.
 * the probe below a ``-`` or ``fill`` candidate sits exactly
   base^-(n//2+1) below its anchor, where n is the chain length and the
   base is the component's approximation base; the chain gets within
@@ -41,13 +54,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from domkit.groups import Group
+from domkit.groups import Group, lex_cmp
 from domkit import cuts as ct
 from domkit.cuts import (
     Cut, FILLED, MINUS, NEG_INF, PLUS, POS_INF,
     approach_below, compare, make_node, member_below, shift_by,
 )
-from domkit.scalars import scalar_floor
+from domkit.scalars import Sqrt2, canon, scalar_floor
 
 
 CHAIN_LEN = 8
@@ -58,21 +71,31 @@ class OracleError(AssertionError):
 
 
 def ascending_chain(g: Group, cut: Cut, n: int) -> list[tuple]:
-    """Group elements cofinal in the left part of the cut (ascending)."""
+    """Group elements cofinal in the left part of the cut (ascending).
+
+    Below a ``-`` or ``fill`` anchor t the i-th element approaches it as
+    ``approach_below`` does, ceil(t * d) - 1 over d = base^(i+1); for a
+    rational t that is worked out in integers, one multiplication of d
+    per element.
+    """
     if cut.kind == "lo":
         return []
     if cut.kind == "hi":
         return [g.from_ints([3 ** i] * g.num_atoms) for i in range(n)]
     k, p = cut.level, cut.prefix
-    out = []
+    if cut.side == PLUS:
+        return [p + (i,) * k for i in range(n)]
+    head, t = p[:-1], p[-1]
     anchor_idx = g.num_atoms - k - 1
+    if isinstance(t, Sqrt2):
+        return [head + (approach_below(g, anchor_idx, t, i),) + (i,) * k for i in range(n)]
+    num, den = t.numerator, t.denominator
+    base = g.atoms[anchor_idx].dense_denominator()
+    out = []
+    d = 1
     for i in range(n):
-        tail = (i,) * k
-        if cut.side == PLUS:
-            out.append(tuple(p) + tail)
-        else:
-            a = approach_below(g, anchor_idx, p[-1], i)
-            out.append(tuple(p[:-1]) + (a,) + tail)
+        d *= base
+        out.append(head + (canon(Fraction(-(-num * d // den) - 1, d)),) + (i,) * k)
     return out
 
 
@@ -126,45 +149,54 @@ def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> Non
     n2 = 2 * chain_len
     if sampler is ascending_chain:
         chain = ascending_chain(g, b, n2)
-        last = _walk_chain(g, a, b, cand, chain[:chain_len], None)
-        _check_least(g, cand, last, chain_len)
-        last = _walk_chain(g, a, b, cand, chain[chain_len:], last)
-        _check_least(g, cand, last, n2)
+        gamma = _walk_chain(g, a, b, cand, chain[:chain_len], None)
+        _check_least(g, cand, _checked_shift(g, a, cand, gamma), chain_len)
+        gamma = _walk_chain(g, a, b, cand, chain[chain_len:], gamma)
+        _check_least(g, cand, _checked_shift(g, a, cand, gamma), n2)
         return
     for n in (chain_len, n2):
         chain = sampler(g, b, n)
         if not all(map(g.contains, chain)):
             raise OracleError("sampler produced an element outside the group")
-        last = _walk_chain(g, a, b, cand, chain, None)
-        _check_least(g, cand, last, n)
+        gamma = _walk_chain(g, a, b, cand, chain, None)
+        _check_least(g, cand, _checked_shift(g, a, cand, gamma), n)
 
 
 def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],
-                last: Cut | None) -> Cut | None:
-    """Check each chain element and return the last shift of ``a``.
+                prev: tuple | None) -> tuple | None:
+    """Check each chain element and return the last one.
 
-    Each element must lie below ``b`` and its shift must be no less than
-    ``last``, the shift before it; the last shift is compared with the
-    candidate at the end and before any other error is raised.
+    Each element must lie below ``b``, and the shift of ``a`` by it must
+    be no less than the shift by ``prev``, the element before it; both
+    are decided in group coordinates, as the module docstring explains.
+    On failure the shift by ``prev`` is compared with the candidate first.
     """
+    # gamma < b iff lex_cmp(gamma, bp) < bound; an infinite b has no
+    # prefix, so every element is below +inf and none below -inf
+    bp = b.prefix
+    bound = 1 if b.kind == "hi" or (b.kind == "n" and b.side == PLUS) else 0
+    na = len(a.prefix)  # 0 for an infinite a: every projection is ()
+    top = None if prev is None else prev[:na]
     for gamma in chain:
-        if not member_below(g, gamma, b):
-            _fail(g, cand, last, "sampler produced an element not below the cut")
-        s = shift_by(g, gamma, a)
-        if last is not None and compare(g, last, s) > 0:
-            _fail(g, cand, last, "sampled chain of shifts is not ascending")
-        last = s
-    _check_below(g, cand, last)
+        if lex_cmp(gamma, bp) >= bound:
+            _fail(g, a, cand, prev, "sampler produced an element not below the cut")
+        if top is not None and lex_cmp(top, gamma) > 0:
+            _fail(g, a, cand, prev, "sampled chain of shifts is not ascending")
+        prev, top = gamma, gamma[:na]
+    return prev
+
+
+def _checked_shift(g: Group, a: Cut, cand: Cut, gamma: tuple | None) -> Cut | None:
+    """The shift of ``a`` by the last element walked, checked to stay
+    below the candidate.  The shifts ascend, so it is the largest."""
+    last = None if gamma is None else shift_by(g, gamma, a)
+    if last is not None and compare(g, last, cand) > 0:
+        raise OracleError("a shifted cut exceeds the candidate supremum")
     return last
 
 
-def _check_below(g: Group, cand: Cut, last: Cut | None) -> None:
-    if last is not None and compare(g, last, cand) > 0:
-        raise OracleError("a shifted cut exceeds the candidate supremum")
-
-
-def _fail(g: Group, cand: Cut, last: Cut | None, message: str) -> None:
-    _check_below(g, cand, last)
+def _fail(g: Group, a: Cut, cand: Cut, prev: tuple | None, message: str) -> None:
+    _checked_shift(g, a, cand, prev)
     raise OracleError(message)
 
 
@@ -173,7 +205,7 @@ def _check_least(g: Group, cand: Cut, last: Cut | None, n: int) -> None:
     the candidate; otherwise the candidate is not the least upper bound.
     The shifts ascend, so the chain crosses it iff its last shift does."""
     if cand.kind == "lo":
-        return  # _check_below has put every shift, if any, at -inf
+        return  # _checked_shift has put every shift, if any, at -inf
     if last is None:
         raise OracleError("empty chain can only have supremum -inf")
     if cand.kind == "hi":

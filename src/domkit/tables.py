@@ -83,6 +83,15 @@ def serialize_table(t: FiniteDomTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_int(token: str) -> int:
+    """A run of ASCII digits, optionally after a minus sign.  ``int`` alone
+    would also read ``+1``, ``1_0`` and digits of other scripts."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 def parse_table(text: str) -> FiniteDomTable:
     rows = []
     n = None
@@ -91,11 +100,11 @@ def parse_table(text: str) -> FiniteDomTable:
         if not line:
             continue
         if n is None:
-            n = int(line)
+            n = parse_int(line)
             if n < 1:
                 raise ValueError(f"table size {n} is below 1")
             continue
-        rows.append([int(tok) for tok in line.split()])
+        rows.append([parse_int(tok) for tok in line.split()])
     if n is None:
         raise ValueError("empty table file")
     if len(rows) != n:

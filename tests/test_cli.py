@@ -136,6 +136,26 @@ def test_check_table_output(capsys, tmp_path):
     missing = tmp_path / "nope.tbl"
     code, _, err = run(capsys, "check-table", str(missing))
     assert code == 2
+    # numbers int() reads but a table file does not hold
+    for text in ("+1\n0\n", "1_0\n", "2\n0 0\n0 \u0661\n"):
+        odd = tmp_path / "odd.tbl"
+        odd.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check-table", str(odd))
+        assert (code, out) == (2, "") and "not an integer" in err, text
+
+
+def test_construct_numbers_are_ascii_digit_runs(capsys, tmp_path):
+    for argv in (["trivial", "+3"], ["trivial", "1_0"], ["cuts", "trivial:\u0663"],
+                 ["cuts", "trivial:+3"], ["split", "trivial:5", "+3"], ["embed", "\u0664"]):
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out) == (2, "") and err.startswith("parse error: "), argv
+    bad = tmp_path / "bad.tbl"
+    bad.write_text("2\n0 0\n0 +1\n", encoding="utf-8")
+    code, out, err = run(capsys, "construct", "dual", str(bad))
+    assert (code, out) == (2, "") and "not an integer" in err
+    # a well-formed size below 1 is a precondition, not a parse error
+    code, out, err = run(capsys, "construct", "trivial", "0")
+    assert (code, out) == (4, "") and "at least one" in err
 
 
 def test_enumerate_output(capsys):

@@ -177,8 +177,10 @@ def test_compare_laws_fuzzed():
 
 
 def test_compare_is_a_total_order_on_seeded_pools():
-    # the oracle's ordered pass compares only the last of its ascending
-    # shifts, which is sound only for a total order
+    # the oracle compares only the last of its ascending shifts with the
+    # candidate and the probe, which is sound only for a total order; it
+    # checks the ascent itself on the chain's projections, which
+    # test_oracle.py's test_shifts_compare_as_their_projections backs
     rng = random.Random(5)
     for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), CutDom(Q, "Qr2")):
         g = d.group

@@ -1,12 +1,15 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from domkit import cuts as ct
-from domkit.cuts import FILLED, MINUS, PLUS, make_node, parse_cut
+from domkit import oracle
+from domkit.cuts import FILLED, MINUS, PLUS, approach_below, make_node, parse_cut
 from domkit.doms import CutDom
-from domkit.groups import Group
+from domkit.groups import FactorSet, Group, lex_cmp
 from domkit.oracle import (
     OracleError, _verify, ascending_chain, oracle_diff, oracle_radd, oracle_sum,
 )
@@ -15,6 +18,9 @@ Q = Group.Q()
 Z = Group.Z()
 Z2 = Group.Zloc(2)
 QQ = Group.lex(Group.Q(), Group.Q())
+TWIST = FactorSet(lambda c, d: (-2 * c[0] * d[0],), name="-2xy", poly={(1, 1): F(-2)})
+XZ = CutDom(Group.crossed(Z, Z, TWIST))
+XQ = CutDom(Group.crossed(Q, Q, TWIST))
 
 
 def test_oracle_known_values():
@@ -81,6 +87,75 @@ def test_oracle_rejects_wrong_candidates():
 
 
 R2 = CutDom(Q, "Qr2")
+
+
+def test_ascending_chain_matches_approach_below():
+    # below a - or fill anchor the i-th element is approach_below's, in
+    # the same canonical form, at every level and for negative and
+    # integral anchors too
+    anchors = (F(-7, 3), -2, 0, 5, F(1, 2), F(-3, 4), F(5, 3), F(-1, 6), F(13, 9))
+    for g in (Q, Z2, Group.Zloc(3), QQ):
+        m = g.num_atoms
+        for k in range(m):
+            head = (-3,) * (m - k - 1)
+            for t in anchors:
+                cut = make_node(g, k, head + (t,), MINUS)
+                assert cut.side in (MINUS, FILLED)
+                want = [head + (approach_below(g, m - k - 1, cut.anchor, i),) + (i,) * k
+                        for i in range(12)]
+                got = ascending_chain(g, cut, 12)
+                assert got == want, (g, k, t)
+                assert [tuple(map(type, x)) for x in got] == \
+                    [tuple(map(type, x)) for x in want], (g, k, t)
+
+
+def _group_elements(g, pool, rng):
+    """Members of g: chain elements below the pool's cuts, their
+    negatives and some sums."""
+    out = [x for c in pool for x in ascending_chain(g, c, 3)]
+    out += [g.neg(x) for x in out]
+    out += [g.add(x, y) for x, y in zip(out, reversed(out))]
+    return rng.sample(out, 30)
+
+
+def test_shifts_compare_as_their_projections():
+    # the oracle checks that its shifts ascend on the chain's group
+    # coordinates: a shift of a finite cut keeps its level and side, so two
+    # shifts compare as the elements' projections to that level do
+    rng = random.Random(14)
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ, XQ):
+        g = d.group
+        pool = d.sample(rng, 60)
+        elems = _group_elements(g, pool, rng)
+        assert all(map(g.contains, elems))
+        finite = [c for c in pool if c.kind == "n"]
+        for a in rng.sample(finite, 15):
+            shifts = [ct.shift_by(g, x, a) for x in elems]
+            assert all((s.kind, s.level, s.side) == ("n", a.level, a.side) for s in shifts)
+            na = len(a.prefix)
+            for (x, s), (y, t) in itertools.product(zip(elems, shifts), repeat=2):
+                assert ct.compare(g, s, t) == lex_cmp(x[:na], y[:na]), (d.fmt(a), x, y)
+
+
+def test_walk_makes_no_engine_call_per_element(monkeypatch):
+    # the engine calls of a verification do not grow with the chain: one
+    # shift_by per walk, and no member_below at all
+    counts = Counter()
+    for name in ("member_below", "shift_by", "compare", "make_node"):
+        def counted(*args, _fn=getattr(oracle, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    a, b = parse_cut(QQ, "cut(1,1/3)-"), parse_cut(QQ, "edge(1)+2")
+    cand = ct.add(QQ, a, b)
+    for sampler in (ascending_chain, passthrough):
+        seen = []
+        for n in (4, 8, 32):
+            counts.clear()
+            _verify(QQ, a, b, cand, n, sampler)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == seen[2], seen
+        assert seen[0]["shift_by"] == 2 and "member_below" not in seen[0]
 
 
 def test_builtin_chain_prefix_invariant():
@@ -222,7 +297,7 @@ def test_ordered_pass_raises_what_the_per_element_walk_raised():
     samplers = (ascending_chain, passthrough, descending, leaving,
                 rising_then_falling, stuck, empty)
     outcomes = set()
-    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2):
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ):
         g = d.group
         # oracle_sum verifies finite sums of finite operands only
         pool = [c for c in d.sample(rng, 60) if c.kind == "n"]

@@ -66,6 +66,11 @@ def test_round_trip_and_parse_errors():
     for text in ("0\n", "-2\n"):
         with pytest.raises(ValueError, match="below 1"):
             parse_table(text)
+    # sizes and entries are ASCII digit runs: int() would read these
+    for text in ("+1\n0\n", "1_0\n", "\u0662\n0 0\n0 1\n", "2\n0 0\n0 +1\n",
+                 "2\n0 0\n0 0_1\n", "2\n0 0\n0 \u0661\n", "2\n0 0\n0 1.\n"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_table(text)
 
 
 def test_validate_trivial_up_to_seven():
