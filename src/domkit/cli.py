@@ -47,14 +47,14 @@ AXIOM_LABELS = [
 
 def parse_carrier(text: str) -> Dom:
     s = text.strip().replace(" ", "")
-    for head, maker in (("cuts(", CutDom), ("tilde(", TildeDom)):
-        if s.startswith(head) and s.endswith(")"):
-            inner = s[len(head):-1]
-            field = "Q"
-            if inner.endswith(",r2"):
-                inner, field = inner[:-3], "Qr2"
-            return maker(parse_group(inner), field)
     try:
+        for head, maker in (("cuts(", CutDom), ("tilde(", TildeDom)):
+            if s.startswith(head) and s.endswith(")"):
+                inner = s[len(head):-1]
+                field = "Q"
+                if inner.endswith(",r2"):
+                    inner, field = inner[:-3], "Qr2"
+                return maker(parse_group(inner), field)
         return GroupDom(parse_group(s))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -260,7 +260,7 @@ def _load_table_arg(text: str):
 
 def _cmd_construct(args) -> int:
     from domkit.constructions import (
-        collapse, cuts_of_dom, dual, embed_finite, infinity_extension, mu_product,
+        InfinityExtension, MuProduct, collapse, cuts_of_dom, dual, embed_finite,
         quotient_equiv, split_at_width, to_table,
     )
     from domkit.tables import serialize_table, trivial_dom
@@ -270,7 +270,7 @@ def _cmd_construct(args) -> int:
         if kind == "trivial":
             out = trivial_dom(_parse_count(args.args[0]))
         elif kind == "infinity":
-            out = to_table(infinity_extension(_load_table_arg(args.args[0])))
+            out = to_table(InfinityExtension(_load_table_arg(args.args[0])))
         elif kind == "dual":
             out = to_table(dual(_load_table_arg(args.args[0])))
         elif kind == "cuts":
@@ -278,8 +278,8 @@ def _cmd_construct(args) -> int:
         elif kind == "quot-equiv":
             out = to_table(quotient_equiv(_load_table_arg(args.args[0]))[0])
         elif kind == "mu":
-            out = to_table(mu_product(_load_table_arg(args.args[0]),
-                                      _load_table_arg(args.args[1])))
+            out = to_table(MuProduct(_load_table_arg(args.args[0]),
+                                     _load_table_arg(args.args[1])))
         elif kind == "collapse":
             d = _load_table_arg(args.args[0])
             h = special_set(d, "H")
@@ -347,8 +347,7 @@ def main(argv=None) -> int:
     parser = _Parser(
         prog="dom",
         description="exact cut arithmetic and finite carrier tooling")
-    default_seed = int(os.environ.get("DOMKIT_SEED", "0"))
-    parser.add_argument("--seed", type=int, default=default_seed)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=1000)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -134,10 +134,6 @@ class InfinityExtension(Dom):
         return self.parent.fmt(x[1])
 
 
-def infinity_extension(d: Dom) -> InfinityExtension:
-    return InfinityExtension(d)
-
-
 # -- shift ----------------------------------------------------------------------
 
 
@@ -535,7 +531,7 @@ class _PairProduct(Dom):
         return out
 
     def sample(self, rng, count):
-        return [(x, self._fiber_draw(rng)) if self._in_fiber(x) else (x, self.filler)
+        return [(x, self.n.sample(rng, 1)[0]) if self._in_fiber(x) else (x, self.filler)
                 for x in self.m.sample(rng, count)]
 
     def fmt(self, p):
@@ -566,7 +562,6 @@ class FiberedProduct(_PairProduct):
         else:
             raise ValueError("the fiber carrier must be finite with a minimum")
         self.name = name or f"fibered({m.name},{n.name})"
-        self._n_elems = n_elems
 
     def add(self, p, q):
         x = self.m.add(p[0], q[0])
@@ -579,13 +574,6 @@ class FiberedProduct(_PairProduct):
         if self._in_fiber(x):
             return (x, self.n.neg(p[1]))
         return (x, self.filler)
-
-    def _fiber_draw(self, rng):
-        return rng.choice(self._n_elems)
-
-
-def fibered_product(m: Dom, a_member: Callable, n: Dom) -> FiberedProduct:
-    return FiberedProduct(m, a_member, n)
 
 
 class MuProduct(_PairProduct):
@@ -614,13 +602,6 @@ class MuProduct(_PairProduct):
         if p[1] is not MU and self._in_fiber(x):
             return (x, self.n.neg(p[1]))
         return (x, MU)
-
-    def _fiber_draw(self, rng):
-        return rng.choice(self.n.sample(rng, 1))
-
-
-def mu_product(m: Dom, n: Dom) -> MuProduct:
-    return MuProduct(m, n)
 
 
 # -- collapse -------------------------------------------------------------------

@@ -266,13 +266,6 @@ def shift_by(g: Group, gamma: tuple, cut: Cut) -> Cut:
 # -- invariance and width --------------------------------------------------
 
 
-def invariance_level(cut: Cut) -> int:
-    """Ladder index of the invariance group (stabilizer) of the cut."""
-    if cut.kind != "n":
-        raise ValueError("infinite cuts have no invariance level")
-    return cut.level
-
-
 def width(g: Group, cut: Cut) -> Cut:
     """Upper edge of the invariance group; rejects infinite cuts."""
     if cut.kind != "n":

@@ -8,7 +8,7 @@ mixed group-plus-cuts carrier.
 
 Facts about one carrier are methods of that carrier: ``associated_group``,
 ``width_set``, ``is_proper``, ``is_strongly_proper``, ``minimal_positive``
-(and ``least_positives``), ``top``, ``witness_width``, and the literal
+(and ``least_positives``), ``archimedean_le``, ``witness_width``, and the literal
 syntax ``parse_literal``/``format_literal``. A finite carrier decides each
 by enumerating its elements; an infinite one answers where it overrides
 the method exactly, and raises ``ValueError`` otherwise. The cut-valued
@@ -218,10 +218,21 @@ class Dom:
         least = self.minimal_positive()
         return [] if least is None else [least]
 
-    def top(self):
-        """A greatest element that iterated sums of smaller elements never
-        reach, where the carrier knows one; None otherwise."""
-        return None
+    def archimedean_le(self, x, y) -> bool:
+        """|x| <= some right-sum iterate of |y| (iterate 0 is |y| itself).
+
+        A finite carrier doubles |y| once per element: its iterates
+        repeat within that many steps, so the answer is exact.
+        """
+        elems = self.iter_elements()
+        if elems is None:
+            raise ValueError(f"Archimedean order undecidable for {self.name}")
+        ax, cur = self.abs_of(x), self.abs_of(y)
+        for _ in elems:
+            if self.le(ax, cur):
+                return True
+            cur = self.radd(cur, cur)
+        return False
 
     def witness_width(self, x):
         """Least width of an element y with y + width(x) = x or
@@ -365,29 +376,20 @@ class GroupDom(Dom):
     def minimal_positive(self):
         return self.group.min_positive()
 
+    def archimedean_le(self, x, y):
+        # negation keeps the first nonzero coordinate where it is
+        return _lead_rank(x) <= _lead_rank(y)
+
     def witness_width(self, x):
         return self.zero()
 
 
-class ShiftedGroupDom(GroupDom):
-    """Group carrier with the minus displaced by a constant.
-
-    The displaced structure keeps the order, sum and both comparison
-    axioms, but violates exactly one of the two sign axioms depending on
-    the sign of the displacement.
-    """
-
-    def __init__(self, group: Group, displacement: tuple):
-        super().__init__(group)
-        self.displacement = group.check_element(displacement)
-        self.name = f"shifted({group.format()},{group.format_element(displacement)})"
-
-    def neg(self, x):
-        return self.group.add(self.group.neg(x), self.displacement)
-
-    def radd(self, x, y):
-        # -((-x) + (-y)) with the displaced minus
-        return Dom.radd(self, x, y)
+def _lead_rank(coords: tuple) -> int:
+    """len(coords) - i for the first nonzero coordinate i; 0 when all are
+    zero. Over a lexicographic group it names an element's Archimedean
+    class: |x| is at most a sum of copies of |y| iff x's rank is at most
+    y's."""
+    return next((len(coords) - i for i, v in enumerate(coords) if v != 0), 0)
 
 
 class CutDom(Dom):
@@ -526,8 +528,24 @@ class CutDom(Dom):
             return ct.make_node(self.group, 0, self.group.min_positive(), ct.PLUS)
         return None
 
-    def top(self):
-        return POS_INF
+    def archimedean_le(self, x, y):
+        return self._rank(self.abs_of(x)) <= self._rank(self.abs_of(y))
+
+    def _rank(self, a) -> int:
+        """Archimedean class of a cut a >= the zero cut. A cut whose prefix
+        leads with the coordinate of rank r (``_lead_rank``) grows by
+        doubling in that coordinate: rank 2r - 1. An all-zero prefix at
+        level k is the edge of H_k, between the classes of ranks k and
+        k + 1: it is stable under doubling (2k) unless its anchor atom is
+        discrete, where it grows into the next class (2k + 1). No finite
+        iterate reaches +inf (2m)."""
+        m = self.group.num_atoms
+        if a.kind != "n":
+            return 2 * m
+        r = _lead_rank(a.prefix)
+        if r:
+            return 2 * (r + a.level) - 1
+        return 2 * a.level + self.group.atoms[m - a.level - 1].discrete
 
     def witness_width(self, x):
         if x.kind != "n" or x.side != ct.FILLED:
@@ -641,11 +659,8 @@ class TildeDom(Dom):
         if tx == "c" and ty == "c":
             return ct.compare(self.group, vx, vy)
         if tx == "g":
-            if ct.member_below(self.group, vx, vy):
-                return -1
-            if ct.member_above(self.group, vx, vy):
-                return 1
-            raise AssertionError("group element neither below nor above a cut")
+            # a cut splits its group: an element not below it is above it
+            return -1 if ct.member_below(self.group, vx, vy) else 1
         return -self.cmp(y, x)
 
     def contains(self, x):
@@ -703,8 +718,16 @@ class TildeDom(Dom):
         unit = self.group.min_positive()
         return [self.minimal_positive()] + ([("g", unit)] if unit is not None else [])
 
-    def top(self):
-        return ("c", POS_INF)
+    def archimedean_le(self, x, y):
+        return self._rank(x) <= self._rank(y)
+
+    def _rank(self, x) -> int:
+        # the group zero (-1) lies below the zero cut, which it never
+        # reaches; another element shares the class of its principal cut
+        t, v = x
+        if t == "g":
+            return 2 * _lead_rank(v) - 1
+        return self.cutdom._rank(self.cutdom.abs_of(v))
 
     def witness_width(self, x):
         t, v = x
@@ -978,7 +1001,3 @@ def is_convex(d: Dom, sub: list, universe: list) -> bool:
     """Every element of the universe between two members of ``sub`` is one."""
     return not any(d.le(a, x) and d.le(x, b) and not any(d.eq(x, k) for k in sub)
                    for a in sub for b in sub for x in universe)
-
-
-def kernel_is_convex(h: HomCandidate, kernel: list, universe: list) -> bool:
-    return is_convex(h.source, kernel, universe)

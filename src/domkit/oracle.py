@@ -12,13 +12,11 @@ without the closed-form side-combination tables used by ``cuts.add``:
 * the answer is validated against an ascending sampled chain: every
   translated cut must stay below the candidate, and the chain must cross
   a probe strictly below it; failure raises ``OracleError`` (a
-  non-cofinal sampler is detected by instability under refinement, and
-  a caller's chain with an element outside the group is refused).
-  The check runs at ``CHAIN_LEN`` and at ``2 * CHAIN_LEN`` elements.
-  The built-in chain of length n is the first n elements of the chain
-  of length 2n, so it is drawn and walked once, with the shorter check
-  made at the halfway point; a sampler passed in by the caller still
-  gets two independent draws.
+  non-cofinal chain does not cross the probe, and a caller's chain with
+  an element outside the group is refused).
+  Every sampler, built-in or the caller's, is drawn once at
+  ``2 * CHAIN_LEN`` elements; its first ``CHAIN_LEN`` elements are the
+  short chain, checked at the halfway point of one walk.
 * the walk is one ordered pass in group coordinates: each element
   gamma must lie below b, a lexicographic comparison of gamma's first
   coordinates with b's prefix, and its shift of ``a`` must be no less
@@ -118,9 +116,10 @@ def _top_reached(g: Group, cut: Cut, k: int) -> tuple[tuple, bool]:
 def oracle_sum(g: Group, a: Cut, b: Cut, sampler=None) -> Cut:
     """Left sum computed as the verified supremum of shifted cuts.
 
-    ``sampler(g, cut, n)`` may replace the built-in chain generator; a
-    sampler that is not cofinal in the left part is detected during
-    verification and reported as an ``OracleError``.
+    ``sampler(g, cut, n)``, called once with n = ``2 * CHAIN_LEN``, may
+    replace the built-in chain generator; a sampler that is not cofinal
+    in the left part is detected during verification and reported as an
+    ``OracleError``.
     """
     if a.kind == "lo" or b.kind == "lo":
         return NEG_INF
@@ -141,25 +140,14 @@ def oracle_sum(g: Group, a: Cut, b: Cut, sampler=None) -> Cut:
 
 
 def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> None:
-    # The built-in chain of length chain_len is a prefix of the one of
-    # length 2 * chain_len, so one walk of the long chain, with the short
-    # "least" check at its halfway point, raises exactly what two passes
-    # would.  A caller's sampler gets two independent draws: that is how
-    # a non-cofinal one is detected.
-    n2 = 2 * chain_len
-    if sampler is ascending_chain:
-        chain = ascending_chain(g, b, n2)
-        gamma = _walk_chain(g, a, b, cand, chain[:chain_len], None)
-        _check_least(g, cand, _checked_shift(g, a, cand, gamma), chain_len)
-        gamma = _walk_chain(g, a, b, cand, chain[chain_len:], gamma)
-        _check_least(g, cand, _checked_shift(g, a, cand, gamma), n2)
-        return
-    for n in (chain_len, n2):
-        chain = sampler(g, b, n)
-        if not all(map(g.contains, chain)):
-            raise OracleError("sampler produced an element outside the group")
-        gamma = _walk_chain(g, a, b, cand, chain, None)
-        _check_least(g, cand, _checked_shift(g, a, cand, gamma), n)
+    chain = sampler(g, b, 2 * chain_len)
+    # the built-in chain's elements are group members by construction
+    if sampler is not ascending_chain and not all(map(g.contains, chain)):
+        raise OracleError("sampler produced an element outside the group")
+    gamma = _walk_chain(g, a, b, cand, chain[:chain_len], None)
+    _check_least(g, cand, _checked_shift(g, a, cand, gamma), chain_len)
+    gamma = _walk_chain(g, a, b, cand, chain[chain_len:], gamma)
+    _check_least(g, cand, _checked_shift(g, a, cand, gamma), 2 * chain_len)
 
 
 def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],

@@ -38,35 +38,12 @@ def width_valuation(d: Dom) -> Valuation:
     return Valuation(d, "width", d.width_of, d.cmp, d.fmt)
 
 
-def _archimedean_le(d: Dom, x, y, cap: int = 64) -> bool:
-    """|x| <= some finite right-sum iterate of |y| (exact, by doubling).
-
-    Iterates either stabilize (detected) or grow geometrically in one
-    coordinate while the comparison against the fixed |x| is settled by
-    more significant coordinates, so the cap cannot flip the verdict for
-    anchors within its doubling range.
-    """
-    ax, ay = d.abs_of(x), d.abs_of(y)
-    top = d.top()
-    if top is not None and d.eq(ax, top):
-        return d.eq(ay, top)  # finite iterates never reach the endpoint
-    cur = ay
-    for _ in range(cap):
-        if d.le(ax, cur):
-            return True
-        nxt = d.radd(cur, cur)
-        if d.eq(nxt, cur):
-            return False
-        cur = nxt
-    return False
-
-
 def natural_valuation(d: Dom) -> Valuation:
     """Quotient of the mutual-domination pre-order; the finest convex one."""
 
     def vcmp(a, b):
-        le = _archimedean_le(d, a, b)
-        ge = _archimedean_le(d, b, a)
+        le = d.archimedean_le(a, b)
+        ge = d.archimedean_le(b, a)
         if le and ge:
             return 0
         return -1 if le else 1

@@ -15,11 +15,11 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import FILLED, MINUS, PLUS, make_node, parse_cut
 from domkit.constructions import (
-    collapse, cuts_of_dom, embed_finite, infinity_extension, mu_product,
+    InfinityExtension, MuProduct, ShiftedMinusDom, collapse, cuts_of_dom, embed_finite,
     split_at_width, to_table,
 )
 from domkit.doms import (
-    CutDom, HomCandidate, ShiftedGroupDom, check_axioms, classify_type,
+    CutDom, GroupDom, HomCandidate, check_axioms, classify_type,
     sign_of, special_set, verify_hom,
 )
 from domkit.groups import FactorSet, Group
@@ -89,7 +89,8 @@ def test_criterion_3_axiom_independence():
         assert _fails(table) == {axiom}, axiom
     # the same failures on the displaced-minus groups, by seeded sampling
     for displacement, axiom in (((F(1),), "MA"), ((F(-2),), "MB")):
-        rep = check_axioms(ShiftedGroupDom(Z, displacement), samples=250, seed=0)
+        displaced = ShiftedMinusDom(GroupDom(Z), displacement, "displaced(Z)")
+        rep = check_axioms(displaced, samples=250, seed=0)
         assert not rep[axiom][0]
         assert all(ok for name, (ok, _) in rep.items() if name != axiom)
     for n in range(1, 7):
@@ -224,9 +225,8 @@ def test_criterion_7_construction_contracts():
     # every construction output satisfies the axioms
     finite_outputs = []
     for n in (2, 3, 4, 5):
-        finite_outputs.append(infinity_extension(FiniteDom(trivial_dom(n))))
-        finite_outputs.append(mu_product(FiniteDom(trivial_dom(3)),
-                                         FiniteDom(trivial_dom(n))))
+        finite_outputs.append(InfinityExtension(FiniteDom(trivial_dom(n))))
+        finite_outputs.append(MuProduct(FiniteDom(trivial_dom(3)), FiniteDom(trivial_dom(n))))
     for n in (3, 5):
         finite_outputs.append(cuts_of_dom(FiniteDom(trivial_dom(n))))
     for d in finite_outputs:

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -87,6 +88,24 @@ def test_eval_error_codes(capsys):
         code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
         assert (code, out) == (3, ""), (carrier, expr)
         assert "type error" in err and "cut literal" in err
+    # a group that does not parse is a parse error, inside cuts(..) and
+    # tilde(..) as well as bare
+    for carrier in ("Zloc(4)", "cuts(Zloc(4))", "tilde(Zloc(4))", "cuts(lex(Q,))"):
+        code, out, err = run(capsys, "eval", "--carrier", carrier, "cut(0)+")
+        assert (code, out) == (2, ""), carrier
+        assert "parse error" in err, carrier
+
+
+def test_readme_examples(capsys):
+    # each `dom eval` and `dom classify` line of the README prints what its
+    # comment says
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [line.split("#", 1) for line in readme.read_text().splitlines()
+                if line.startswith(("dom eval ", "dom classify "))]
+    assert len(examples) == 6
+    for command, comment in examples:
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert (code, out, err) == (0, comment.strip() + "\n", ""), command
 
 
 def test_eval_zero_denominator(capsys):
@@ -224,16 +243,6 @@ def test_valuation_width_lex_r2(capsys):
     code, out, _ = run(capsys, "valuation", "width", "--carrier", "cuts(lex(Q,Q),r2)")
     assert code == 0 and out.startswith("value ")
     assert "r2" in out
-
-
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DOMKIT_SEED", "5")
-    code, out_env, _ = run(capsys, "valuation", "width", "--carrier", "cuts(Q)")
-    assert code == 0
-    monkeypatch.delenv("DOMKIT_SEED")
-    code, out_flag, _ = run(capsys, "--seed", "5", "valuation", "width",
-                            "--carrier", "cuts(Q)")
-    assert out_env == out_flag
 
 
 def test_eval_tilde_literals(capsys):
@@ -492,7 +501,6 @@ def _cold_env():
     src = str(Path(domkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    env.pop("DOMKIT_SEED", None)
     return env
 
 

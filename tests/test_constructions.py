@@ -7,10 +7,9 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.constructions import (
-    GlueDom, PointGroup, ShiftedMinusDom, collapse, cuts_of_dom, dual, embed_finite,
-    factor_through_quotient, fibered_product, infinity_extension, inseminate,
-    insemination_projection, mu_product, quotient_by_subdom,
-    quotient_equiv, s_k_map, shift, split_at_width, split_iso, to_table,
+    FiberedProduct, GlueDom, InfinityExtension, MuProduct, PointGroup, ShiftedMinusDom,
+    collapse, cuts_of_dom, dual, embed_finite, factor_through_quotient, inseminate,
+    insemination_projection, quotient_by_subdom, quotient_equiv, s_k_map, shift, split_at_width, split_iso, to_table,
 )
 from domkit.doms import (
     CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, View, check_axioms,
@@ -45,11 +44,11 @@ def cc(g, text):
 
 def test_infinity_extension_identities():
     for n in range(1, 6):
-        ext = infinity_extension(t(n))
+        ext = InfinityExtension(t(n))
         assert all_pass(check_axioms(ext, universe=ext.iter_elements()))
         assert classify_type(ext) == classify_type(t(n))
         assert to_table(ext) == trivial_dom(n + 2)
-    inf_q = infinity_extension(GroupDom(Q))
+    inf_q = InfinityExtension(GroupDom(Q))
     assert all_pass(check_axioms(inf_q, samples=150, seed=0))
     assert classify_type(inf_q) == "first"
 
@@ -355,7 +354,7 @@ def test_insemination_of_subgroup_points():
 
 def test_fibered_product_of_group_is_lex():
     base = GroupDom(Z)
-    fp = fibered_product(base, lambda x: True, t(3))
+    fp = FiberedProduct(base, lambda x: True, t(3))
     assert classify_type(fp) == "first"
     rng = random.Random(9)
     pool = [( (F(rng.randrange(-4, 5)),), rng.randrange(3)) for _ in range(30)]
@@ -369,7 +368,7 @@ def test_fibered_product_of_group_is_lex():
 
 def test_fibered_product_unit():
     d = t(5)
-    fp = fibered_product(d, lambda x: x == d.zero(), t(1))
+    fp = FiberedProduct(d, lambda x: x == d.zero(), t(1))
     assert to_table(fp) == trivial_dom(5)
 
 
@@ -377,7 +376,7 @@ def test_fibered_widths_off_the_base_set():
     # replacing the points of a subgroup by a taller fiber gives the
     # other points a positive width: their whole fiber column absorbs
     base = GroupDom(Q)
-    fp = fibered_product(base, lambda v: getattr(v[0], "denominator", 0) == 1, t(3))
+    fp = FiberedProduct(base, lambda v: getattr(v[0], "denominator", 0) == 1, t(3))
     three = t(3)
     off = ((F(1, 2),), three.iter_elements()[0])
     on = ((F(1),), three.zero())
@@ -389,7 +388,7 @@ def test_fibered_widths_off_the_base_set():
 def test_point_duplication():
     # duplicating one point of the rationals: strongly proper third type
     base = GroupDom(Q)
-    fp = fibered_product(base, lambda x: x == (F(0),), t(2))
+    fp = FiberedProduct(base, lambda x: x == (F(0),), t(2))
     assert classify_type(fp) == "third"
     rng = random.Random(10)
     pool = fp.sample(rng, 60)
@@ -407,7 +406,7 @@ def test_point_duplication():
 
 def test_fibered_right_sum_formula():
     base = GroupDom(Q)
-    fp = fibered_product(base, lambda x: x == (F(0),), t(2))
+    fp = FiberedProduct(base, lambda x: x == (F(0),), t(2))
     two = t(2)
     rng = random.Random(11)
     pool = fp.sample(rng, 40)
@@ -427,26 +426,26 @@ def test_fibered_right_sum_formula():
 
 def test_mu_product_contracts():
     for n in (1, 2, 3, 4):
-        mp = mu_product(t(3), t(n))
+        mp = MuProduct(t(3), t(n))
         assert to_table(mp) == trivial_dom(n + 2)
         assert classify_type(mp) == classify_type(t(n))
-    mp = mu_product(t(5), t(2))
+    mp = MuProduct(t(5), t(2))
     assert all_pass(check_axioms(mp, universe=mp.iter_elements()))
     pi = mp.projection()
     assert hom_ok(verify_hom(pi))
     kern = hom_kernel(pi)
     assert kern == [(t(5).zero(), y) for y in t(2).iter_elements()]
     with pytest.raises(ValueError):
-        mu_product(t(4), t(2))  # base must be of the first type
+        MuProduct(t(4), t(2))  # base must be of the first type
 
 
 def test_product_reglue_identity():
     # a fibered product re-glues from its narrow block and the wide slice
     m = t(5)
     a_member = lambda x: x == m.zero()
-    lhs = fibered_product(m, a_member, t(2))
+    lhs = FiberedProduct(m, a_member, t(2))
     narrow = SubDomView(m, lambda x: m.eq(m.width_of(x), m.zero()), m.zero(), "m0")
-    lower = fibered_product(narrow, a_member, t(2))
+    lower = FiberedProduct(narrow, a_member, t(2))
     k_min = next(w for w in m.width_set() if m.lt(m.zero(), w))
     upper = special_set(m, "Mge", k_min)
 
@@ -553,11 +552,11 @@ def test_embed_finite(n):
 
 CONSTRUCTED = {
     "dual(t4)": lambda: dual(t(4)),
-    "infinity(t3)": lambda: infinity_extension(t(3)),
+    "infinity(t3)": lambda: InfinityExtension(t(3)),
     "quot-equiv(t4)": lambda: quotient_equiv(t(4))[0],
     "split(t5,3)": lambda: split_at_width(t(5), 3),
     "collapse(t4,H)": lambda: collapse(t(4), special_set(t(4), "H").contains)[0],
-    "mu(t3,t3)": lambda: mu_product(t(3), t(3)),
+    "mu(t3,t3)": lambda: MuProduct(t(3), t(3)),
     "shift(cuts(Z))": lambda: shift(CutDom(Z)),
 }
 

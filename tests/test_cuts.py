@@ -7,12 +7,12 @@ import pytest
 from domkit.cuts import (
     FILLED, MINUS, NEG_INF, PLUS, POS_INF,
     add, compare, edge_above, edge_below, fill_ge, fill_le,
-    fills, format_cut, induced_cut, invariance_level, level_edge, lsub,
+    fills, format_cut, induced_cut, level_edge, lsub,
     make_node, member_above, member_below, neg, parse_cut, project_cut, radd,
     rsub, shift_by, signature, width, zero_cut,
 )
-from domkit.doms import CutDom
-from domkit.groups import Group
+from domkit.doms import CutDom, GroupDom
+from domkit.groups import FactorSet, Group
 from domkit.scalars import Sqrt2
 
 Q = Group.Q()
@@ -70,6 +70,26 @@ def test_membership_trichotomy():
             for g2 in gammas:
                 if QQ.cmp(g2, g1) <= 0:
                     assert member_below(QQ, g2, lam)
+
+
+def test_a_cut_splits_its_group():
+    # every group element lies in exactly one part of a cut; TildeDom.cmp
+    # relies on it. Elements on a cut's own prefix are the boundary cases.
+    twist = FactorSet(lambda c, d: (-2 * c[0] * d[0],), name="-2xy", poly={(1, 1): F(-2)})
+    rng = random.Random(16)
+    carriers = [CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), CutDom(Q, "Qr2"),
+                CutDom(Group.crossed(Z, Z, twist))]
+    fills_z2 = [make_node(Z2, 0, (F(n, 2 ** k),), FILLED) for n in (-3, -1, 1, 5) for k in (1, 2)]
+    for d in carriers:
+        g = d.group
+        cuts = d.sample(rng, 60) + (fills_z2 if g == Z2 else [])
+        gammas = GroupDom(g).sample(rng, 20)
+        gammas += [c.prefix + (0,) * c.level for c in cuts
+                   if c.kind == "n" and g.atoms[len(c.prefix) - 1].contains(c.anchor)]
+        for c in cuts:
+            for gamma in gammas:
+                assert member_below(g, gamma, c) != member_above(g, gamma, c), \
+                    (d.fmt(c), gamma)
 
 
 # -- minus -----------------------------------------------------------------------
@@ -254,13 +274,9 @@ def test_width_examples():
 
 
 def test_invariance_level():
-    assert invariance_level(OMEGA) == 1
-    assert invariance_level(cc(Z, "cut(4)-")) == 0
-    g3 = Group.lex(Q, Q, Q)
-    assert invariance_level(level_edge(g3, 2)) == 2
-    with pytest.raises(ValueError):
-        invariance_level(NEG_INF)
-    # translation invariance under the stabilizer, by membership sampling
+    # a cut's level indexes its stabilizer H_level: translation by an
+    # element of H_level fixes the cut, checked by membership sampling
+    assert OMEGA.level == 1
     rng = random.Random(7)
     for q in (F(1), F(-7, 2)):
         assert shift_by(QQ, el(0, q), OMEGA) == OMEGA

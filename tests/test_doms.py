@@ -8,7 +8,7 @@ from domkit import cuts as ct
 from domkit.cuts import FILLED, MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.doms import (
     CutDom, GroupDom, HomCandidate, TildeDom, check_axioms, classify_type,
-    equiv_class, f_minus, f_plus, hom_kernel, kernel_is_convex,
+    equiv_class, f_minus, f_plus, hom_kernel, is_convex,
     multiplicity, sign_of, special_set, verify_hom,
 )
 from domkit.groups import Group
@@ -452,7 +452,7 @@ def test_kernel_convexity():
     assert rep["order"][0] and rep["plus"][0] and rep["minus"][0] and rep["zero"][0]
     ker = hom_kernel(h)
     assert ker == [1, 2, 3]
-    assert kernel_is_convex(h, ker, t5.iter_elements())
+    assert is_convex(h.source, ker, t5.iter_elements())
 
 
 # -- duality ----------------------------------------------------------------------------------

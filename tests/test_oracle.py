@@ -63,27 +63,19 @@ def test_oracle_agrees_with_rule_tables_sampled():
             assert oracle_diff(g, "left", a, b) == d.lsub(a, b)
 
 
-def passthrough(g, cut, n):
-    # same chain as the built-in sampler, but not the built-in sampler
-    # itself, so the verifier takes its two-draw path
-    return ascending_chain(g, cut, n)
-
-
 def test_oracle_rejects_wrong_candidates():
     # feed the internal verifier an unreachable candidate by lying about
-    # the operands: the chain for b must stay below the alleged sup; the
-    # single-walk and the two-draw paths must agree
+    # the operands: the chain for b must stay below the alleged sup
     a = parse_cut(Q, "cut(1)+")
     b = parse_cut(Q, "cut(1)+")
-    for sampler in (ascending_chain, passthrough):
-        with pytest.raises(OracleError, match="exceeds the candidate"):
-            # too small: the chain exceeds it
-            _verify(Q, a, b, parse_cut(Q, "cut(0)+"), 8, sampler)
-        with pytest.raises(OracleError, match="not approached"):
-            # too big: never approached
-            _verify(Q, a, b, parse_cut(Q, "cut(5)+"), 8, sampler)
-        with pytest.raises(OracleError, match="empty chain"):
-            _verify(Q, a, ct.NEG_INF, parse_cut(Q, "cut(0)+"), 8, sampler)
+    with pytest.raises(OracleError, match="exceeds the candidate"):
+        # too small: the chain exceeds it
+        _verify(Q, a, b, parse_cut(Q, "cut(0)+"), 8, ascending_chain)
+    with pytest.raises(OracleError, match="not approached"):
+        # too big: never approached
+        _verify(Q, a, b, parse_cut(Q, "cut(5)+"), 8, ascending_chain)
+    with pytest.raises(OracleError, match="empty chain"):
+        _verify(Q, a, ct.NEG_INF, parse_cut(Q, "cut(0)+"), 8, ascending_chain)
 
 
 R2 = CutDom(Q, "Qr2")
@@ -148,14 +140,13 @@ def test_walk_makes_no_engine_call_per_element(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     a, b = parse_cut(QQ, "cut(1,1/3)-"), parse_cut(QQ, "edge(1)+2")
     cand = ct.add(QQ, a, b)
-    for sampler in (ascending_chain, passthrough):
-        seen = []
-        for n in (4, 8, 32):
-            counts.clear()
-            _verify(QQ, a, b, cand, n, sampler)
-            seen.append(dict(counts))
-        assert seen[0] == seen[1] == seen[2], seen
-        assert seen[0]["shift_by"] == 2 and "member_below" not in seen[0]
+    seen = []
+    for n in (4, 8, 32):
+        counts.clear()
+        _verify(QQ, a, b, cand, n, ascending_chain)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == seen[2], seen
+    assert seen[0]["shift_by"] == 2 and "member_below" not in seen[0]
 
 
 def test_builtin_chain_prefix_invariant():
@@ -167,13 +158,6 @@ def test_builtin_chain_prefix_invariant():
         for lam in d.sample(rng, 40) + [ct.NEG_INF, ct.POS_INF]:
             for n in (1, 3, 8):
                 assert ascending_chain(g, lam, n) == ascending_chain(g, lam, 2 * n)[:n]
-
-
-def _sum_or_error(g, a, b, sampler):
-    try:
-        return oracle_sum(g, a, b, sampler=sampler)
-    except OracleError as e:
-        return ("OracleError", str(e))
 
 
 def _verify_or_error(verify, g, a, b, cand, sampler):
@@ -194,39 +178,16 @@ def _wrong_candidates(g, s):
         ct.shift_by(g, g.from_ints([v] * g.num_atoms), s) for v in (-1, 1)]
 
 
-def test_single_walk_matches_two_draws():
-    rng = random.Random(3)
-    errors = 0
-    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2):
-        g = d.group
-        pool = d.sample(rng, 40)
-        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]
-        for a, b in pairs:
-            fast = _sum_or_error(g, a, b, None)
-            assert fast == _sum_or_error(g, a, b, passthrough)
-            for cand in _wrong_candidates(g, fast):
-                fast = _verify_or_error(_verify, g, a, b, cand, ascending_chain)
-                assert fast == _verify_or_error(_verify, g, a, b, cand, passthrough)
-                errors += isinstance(fast, tuple)
-    assert errors > 0  # the error path was compared too
-
-
 # The per-element walk the ordered pass replaced: every shift is compared
 # with the candidate and kept, and the least check compares every shift
 # with the probe.  The probe is placed as the oracle places it now.
 
 def _reference_verify(g, a, b, cand, chain_len, sampler):
-    n2 = 2 * chain_len
-    if sampler is ascending_chain:
-        chain = ascending_chain(g, b, n2)
-        shifts = _reference_walk(g, a, b, cand, chain[:chain_len], [])
-        _reference_least(g, cand, shifts, chain_len)
-        _reference_walk(g, a, b, cand, chain[chain_len:], shifts)
-        _reference_least(g, cand, shifts, n2)
-        return
-    for n in (chain_len, n2):
-        shifts = _reference_walk(g, a, b, cand, sampler(g, b, n), [])
-        _reference_least(g, cand, shifts, n)
+    chain = sampler(g, b, 2 * chain_len)
+    shifts = _reference_walk(g, a, b, cand, chain[:chain_len], [])
+    _reference_least(g, cand, shifts, chain_len)
+    _reference_walk(g, a, b, cand, chain[chain_len:], shifts)
+    _reference_least(g, cand, shifts, 2 * chain_len)
 
 
 def _reference_walk(g, a, b, cand, chain, shifts):
@@ -294,8 +255,7 @@ def empty(g, cut, n):
 
 def test_ordered_pass_raises_what_the_per_element_walk_raised():
     rng = random.Random(11)
-    samplers = (ascending_chain, passthrough, descending, leaving,
-                rising_then_falling, stuck, empty)
+    samplers = (ascending_chain, descending, leaving, rising_then_falling, stuck, empty)
     outcomes = set()
     for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ):
         g = d.group
@@ -359,6 +319,22 @@ def test_oracle_detects_non_cofinal_sampler():
         return [(F(1) - F(1, 2) ** (i + 1),) for i in range(n)]
 
     assert oracle_sum(Q, a, b, sampler=fine) == parse_cut(Q, "cut(1)-")
+
+
+def test_a_callers_sampler_is_drawn_once_at_twice_the_chain_length():
+    calls = []
+
+    def recorded(g, cut, n):
+        calls.append(n)
+        return ascending_chain(g, cut, n)
+
+    rng = random.Random(15)
+    for d in (CutDom(Q), CutDom(Z), CutDom(QQ)):
+        for a, b in zip(d.sample(rng, 20), d.sample(rng, 20)):
+            calls.clear()
+            assert oracle_sum(d.group, a, b, sampler=recorded) == d.add(a, b)
+            infinite = "lo" in (a.kind, b.kind) or "hi" in (a.kind, b.kind)
+            assert calls == ([] if infinite else [2 * oracle.CHAIN_LEN])
 
 
 def test_oracle_rejects_chain_elements_outside_the_group():

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from domkit import tables
-from domkit.doms import ShiftedGroupDom, check_axioms, classify_type
+from domkit.constructions import ShiftedMinusDom
+from domkit.doms import GroupDom, check_axioms, classify_type
 from domkit.groups import Group
 from domkit.tables import (
     FiniteDom, FiniteDomTable, enumerate_tables, parse_table, serialize_table,
@@ -346,11 +347,11 @@ def test_axiom_independence_witnesses():
         others = {k for k, (ok, _) in rep.items() if not ok}
         assert others == {failing}
     # sign axioms: witnessed by groups with a displaced minus
-    displaced_up = ShiftedGroupDom(Group.Z(), (F(1),))
+    displaced_up = ShiftedMinusDom(GroupDom(Group.Z()), (F(1),), "up")
     rep = check_axioms(displaced_up, samples=250, seed=0)
     assert not rep["MA"][0]
     assert all(rep[k][0] for k in ("MB", "MCa", "MCb", "MCprime", "assoc", "comm", "PA"))
-    displaced_down = ShiftedGroupDom(Group.Z(), (F(-2),))
+    displaced_down = ShiftedMinusDom(GroupDom(Group.Z()), (F(-2),), "down")
     rep = check_axioms(displaced_down, samples=250, seed=0)
     assert not rep["MB"][0]
     assert all(rep[k][0] for k in ("MA", "MCa", "MCb", "MCprime", "assoc", "comm", "PA"))

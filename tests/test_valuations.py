@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from domkit import cuts as ct
+from domkit.constructions import dual
 from domkit.cuts import FILLED, POS_INF, make_node, parse_cut
 from domkit.doms import CutDom, GroupDom, TildeDom
-from domkit.groups import Group
+from domkit.groups import FactorSet, Group
 from domkit.scalars import Sqrt2
 from domkit.tables import FiniteDom, trivial_dom
 from domkit.valuations import (
@@ -58,6 +61,63 @@ def test_natural_valuation_classes():
     rep = check_valuation(v, which=("strong",),
                           universe=[one, parse_cut(Q, "cut(-1)+"), zp])
     assert not rep["strong"][0]
+
+
+def test_natural_valuation_past_64_doublings():
+    # 2^70 lies in the class of 1: 70 doublings of 1 reach it
+    big = 2 ** 70
+    for d, x, y in ((CutDom(Q), parse_cut(Q, f"cut({big})+"), parse_cut(Q, "cut(1)+")),
+                    (GroupDom(Q), (big,), (1,)),
+                    (TildeDom(Q), ("g", (big,)), ("g", (1,))),
+                    (TildeDom(Q), ("c", parse_cut(Q, f"cut({-big})-")), ("g", (1,)))):
+        v = natural_valuation(d)
+        assert v.value_cmp(v(x), v(y)) == 0, d.name
+        assert v.value_cmp(v(y), v(x)) == 0, d.name
+
+
+def _doubling_le(d, x, y, cap=400):
+    """|x| <= some right-sum iterate of |y|, by doubling at most ``cap``
+    times: exact whenever the iterates reach |x| or stop growing first."""
+    ax, cur = d.abs_of(x), d.abs_of(y)
+    for _ in range(cap):
+        if d.le(ax, cur):
+            return True
+        nxt = d.radd(cur, cur)
+        if d.eq(nxt, cur):
+            return False
+        cur = nxt
+    return False
+
+
+def test_archimedean_ranks_agree_with_doubling():
+    twist = FactorSet(lambda c, d: (-2 * c[0] * d[0],), name="-2xy", poly={(1, 1): F(-2)})
+    xzz = Group.crossed(Z, Z, twist)
+    zqz = Group.lex(Z, Q, Z)
+    qz = Group.lex(Q, Z)
+    carriers = [CutDom(Q), CutDom(Z), CutDom(Group.Zloc(2)), CutDom(QQ), CutDom(Q, "Qr2"),
+                CutDom(zqz), CutDom(xzz), TildeDom(Q), TildeDom(Z), TildeDom(qz),
+                GroupDom(Q), GroupDom(qz), GroupDom(xzz)]
+    rng = random.Random(12)
+    for d in carriers:
+        pool = d.sample(rng, 60)
+        # anchors far past what 64 doublings of a small element reach
+        big = GroupDom(d.group).sample(rng, 6)
+        big = [tuple(2 ** 70 * v for v in x) for x in big]
+        if isinstance(d, CutDom):
+            pool += [ct.make_node(d.group, 0, x, ct.PLUS) for x in big]
+        elif isinstance(d, TildeDom):
+            pool += [("g", x) for x in big]
+        else:
+            pool += big
+        for _ in range(250):
+            x, y = rng.choice(pool), rng.choice(pool)
+            assert d.archimedean_le(x, y) == _doubling_le(d, x, y), (d.name, d.fmt(x), d.fmt(y))
+
+
+def test_archimedean_order_of_other_infinite_carriers_is_an_error():
+    d = dual(CutDom(Q))
+    with pytest.raises(ValueError, match="undecidable"):
+        d.archimedean_le(d.zero(), d.zero())
 
 
 def test_natural_valuation_finite():
