@@ -9,8 +9,9 @@ layers and a ``dom`` process starts sooner.
 
 Exit codes: 0 success, 1 failed checks or stdout closed before all
 output was written, 2 parse errors, 3 type errors, 4 bad
-usage/preconditions (argparse's own usage errors included, and a
-``--samples`` below 1).  An expression that starts with ``-``, such as
+usage/preconditions (argparse's own usage errors included, a
+``--samples`` below 1, and a ``construct`` kind given the wrong number
+of arguments).  An expression that starts with ``-``, such as
 ``-inf``, is read as the expression, not as an option.  ``sign(..)`` is
 read only as the outermost operation: its inner part is a plain
 expression, so a nested ``sign`` is a parse error.
@@ -265,46 +266,43 @@ def _cmd_construct(args) -> int:
     )
     from domkit.tables import serialize_table, trivial_dom
 
-    kind = args.kind
+    def embed(n):
+        h = embed_finite(n)
+        return "".join([f"target: {h.target.name}\n"] +
+                       [f"{i} -> {h.target.fmt(h(i))}\n" for i in range(n)])
+
+    def collapsed(d):
+        return collapse(d, special_set(d, "H").contains)[0]
+
+    load = _load_table_arg
+    makers = {  # kind: (number of arguments, maker of a table or of text)
+        "trivial": (1, lambda n: trivial_dom(_parse_count(n))),
+        "infinity": (1, lambda t: to_table(InfinityExtension(load(t)))),
+        "dual": (1, lambda t: to_table(dual(load(t)))),
+        "cuts": (1, lambda t: cuts_of_dom(load(t)).table),
+        "quot-equiv": (1, lambda t: to_table(quotient_equiv(load(t))[0])),
+        "mu": (2, lambda s, t: to_table(MuProduct(load(s), load(t)))),
+        "collapse": (1, lambda t: to_table(collapsed(load(t)))),
+        "split": (2, lambda t, k: to_table(split_at_width(load(t), _parse_count(k)))),
+        "embed": (1, lambda n: embed(_parse_count(n))),
+    }
+    if args.kind not in makers:
+        print(f"error: unknown construction {args.kind!r}", file=sys.stderr)
+        return 4
+    arity, maker = makers[args.kind]
+    if len(args.args) != arity:
+        print(f"error: construct {args.kind} takes {arity} argument"
+              f"{'s' if arity > 1 else ''}, got {len(args.args)}", file=sys.stderr)
+        return 4
     try:
-        if kind == "trivial":
-            out = trivial_dom(_parse_count(args.args[0]))
-        elif kind == "infinity":
-            out = to_table(InfinityExtension(_load_table_arg(args.args[0])))
-        elif kind == "dual":
-            out = to_table(dual(_load_table_arg(args.args[0])))
-        elif kind == "cuts":
-            out = cuts_of_dom(_load_table_arg(args.args[0])).table
-        elif kind == "quot-equiv":
-            out = to_table(quotient_equiv(_load_table_arg(args.args[0]))[0])
-        elif kind == "mu":
-            out = to_table(MuProduct(_load_table_arg(args.args[0]),
-                                     _load_table_arg(args.args[1])))
-        elif kind == "collapse":
-            d = _load_table_arg(args.args[0])
-            h = special_set(d, "H")
-            coll, _ = collapse(d, h.contains)
-            out = to_table(coll)
-        elif kind == "split":
-            d = _load_table_arg(args.args[0])
-            out = to_table(split_at_width(d, _parse_count(args.args[1])))
-        elif kind == "embed":
-            n = _parse_count(args.args[0])
-            h = embed_finite(n)
-            print(f"target: {h.target.name}")
-            for i in range(n):
-                print(f"{i} -> {h.target.fmt(h(i))}")
-            return 0
-        else:
-            print(f"error: unknown construction {kind!r}", file=sys.stderr)
-            return 4
+        out = maker(*args.args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(serialize_table(out))
+    sys.stdout.write(out if isinstance(out, str) else serialize_table(out))
     return 0
 
 

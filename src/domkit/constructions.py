@@ -385,7 +385,7 @@ def union(m: Dom, n: Dom, k) -> GlueDom:
     ``n`` must extend the wide part sharing its elements, and its zero
     must be ``k``.
     """
-    if not m.eq(m.width_of(k), k) or not m.lt(m.zero(), k):
+    if not m.contains(k) or not m.eq(m.width_of(k), k) or not m.lt(m.zero(), k):
         raise ValueError("union needs a positive width element of the base carrier")
     if not n.eq(n.zero(), k):
         raise ValueError("the upper carrier must have the width element as its zero")

@@ -302,12 +302,6 @@ def signature(g: Group, cut: Cut):
 # -- filling by elements of a supergroup ----------------------------------
 
 
-_ATOM_EXTENDS = {
-    ("Zloc", "Q"), ("Zloc", "Qr2"), ("Q", "Qr2"),
-    ("Z", "Zloc"), ("Z", "Q"), ("Z", "Qr2"),
-}
-
-
 def _check_pair(g: Group, gp: Group) -> None:
     if g.is_crossed or gp.is_crossed:
         raise ValueError("fill witnesses over crossed products are not supported")
@@ -316,9 +310,7 @@ def _check_pair(g: Group, gp: Group) -> None:
     if g.atoms[:-1] != gp.atoms[:-1]:
         raise ValueError("only the least significant component may be extended")
     a, b = g.atoms[-1], gp.atoms[-1]
-    if a == b:
-        return
-    if (a.kind, b.kind) not in _ATOM_EXTENDS:
+    if not a.is_subgroup_of(b):
         raise ValueError(f"{b.format()} does not extend {a.format()}")
 
 

@@ -923,10 +923,8 @@ def special_set(d: Dom, which: str, a=None) -> "SubDomView | list":
         return SubDomView(d, lambda x: d.eq(d.width_of(x), zero), zero,
                           f"{d.name}^0", staples=[zero, d.delta()])
     if which == "Mge":
-        if a is None:
-            raise ValueError("Mge needs a width element")
-        if not d.eq(d.width_of(a), a):
-            raise ValueError("Mge needs a width element")
+        if a is None or not d.contains(a) or not d.eq(d.width_of(a), a):
+            raise ValueError(f"Mge needs a width element of {d.name}")
         return SubDomView(d, lambda x: d.le(a, d.width_of(x)), a, f"{d.name}^(>={d.fmt(a)})")
     if which in ("D", "H"):
         if classify_type(d) != "third":

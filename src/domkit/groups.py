@@ -32,7 +32,6 @@ from domkit.scalars import (
 )
 
 ATOM_KINDS = ("Z", "Q", "Zloc", "Qr2")
-_GRID_RANGE = 3  # validate_factor_set probes coordinates -3..3
 
 
 def lex_cmp(x: tuple, y: tuple) -> int:
@@ -80,6 +79,14 @@ class Atom:
     def discrete(self) -> bool:
         return self.kind == "Z"
 
+    def is_subgroup_of(self, other: "Atom") -> bool:
+        """Z < Zloc(p) < Q < Qr2; localizations at different primes are
+        incomparable."""
+        if self.kind == other.kind == "Zloc":
+            return self.p == other.p
+        chain = ("Z", "Zloc", "Q", "Qr2")
+        return chain.index(self.kind) <= chain.index(other.kind)
+
     def dense_denominator(self) -> int:
         """Base d with 1/d^n in the atom for all n (dense atoms only)."""
         if self.kind == "Q" or self.kind == "Qr2":
@@ -102,61 +109,58 @@ class Atom:
 
 
 class FactorSet:
-    """Symmetric normalized 2-cocycle f : C x C -> A.
+    """Symmetric normalized 2-cocycle f : C x C -> A, in one of two forms.
 
-    ``fn`` receives two base-coordinate tuples and must return a fiber
-    element (tuple of scalars). When the rule is a polynomial in two
-    scalar variables (base and fiber of one atom each), pass ``poly`` as
-    ``{(i, j): coeff}`` for sum(coeff * x^i * y^j); the factor-set laws
-    are then verified symbolically, otherwise on a finite sample grid.
-    The polynomial reads the leading base coordinate of each argument and
-    gives the leading fiber coordinate; any further fiber coordinates are 0.
+    A polynomial ``FactorSet(poly, name)`` is given as ``{(i, j): coeff}``
+    for sum(coeff * x^i * y^j) with rational coefficients; it reads the
+    leading base coordinate of each argument and gives the leading fiber
+    coordinate, the crossed group padding further fiber coordinates with
+    0. Its laws and its fiber membership are decided exactly by
+    ``validate_factor_set``. Two polynomial factor sets are equal when
+    their polynomials are, zero coefficients dropped.
 
-    Two factor sets that both have a ``poly`` are equal when their
-    polynomials are, zero coefficients dropped; ``validate_factor_set``
-    checks that ``fn`` agrees with ``poly``. A factor set without a
-    ``poly`` is equal only to itself.
+    A coboundary ``FactorSet.from_section(s)`` is ds(x,y) = s(x) + s(y) -
+    s(x+y) for a map s from base tuples to fiber tuples. It satisfies
+    the laws identically once s(0) = 0; that its values lie in the fiber
+    is checked at each sum. It is equal only to itself.
     """
 
-    def __init__(self, fn: Callable, name: str = "f", poly: dict | None = None):
-        self.fn = fn
+    def __init__(self, poly: dict, name: str = "f"):
+        self.poly = {m: canon(Fraction(c)) for m, c in poly.items() if c != 0}
         self.name = name
-        self.poly = poly
-
-    def _poly_key(self) -> frozenset:
-        return frozenset((m, canon(c)) for m, c in self.poly.items() if c != 0)
+        self.section = None
 
     def __eq__(self, other):
         if not isinstance(other, FactorSet):
             return NotImplemented
-        if self.poly is None or other.poly is None:
+        if self.section is not None or other.section is not None:
             return self is other
-        return self._poly_key() == other._poly_key()
+        return self.poly == other.poly
 
     def __hash__(self):
-        return object.__hash__(self) if self.poly is None else hash(self._poly_key())
+        if self.section is not None:
+            return object.__hash__(self)
+        return hash(frozenset(self.poly.items()))
 
     @classmethod
-    def zero(cls, fiber_width: int = 1) -> "FactorSet":
-        z = (0,) * fiber_width
-        return cls(lambda c, d: z, name="0", poly={})
+    def zero(cls) -> "FactorSet":
+        return cls({}, name="0")
 
     @classmethod
     def from_section(cls, section: Callable, name: str = "ds") -> "FactorSet":
         """Differential ds(x,y) = s(x) + s(y) - s(x+y) of a fiber-valued map."""
-
-        def fn(c, d):
-            sx, sy = section(c), section(d)
-            sxy = section(tuple(a + b for a, b in zip(c, d)))
-            return tuple(a + b - c2 for a, b, c2 in zip(sx, sy, sxy))
-
-        return cls(fn, name=name)
+        f = cls({}, name=name)
+        f.section = section
+        return f
 
     def __call__(self, c: tuple, d: tuple) -> tuple:
-        v = self.fn(c, d)
-        if not isinstance(v, tuple):
-            v = (canon(v),)
-        return v
+        """The value at two base tuples: one leading fiber coordinate for a
+        polynomial, the section's whole fiber tuple for a coboundary."""
+        s = self.section
+        if s is None:
+            return (canon(sum(k * c[0] ** i * d[0] ** j for (i, j), k in self.poly.items())),)
+        sx, sy, sxy = s(c), s(d), s(tuple(map(operator.add, c, d)))
+        return tuple(canon(u + v - w) for u, v, w in zip(sx, sy, sxy))
 
     def __repr__(self):
         return f"FactorSet({self.name})"
@@ -190,63 +194,60 @@ def _poly_subst(poly: dict, sub_x: dict, sub_y: dict, nvars: int) -> dict:
 
 def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet) -> list[tuple[str, tuple]]:
     """Check symmetry, normalization, the cocycle law and that the values
-    lie in the fiber.
+    lie in the fiber; returns the (law, witness) failures, empty when f
+    is valid.
 
-    Returns a list of (law, witness) failures; empty means valid on the
-    checked domain.  Polynomial rules are expanded symbolically, other
-    rules are probed on an integer grid.  When the laws hold, the values
-    of ``f`` on that grid must lie in the fiber and, when ``f`` has both a
-    function and a polynomial, agree with the polynomial there (a rule
-    given only as a polynomial, with no function, has no values to probe).
+    A polynomial is decided exactly. Its laws are expanded symbolically.
+    With B the leading atom of the base and A that of the fiber, a
+    non-zero valid polynomial lies in the fiber everywhere exactly when
+    B is a subgroup of A and its values on the box 0..deg x 0..deg do:
+    its coefficients in the binomial basis C(x,i)*C(y,j) are integer
+    combinations of those values, and B's elements map to B under each
+    C(x,i). A non-zero polynomial over a base without a rational leading
+    atom (Qr2 has no product), or into a trivial fiber, raises ValueError.
+
+    A coboundary satisfies the laws once s(0) = 0; whether its values
+    lie in the fiber is checked at each sum of the crossed group.
     """
+    if f.section is not None:
+        z = base.zero()
+        return [] if f.section(z) == fiber.zero() else [("normalization", (z,))]
     failures: list[tuple[str, tuple]] = []
-    grid = [base.from_ints([n] * base.num_atoms) for n in range(-_GRID_RANGE, _GRID_RANGE + 1)]
-    if f.poly is not None:
-        coeffs = {m: Fraction(c) for m, c in f.poly.items()}
-        for (i, j), c in coeffs.items():
-            if coeffs.get((j, i), Fraction(0)) != c:
-                failures.append(("symmetry", ((i, j),)))
-            if (i == 0 or j == 0) and c != 0:
-                failures.append(("normalization", ((i, j),)))
-        # cocycle: f(y,z) + f(x, y+z) - f(x,y) - f(x+y, z) == 0, expanded
-        # over variables (x, y, z); this is the associativity condition
-        # of the twisted sum
-        x = {(1, 0, 0): Fraction(1)}
-        y = {(0, 1, 0): Fraction(1)}
-        z = {(0, 0, 1): Fraction(1)}
-        yz = {(0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
-        xy = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}
-        acc: dict = {}
-        for sign, (u, v) in ((1, (y, z)), (1, (x, yz)), (-1, (x, y)), (-1, (xy, z))):
-            t = _poly_subst(coeffs, u, v, 3)
-            for m, c in t.items():
-                acc[m] = acc.get(m, Fraction(0)) + sign * c
-        bad = {m: c for m, c in acc.items() if c != 0}
-        if bad:
-            failures.append(("cocycle", (sorted(bad)[0],)))
-    else:
-        zero = base.zero()
-        for c, d in itertools.product(grid, repeat=2):
-            if f(c, d) != f(d, c):
-                return [("symmetry", (c, d))]
-        for c in grid:
-            if any(v != 0 for v in f(c, zero)) or any(v != 0 for v in f(zero, c)):
-                return [("normalization", (c,))]
-        for c, d, e in itertools.product(grid, repeat=3):
-            lhs = tuple(a + b for a, b in zip(f(d, e), f(c, tuple(u + v for u, v in zip(d, e)))))
-            rhs = tuple(a + b for a, b in zip(f(c, d), f(tuple(u + v for u, v in zip(c, d)), e)))
-            if lhs != rhs:
-                return [("cocycle", (c, d, e))]
-    if not failures and f.fn is not None:
-        pad = (0,) * (fiber.num_atoms - 1)
-        for c, d in itertools.product(grid, repeat=2):
-            v = f(c, d)
-            if not fiber.contains(v):
-                return [("fiber", (c, d))]
-            if f.poly is not None and v != (sum(
-                    k * c[0] ** i * d[0] ** j for (i, j), k in coeffs.items()),) + pad:
-                return [("poly", (c, d))]
-    return failures
+    coeffs = f.poly
+    for (i, j), c in coeffs.items():
+        if coeffs.get((j, i), 0) != c:
+            failures.append(("symmetry", ((i, j),)))
+        if i == 0 or j == 0:
+            failures.append(("normalization", ((i, j),)))
+    # cocycle: f(y,z) + f(x, y+z) - f(x,y) - f(x+y, z) == 0, expanded
+    # over variables (x, y, z); this is the associativity condition
+    # of the twisted sum
+    x = {(1, 0, 0): Fraction(1)}
+    y = {(0, 1, 0): Fraction(1)}
+    z = {(0, 0, 1): Fraction(1)}
+    yz = {(0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
+    xy = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}
+    acc: dict = {}
+    for sign, (u, v) in ((1, (y, z)), (1, (x, yz)), (-1, (x, y)), (-1, (xy, z))):
+        t = _poly_subst(coeffs, u, v, 3)
+        for m, c in t.items():
+            acc[m] = acc.get(m, Fraction(0)) + sign * c
+    bad = {m: c for m, c in acc.items() if c != 0}
+    if bad:
+        failures.append(("cocycle", (sorted(bad)[0],)))
+    if failures or not coeffs:
+        return failures
+    if not base.atoms or not fiber.atoms or base.atoms[0].kind == "Qr2":
+        raise ValueError(f"factor set {f.name} needs a fiber and a base led by Z, Zloc or Q "
+                         f"(Qr2 has no product), got {base.format()} and {fiber.format()}")
+    b, a = base.atoms[0], fiber.atoms[0]
+    if not b.is_subgroup_of(a):
+        return [("fiber", (f"{b.format()} is not a subgroup of {a.format()}",))]
+    deg = max(i for i, _ in coeffs)
+    for c, d in itertools.product(range(deg + 1), repeat=2):
+        if not a.contains(f((c,), (d,))[0]):
+            return [("fiber", ((c,), (d,)))]
+    return []
 
 
 class Group:
@@ -307,8 +308,6 @@ class Group:
     def crossed(cls, base: "Group", fiber: "Group", f: FactorSet) -> "Group":
         if base.is_crossed or fiber.is_crossed:
             raise ValueError("nested crossed products are not supported")
-        if f.fn is None:
-            raise ValueError(f"factor set {f.name} has no function to evaluate")
         failures = validate_factor_set(base, fiber, f)
         if failures:
             law, witness = failures[0]
@@ -374,8 +373,11 @@ class Group:
         return x[:bm], x[bm:]
 
     def _twist(self, c: tuple, d: tuple) -> tuple:
-        """The factor-set value f(c, d), which must lie in the fiber."""
-        tw = self.factor(c, d)
+        """The factor-set value f(c, d), fitted to the fiber's width, which
+        must lie in the fiber."""
+        fw = self.fiber.num_atoms
+        tw = self.factor(c, d)[:fw]
+        tw += (0,) * (fw - len(tw))
         if not self.fiber.contains(tw):
             raise ValueError(
                 f"factor set {self.factor.name} leaves {self.fiber.format()} at "
@@ -442,10 +444,8 @@ class Group:
         if k >= fm:
             return self.base.quotient(k - fm)
         quot_fiber = self.fiber.quotient(k)
-        proj = FactorSet(lambda c, d, _f=self.factor, _k=k: _f(c, d)[:fm - _k],
-                         name=f"{self.factor.name}/{k}", poly=self.factor.poly)
         return Group(self.base.atoms + quot_fiber.atoms, base=self.base,
-                     fiber=quot_fiber, factor=proj)
+                     fiber=quot_fiber, factor=self.factor)
 
     def project(self, x: tuple, k: int) -> tuple:
         """Image of x in the quotient at ladder level k (drops k trailing coords)."""

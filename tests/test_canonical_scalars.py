@@ -35,8 +35,7 @@ def is_canonical(v) -> bool:
 
 
 def _carriers():
-    twisted = Group.crossed(Z, Z, FactorSet(lambda c, d: (F(-2 * c[0] * d[0]),),
-                                            poly={(1, 1): F(-2)}))
+    twisted = Group.crossed(Z, Z, FactorSet({(1, 1): F(-2)}))
     return [CutDom(Q), CutDom(Z), CutDom(Group.Zloc(2)),
             CutDom(Group.lex(Q, Q)), CutDom(Q, "Qr2"), CutDom(twisted)]
 

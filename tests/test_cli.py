@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import domkit
 from domkit.cli import AXIOM_LABELS, eval_expr, main, parse_carrier
-from domkit.tables import parse_table, validate
+from domkit.tables import parse_table, serialize_table, validate
 
 
 def run(capsys, *argv):
@@ -223,6 +223,19 @@ def test_construct(capsys):
     assert code == 0 and out.splitlines()[0] == "4"
     code, _, err = run(capsys, "construct", "nonsense")
     assert code == 4
+
+
+def test_construct_reports_bad_arguments(capsys):
+    # a count that names no element, or the wrong number of arguments, is a
+    # usage error with a message that says so
+    code, out, err = run(capsys, "construct", "split", "trivial:2", "5")
+    assert (code, out, err) == (4, "", "error: Mge needs a width element of table2\n")
+    for argv, want in ((["split", "trivial:5"], "split takes 2 arguments, got 1"),
+                       (["mu", "trivial:3"], "mu takes 2 arguments, got 1"),
+                       (["cuts"], "cuts takes 1 argument, got 0"),
+                       (["trivial", "3", "4"], "trivial takes 1 argument, got 2")):
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out, err) == (4, "", f"error: construct {want}\n"), argv
 
 
 def test_valuation_partitions_stable(capsys):
@@ -494,6 +507,105 @@ def test_enumerate_fuzz_exit_codes(argv):
         assert err == ""
     else:
         assert out == "" and err, argv
+
+
+# -- fuzzing construct and valuation -------------------------------------------------
+
+CONSTRUCT_ARITY = {"trivial": 1, "infinity": 1, "dual": 1, "cuts": 1, "quot-equiv": 1,
+                   "mu": 2, "collapse": 1, "split": 2, "embed": 1}
+
+
+@st.composite
+def _construct_case(draw):
+    """A ``dom construct`` kind and its arguments: table arguments are
+    ``trivial:k`` with small k, table files (drawn as their text) or a
+    missing file; numbers are small, some malformed; some argument counts
+    are wrong."""
+    kind = draw(_mostly(st.sampled_from(sorted(CONSTRUCT_ARITY)),
+                        st.sampled_from(["nonsense", ""])))
+    arity = CONSTRUCT_ARITY.get(kind, 1)
+    table = st.one_of(_mostly(st.integers(1, 4), st.integers(-1, 6)).map(lambda k: f"trivial:{k}"),
+                      _table_files().map(lambda text: ("file", text)),
+                      st.sampled_from(["trivial:x", "trivial:", "missing.tbl"]))
+    number = _mostly(st.integers(0, 5).map(str), st.sampled_from(["-1", "x", "+3", ""]))
+    args = []
+    for i in range(draw(_mostly(st.just(arity), st.integers(0, 3)))):
+        numeric = kind in ("trivial", "embed") or (kind == "split" and i == 1)
+        args.append(draw(number if numeric else table))
+    return kind, args
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_construct_case())
+def test_construct_fuzz_exit_codes(case):
+    # every command line ends in output or an error, never in a traceback;
+    # a wrong argument count is a usage error, and a printed table re-parses
+    kind, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["construct", kind]
+        for i, arg in enumerate(args):
+            if isinstance(arg, tuple):
+                path = Path(tmp) / f"t{i}.tbl"
+                path.write_text(arg[1], encoding="utf-8")
+                arg = str(path)
+            argv.append(arg)
+        code, out, err = _main_in_process(argv)
+    assert code in (0, 2, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if kind in CONSTRUCT_ARITY and len(args) != CONSTRUCT_ARITY[kind]:
+        assert code == 4 and f"construct {kind} takes" in err, (argv, err)
+    if code:
+        assert out == "" and err.startswith(("error: ", "parse error: ")), (argv, out, err)
+        return
+    assert err == ""
+    if kind == "embed":
+        n = int(args[0])
+        lines = out.splitlines()
+        assert lines[0].startswith("target: ") and len(lines) == n + 1, argv
+        assert [line.split(" -> ")[0] for line in lines[1:]] == [str(i) for i in range(n)]
+    else:
+        assert serialize_table(parse_table(out)) == out, argv
+
+
+_VALUATIONS = ["width", "natural", "w", "trivial", "two"]
+
+
+@st.composite
+def _valuation_argv(draw):
+    """``dom valuation`` over the fuzz carriers, with and without --seed
+    and --samples; a few names, carriers and numbers do not parse."""
+    argv = []
+    if draw(st.booleans()):
+        seed = _mostly(st.integers(-3, 1000).map(str), st.sampled_from(["x", "1.5"]))
+        argv.append(f"--seed={draw(seed)}")
+    if draw(st.booleans()):
+        samples = _mostly(st.integers(1, 60).map(str), st.sampled_from(["0", "-2", "x"]))
+        argv.append(f"--samples={draw(samples)}")
+    which = draw(_mostly(st.sampled_from(_VALUATIONS), st.sampled_from(["bogus", ""])))
+    carrier = draw(_mostly(st.sampled_from(FUZZ_CARRIERS),
+                           st.sampled_from(["cuts(", "lex(Q)", "Zloc(4)", "tilde(x)"])))
+    return argv + ["valuation", which, "--carrier", carrier]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_valuation_argv())
+def test_valuation_fuzz_exit_codes(argv):
+    # every command line ends in a partition or an error, never in a
+    # traceback; a partition is byte-stable, and each member it names is
+    # a literal that the carrier reads back to the same text
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 2, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err, (argv, out)
+        return
+    assert err == "" and out and _main_in_process(argv) == (code, out, err), argv
+    d = parse_carrier(argv[-1])
+    for line in out.splitlines():
+        value, names = line.removeprefix("value ").split(": ")
+        assert line.startswith("value ") and value, (argv, line)
+        for name in names.split(" "):
+            assert d.fmt(d.parse_literal(name)) == name, (argv, name)
 
 
 def _cold_env():

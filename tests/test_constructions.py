@@ -10,6 +10,7 @@ from domkit.constructions import (
     FiberedProduct, GlueDom, InfinityExtension, MuProduct, PointGroup, ShiftedMinusDom,
     collapse, cuts_of_dom, dual, embed_finite, factor_through_quotient, inseminate,
     insemination_projection, quotient_by_subdom, quotient_equiv, s_k_map, shift, split_at_width, split_iso, to_table,
+    union,
 )
 from domkit.doms import (
     CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, View, check_axioms,
@@ -454,6 +455,16 @@ def test_product_reglue_identity():
 
     glued = GlueDom(lower, upper, theta_plus_min, k_min)
     assert to_table(glued) == to_table(lhs)
+
+
+def test_split_and_union_refuse_a_non_element():
+    # an index past the carrier is refused before its width is looked up
+    m = t(2)
+    for k in (5, -1, None):
+        with pytest.raises(ValueError, match="Mge needs a width element of table2"):
+            special_set(m, "Mge", k)
+        with pytest.raises(ValueError, match="union needs a positive width element"):
+            union(m, m, k)
 
 
 def test_first_type_narrow_cancellation():

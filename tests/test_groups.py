@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -35,8 +36,7 @@ def test_neg_examples():
     crossed0 = Group.crossed(Z, Z, FactorSet.zero())
     assert crossed0.neg(el(1, 2)) == el(-1, -2)
     # nonzero factor set: the inverse must cancel exactly
-    f = FactorSet(lambda c, d: (-2 * c[0] * d[0],), name="-2xy",
-                  poly={(1, 1): F(-2)})
+    f = FactorSet({(1, 1): -2}, name="-2xy")
     tw = Group.crossed(Z, Z, f)
     for c in range(-3, 4):
         for a in range(-3, 4):
@@ -47,8 +47,7 @@ def test_neg_examples():
 def test_cmp_examples():
     assert QQ.cmp(el(0, 5), el(1, -100)) < 0
     assert Z.cmp(el(2), el(2)) == 0
-    f = FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly={(1, 1): F(-2)})
-    tw = Group.crossed(Z, Z, f)
+    tw = Group.crossed(Z, Z, FactorSet({(1, 1): -2}))
     assert tw.cmp(el(1, 3), el(1, 5)) < 0   # same base: fiber decides
     assert tw.cmp(el(2, -9), el(1, 5)) > 0
 
@@ -110,7 +109,7 @@ def test_level_subgroup_closure():
 
 def test_group_laws_sampled():
     rng = random.Random(3)
-    f = FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly={(1, 1): F(-2)})
+    f = FactorSet({(1, 1): -2})
     for g in (Z, Q, Z2, QQ, Group.lex(Z, Q), Group.crossed(Z, Z, f)):
         pool = [tuple(F(rng.randrange(-6, 7), rng.choice((1, 1, 3))) for _ in range(g.num_atoms))
                 for _ in range(24)]
@@ -125,53 +124,42 @@ def test_group_laws_sampled():
 
 
 def test_factor_set_validation():
-    # symmetric polynomial differential of a section passes
+    # the differential of a section with s(0) = 0 passes, and so does a
+    # polynomial cocycle; its values come from the polynomial
     sect = FactorSet.from_section(lambda c: (c[0] * c[0],), name="ds")
     assert validate_factor_set(Z, Z, sect) == []
-    assert validate_factor_set(Z, Z, FactorSet(None, poly={(1, 1): F(-2)})) == []
+    assert validate_factor_set(Z, Z, FactorSet({(1, 1): F(-2)})) == []
+    assert Group.crossed(Z, Z, FactorSet({(1, 1): -2})).add((1, 0), (1, 0)) == (2, -2)
+    # a section must send 0 to 0
+    shifted = FactorSet.from_section(lambda c: (c[0] * c[0] + 1,), name="ds+1")
+    assert validate_factor_set(Z, Z, shifted) == [("normalization", ((0,),))]
     # symmetry violation is caught with a witness
-    bad = FactorSet(lambda c, d: (c[0] - d[0],), name="x-y")
+    bad = FactorSet({(1, 0): 1, (0, 1): -1}, name="x-y")
     failures = validate_factor_set(Z, Z, bad)
     assert failures and failures[0][0] == "symmetry"
     with pytest.raises(ValueError, match="symmetry"):
         Group.crossed(Z, Z, bad)
-    # cocycle violation, via the polynomial route
-    bad2 = FactorSet(None, poly={(2, 2): F(1)})
+    # cocycle violation
+    bad2 = FactorSet({(2, 2): F(1)}, name="x2y2")
     failures = validate_factor_set(Z, Z, bad2)
     assert [law for law, _ in failures] == ["cocycle"]
     # but a genuine differential in polynomial form passes
-    good = FactorSet(None, poly={(2, 1): F(1), (1, 2): F(1)})
+    good = FactorSet({(2, 1): F(1), (1, 2): F(1)})
     assert validate_factor_set(Z, Z, good) == []
-    # and via the sampled route
-    bad3 = FactorSet(lambda c, d: (c[0] ** 2 * d[0] ** 2,), name="x2y2")
-    failures = validate_factor_set(Z, Z, bad3)
-    assert failures and failures[0][0] == "cocycle"
-
-
-def test_crossed_refuses_a_factor_set_with_no_function():
-    # the laws of a polynomial-only rule check symbolically, but the
-    # group's add needs values of the rule
-    poly_only = FactorSet(None, poly={(1, 1): F(-2)})
-    assert validate_factor_set(Z, Z, poly_only) == []
-    with pytest.raises(ValueError, match="no function"):
-        Group.crossed(Z, Z, poly_only)
-    with_fn = FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly={(1, 1): F(-2)})
-    g = Group.crossed(Z, Z, with_fn)
-    assert g.add((1, 0), (1, 0)) == (2, -2)
 
 
 def test_crossed_products_built_separately_are_equal():
     def twisted(poly):
-        return Group.crossed(Z, Z, FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly=poly))
+        return Group.crossed(Z, Z, FactorSet(poly))
 
     a, b = twisted({(1, 1): F(-2)}), twisted({(1, 1): -2, (2, 0): F(0)})
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    wide = [Group.crossed(Z, QQ, FactorSet.zero(2)) for _ in range(2)]
+    wide = [Group.crossed(Z, QQ, FactorSet.zero()) for _ in range(2)]
     assert wide[0] == wide[1] and hash(wide[0]) == hash(wide[1])
     assert wide[0].quotient(1) == wide[1].quotient(1)
     # two polynomials that are both valid factor sets, but different ones
-    xy = FactorSet(lambda c, d: (c[0] * d[0],), poly={(1, 1): 1})
+    xy = FactorSet({(1, 1): 1})
     assert Group.crossed(Z, Z, xy) != a
     # without a polynomial a factor set is equal only to itself
     sect = FactorSet.from_section(lambda c: (c[0] * c[0],), name="ds")
@@ -179,15 +167,6 @@ def test_crossed_products_built_separately_are_equal():
     assert same == Group.crossed(Z, Z, sect) and hash(same) == hash(Group.crossed(Z, Z, sect))
     other = FactorSet.from_section(lambda c: (c[0] * c[0],), name="ds")
     assert same != Group.crossed(Z, Z, other)
-
-
-def test_factor_set_function_must_agree_with_its_polynomial():
-    # -2xy and 2xy both satisfy the laws; given together they disagree
-    mixed = FactorSet(lambda c, d: (-2 * c[0] * d[0],), poly={(1, 1): F(2)})
-    failures = validate_factor_set(Z, Z, mixed)
-    assert [law for law, _ in failures] == ["poly"]
-    with pytest.raises(ValueError, match="poly"):
-        Group.crossed(Z, Z, mixed)
 
 
 def test_crossed_product_of_section_is_the_extension():
@@ -236,7 +215,7 @@ def test_parse_and_format():
 
 
 def test_crossed_quotient_is_stable():
-    g = Group.crossed(Z, QQ, FactorSet.zero(2))
+    g = Group.crossed(Z, QQ, FactorSet.zero())
     assert g.quotient(1) == g.quotient(1)
     assert hash(g.quotient(1)) == hash(g.quotient(1))
     assert g.quotient(1).num_atoms == 2 and g.quotient(2) == Z
@@ -263,17 +242,98 @@ def test_quotient_range_checked_after_the_cache():
 
 
 def test_factor_set_values_must_lie_in_the_fiber():
-    # f(c, d) = (cd/2, 0) passes the grid laws but leaves lex(Z,Z) at (1, 1):
-    # the group is refused when it is built, and a group built around the
-    # check still raises in the sum instead of returning a tuple outside it
-    half = FactorSet(lambda c, d: (F(c[0] * d[0], 2), F(0)), name="xy/2")
+    # f(c, d) = cd/2 satisfies the laws but leaves lex(Z,Z) at (1, 1): the
+    # polynomial is refused when the group is built. The coboundary of
+    # s(c) = (c^2/4, 0) is -cd/2, and a section's values are checked at
+    # each sum, so that group raises in the sum instead of returning a
+    # tuple outside it
+    half = FactorSet({(1, 1): F(1, 2)}, name="xy/2")
     ZZ = Group.lex(Z, Z)
-    assert validate_factor_set(Z, ZZ, half)[0][0] == "fiber"
+    assert validate_factor_set(Z, ZZ, half) == [("fiber", ((1,), (1,)))]
     with pytest.raises(ValueError, match="factor-set law 'fiber' fails"):
         Group.crossed(Z, ZZ, half)
-    g = Group(Z.atoms + ZZ.atoms, base=Z, fiber=ZZ, factor=half)
-    assert g.add(el(2, 0, 0), el(1, 0, 0)) == el(3, 1, 0)
+    g = Group.crossed(Z, ZZ, FactorSet.from_section(lambda c: (F(c[0] ** 2, 4), 0)))
+    assert g.add(el(2, 0, 0), el(1, 0, 0)) == el(3, -1, 0)
     with pytest.raises(ValueError, match="leaves lex"):
         g.add(el(1, 0, 0), el(1, 0, 0))
     with pytest.raises(ValueError, match="leaves lex"):
         g.neg(el(1, 0, 0))
+
+
+def _coboundary(s: dict) -> dict:
+    """The polynomial s(x) + s(y) - s(x+y) for s given as {power: coeff}."""
+    out: dict = {}
+    for n, c in s.items():
+        for i in range(n + 1):
+            out[(i, n - i)] = out.get((i, n - i), 0) - c * math.comb(n, i)
+        for m in ((n, 0), (0, n)):
+            out[m] = out.get(m, 0) + c
+    return out
+
+
+def _shifted_binomial_half():
+    """s(x) = C(x+6, 13)/2 as {power: coeff}: zero on -6..6, and half an
+    integer at 7."""
+    coeffs = [F(1, 2 * math.factorial(13))]  # constant first
+    for k in range(13):
+        # multiply by (x + 6 - k)
+        coeffs = [a * (6 - k) + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return dict(enumerate(coeffs))
+
+
+XY = {(1, 1): 1}
+REFUSED = [(Q, Z, XY), (Group.Zloc(3), Z, XY), (Group.Qr2(), Q, {(1, 1): -2}),
+           (Group.Qr2(), Group.Qr2(), {(1, 1): -2}), (Z, Z, _coboundary(_shifted_binomial_half()))]
+ACCEPTED = [(Z, Z, {(2, 1): F(1, 2), (1, 2): F(1, 2)}), (Group.Zloc(3), Group.Zloc(3), XY),
+            (Group.Zloc(3), Group.Zloc(3), {(1, 1): F(1, 2)}), (Q, Q, {(1, 1): -2})]
+
+
+@pytest.mark.parametrize("base,fiber,poly", REFUSED,
+                         ids=["Q,Z,xy", "Zloc3,Z,xy", "Qr2,Q,-2xy", "Qr2,Qr2,-2xy", "Z,Z,dC13"])
+def test_crossed_refuses_factor_sets_that_leave_the_fiber_off_the_grid(base, fiber, poly):
+    # each of these satisfies the laws and lies in the fiber on -3..3 x -3..3
+    with pytest.raises(ValueError):
+        Group.crossed(base, fiber, FactorSet(poly))
+
+
+def test_a_section_that_leaves_the_fiber_fails_at_its_first_such_sum():
+    half = _shifted_binomial_half()
+    s = FactorSet.from_section(lambda c: (sum(k * c[0] ** n for n, k in half.items()),))
+    assert all(s((x,), (y,)) == (0,) for x in range(-3, 4) for y in range(-3, 4))
+    g = Group.crossed(Z, Z, s)
+    with pytest.raises(ValueError, match="leaves Z at 4, 3"):
+        g.add((4, 0), (3, 0))
+
+
+def _members(atom_kind, rng):
+    """A base point far off any box, with a dense denominator where the
+    atom has them."""
+    n = rng.randrange(-10 ** 6, 10 ** 6 + 1)
+    if atom_kind == "Z":
+        return F(n)
+    if atom_kind == "Zloc":
+        return F(n, 2 ** rng.randrange(20) * 5 ** rng.randrange(8) * 7 ** rng.randrange(6))
+    return F(n, rng.randrange(1, 10 ** 6))
+
+
+def _in_atom(atom, v):
+    """Membership written out from the atom's definition."""
+    if atom.kind == "Zloc":
+        return v.denominator % atom.p != 0
+    return atom.kind == "Q" or v.denominator == 1
+
+
+@pytest.mark.parametrize("base,fiber,poly", ACCEPTED,
+                         ids=["Z,Z,(x2y+xy2)/2", "Zloc3,Zloc3,xy", "Zloc3,Zloc3,xy/2", "Q,Q,-2xy"])
+def test_accepted_factor_sets_lie_in_the_fiber_far_off_the_box(base, fiber, poly):
+    # an accepted polynomial is evaluated at seeded points with |x| up to
+    # 10^6, independently of the acceptance rule, and every value must
+    # lie in the fiber; the group's sum must carry that same value
+    g = Group.crossed(base, fiber, FactorSet(poly))
+    kind = base.atoms[0].kind
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y = _members(kind, rng), _members(kind, rng)
+        v = sum(F(c) * x ** i * y ** j for (i, j), c in poly.items())
+        assert _in_atom(fiber.atoms[0], v), (x, y, v)
+        assert g.add((x, 0), (y, 0)) == (x + y, v)

@@ -18,7 +18,7 @@ Q = Group.Q()
 Z = Group.Z()
 Z2 = Group.Zloc(2)
 QQ = Group.lex(Group.Q(), Group.Q())
-TWIST = FactorSet(lambda c, d: (-2 * c[0] * d[0],), name="-2xy", poly={(1, 1): F(-2)})
+TWIST = FactorSet({(1, 1): -2}, name="-2xy")
 XZ = CutDom(Group.crossed(Z, Z, TWIST))
 XQ = CutDom(Group.crossed(Q, Q, TWIST))
 

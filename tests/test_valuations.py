@@ -90,7 +90,7 @@ def _doubling_le(d, x, y, cap=400):
 
 
 def test_archimedean_ranks_agree_with_doubling():
-    twist = FactorSet(lambda c, d: (-2 * c[0] * d[0],), name="-2xy", poly={(1, 1): F(-2)})
+    twist = FactorSet({(1, 1): -2}, name="-2xy")
     xzz = Group.crossed(Z, Z, twist)
     zqz = Group.lex(Z, Q, Z)
     qz = Group.lex(Q, Z)
