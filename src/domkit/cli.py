@@ -151,7 +151,7 @@ def _atom(d: Dom, tok: str):
 def format_value(d: Dom, kind: str, v) -> str:
     if kind == "sign":
         return {1: "+1", -1: "-1", 0: "0"}.get(v, str(v))
-    return d.format_literal(v)
+    return d.fmt(v)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -187,7 +187,11 @@ def _cmd_check_table(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    report = validate(t)
+    try:
+        report = validate(t)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     failed = False
     for key, label in AXIOM_LABELS:
         if key not in report:

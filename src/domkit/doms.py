@@ -9,7 +9,7 @@ mixed group-plus-cuts carrier.
 Facts about one carrier are methods of that carrier: ``associated_group``,
 ``width_set``, ``is_proper``, ``is_strongly_proper``, ``minimal_positive``
 (and ``least_positives``), ``archimedean_le``, ``witness_width``, and the literal
-syntax ``parse_literal``/``format_literal``. A finite carrier decides each
+syntax ``parse_literal``/``fmt``. A finite carrier decides each
 by enumerating its elements; an infinite one answers where it overrides
 the method exactly, and raises ``ValueError`` otherwise. The cut-valued
 embedding of wide elements is ``CutDom.lambda_map``; when a target
@@ -147,16 +147,14 @@ class Dom:
         return True
 
     def fmt(self, x) -> str:
+        """A literal that ``parse_literal`` reads back as x, where the
+        carrier has literals."""
         return str(x)
 
     def parse_literal(self, tok: str):
         """The element a literal names: ValueError when the literal does not
         parse, TypeError when the carrier does not hold it."""
         raise TypeError(f"no literals defined for carrier {self.name}")
-
-    def format_literal(self, x) -> str:
-        """A literal that ``parse_literal`` reads back as x."""
-        return self.fmt(x)
 
     # -- carrier facts: by enumeration when finite, else a ValueError ------
 
@@ -682,7 +680,7 @@ class TildeDom(Dom):
 
     def fmt(self, x):
         t, v = x
-        return self.group.format_element(v) if t == "g" else ct.format_cut(self.group, v)
+        return f"g({self.group.format_element(v)})" if t == "g" else ct.format_cut(self.group, v)
 
     def parse_literal(self, tok):
         if _is_cut_literal(tok):
@@ -690,10 +688,6 @@ class TildeDom(Dom):
         if tok.startswith("g(") and tok.endswith(")"):
             tok = tok[2:-1]
         return ("g", _group_literal(self.group, tok))
-
-    def format_literal(self, x):
-        t, v = x
-        return f"g({self.group.format_element(v)})" if t == "g" else self.fmt(x)
 
     def associated_group(self):
         return AssociatedGroup(self.group, False, "width-zero part is the group itself",

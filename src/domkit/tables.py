@@ -20,17 +20,33 @@ shell is completed, the last cell included. A leaf is built unchecked
 from the search's own matrix, and one ``validate`` call on that matrix
 re-checks it: a final full associativity pass and, when MC' is asked
 for, MC' over all triples.
+
+``validate`` checks associativity and MC' on all n^3 triples at once,
+on a byte layout of the table built once per call: ``rows[x]`` is row
+x as bytes, ``flat`` their concatenation (x + y at x*n + y), and
+``pad`` the byte values n..255, which complete a row to a 256-byte
+``bytes.translate`` table. Joining ``rows[v]`` over the bytes v of
+``flat`` gives (x + y) + z at x*n*n + y*n + z; translating ``flat``
+through each row gives x + (y + z) at the same index, so the first
+index where the two strings differ is the lexicographically first
+witness. MC' compares the same two joins over the rows of the right
+difference. A byte holds 0..255, so tables of more than 256 elements
+are refused by ``validate`` and by the search.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter, lt
+from itertools import compress, count
+from operator import attrgetter, lt, ne
 from typing import Iterable, Optional, Sequence
 
 from domkit import doms
 from domkit.doms import Dom
 
 DOM_AXIOM_SET = frozenset({"MA", "MB", "MCa", "MCb"})
+# the byte layout holds entries 0..255
+MAX_ELEMENTS = 256
+_BYTE_VALUES = bytes(range(256))
 
 
 class FiniteDomTable:
@@ -162,16 +178,28 @@ def trivial_dom(n: int) -> FiniteDomTable:
     return FiniteDomTable(plus)
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"table size {n} exceeds {MAX_ELEMENTS}: entries are held in bytes")
+
+
 def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict:
     """Per-law verdicts for a table, with minimal witnesses.
 
     Structural laws (neutral element, associativity, commutativity,
     monotonicity) are reported alongside the sign and comparison axioms;
-    everything is checked exhaustively.
+    everything is checked exhaustively.  Associativity and MC' are
+    checked over all n^3 triples at once on the byte layout of the
+    table (see the module docstring), so a table of more than
+    ``MAX_ELEMENTS`` elements is refused with ``ValueError``.
     """
+    n = t.n
+    _check_size(n)
+    rows = list(map(bytes, t.plus))
+    flat = b"".join(rows)
+    pad = _BYTE_VALUES[n:]
     report: dict = {}
     axioms = list(axioms)
-    n = t.n
     e = t.neutral()
     if "neutral" in axioms:
         report["neutral"] = (e is not None, None if e is not None else ())
@@ -188,7 +216,7 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
                   for u in range(n) if t.plus[x][u] > t.plus[y][u]), None)
         report["PA"] = (w is None, w)
     if "assoc" in axioms:
-        report["assoc"] = _assoc_verdict(t.plus)
+        report["assoc"] = _assoc_verdict(rows, flat, pad)
     if e is None:
         return report
 
@@ -197,43 +225,39 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
         d = FiniteDom(t)
         report.update(doms.check_axioms(d, universe=d.iter_elements(), which=rest))
     if "MCprime" in axioms:
-        report["MCprime"] = _mcprime_verdict(t.plus)
+        report["MCprime"] = _mcprime_verdict(rows, flat, pad)
     return report
 
 
-def _assoc_verdict(plus: tuple) -> tuple:
-    # row-wise: (x + y) + z over all z is row plus[x + y], and x + (y + z)
-    # is row plus[x] read at the indices of row plus[y], which one
-    # itemgetter per row does in C
-    if len(plus) < 2:
-        # the one 1x1 table is associative; itemgetter of a single index
-        # would return a scalar, not a row
+def _triple(k: int, n: int) -> tuple:
+    """The triple (x, y, z) at index x*n*n + y*n + z of a triple string."""
+    x, yz = divmod(k, n * n)
+    return (x, *divmod(yz, n))
+
+
+def _assoc_verdict(rows: list, flat: bytes, pad: bytes) -> tuple:
+    # (x + y) + z is row x + y: one row per entry of flat.  x + (y + z)
+    # is flat read through row x: one translate per row
+    left = b"".join(map(rows.__getitem__, flat))
+    right = b"".join([flat.translate(r + pad) for r in rows])
+    if left == right:
         return (True, None)
-    reads = [itemgetter(*py) for py in plus]
-    for x, px in enumerate(plus):
-        for y, read_y in enumerate(reads):
-            left = plus[px[y]]
-            if left != read_y(px):
-                z = next(z for z, yz in enumerate(plus[y]) if left[z] != px[yz])
-                return (False, (x, y, z))
-    return (True, None)
+    return (False, _triple(next(compress(count(), map(ne, left, right))), len(rows)))
 
 
-def _mcprime_verdict(plus: tuple) -> tuple:
+def _mcprime_verdict(rows: list, flat: bytes, pad: bytes) -> tuple:
     # MC' fails at (x, y, z) when (x + y) -R z < x + (y -R z).  With the
-    # minus i -> top - i, a -R z = top - plus[top - a][z], so row rsub[a]
-    # holds a -R z over all z, and x + (y -R z) is row rsub[y] read
-    # through row plus[x]
-    top = len(plus) - 1
-    rsub = [tuple(top - v for v in plus[top - a]) for a in range(top + 1)]
-    for x, px in enumerate(plus):
-        through_x = px.__getitem__
-        for y, xy in enumerate(px):
-            left = rsub[xy]
-            if any(map(lt, left, map(through_x, rsub[y]))):
-                z = next(z for z, yz in enumerate(rsub[y]) if left[z] < px[yz])
-                return (False, (x, y, z))
-    return (True, None)
+    # minus i -> top - i, a -R z = top - ((top - a) + z), so rsub[a], the
+    # row of a -R z over all z, is row top - a read through the minus.
+    # (x + y) -R z is row x + y of rsub; x + (y -R z) is the flattened
+    # rsub read through row x
+    minus = _BYTE_VALUES[len(rows) - 1::-1] + pad
+    rsub = [r.translate(minus) for r in reversed(rows)]
+    left = b"".join(map(rsub.__getitem__, flat))
+    rsub_flat = b"".join(rsub)
+    right = b"".join([rsub_flat.translate(r + pad) for r in rows])
+    k = next(compress(count(), map(lt, left, right)), None)
+    return (True, None) if k is None else (False, _triple(k, len(rows)))
 
 
 def table_passes(t: FiniteDomTable, axioms: Iterable[str]) -> bool:
@@ -260,6 +284,7 @@ def enumerate_tables(n: int, axioms: Iterable[str] = DOM_AXIOM_SET,
     """
     if n < 1:
         raise ValueError("need at least one element")
+    _check_size(n)
     if n > bound:
         raise ValueError(f"size {n} exceeds the enumeration bound {bound}")
     axioms = frozenset(axioms) - {"assoc", "comm", "neutral", "PA", "minus", "predom"}

@@ -90,6 +90,21 @@ def test_enumeration_bound():
         enumerate_tables(9)
 
 
+def test_validate_refuses_more_than_256_elements():
+    # entries are held in bytes; a table on 256 elements is the largest
+    assert validate(trivial_dom(256), ("assoc",))["assoc"] == (True, None)
+    with pytest.raises(ValueError, match="exceeds 256"):
+        validate(FiniteDomTable([[0] * 257 for _ in range(257)]), ("assoc",))
+
+
+def test_enumeration_refuses_more_than_256_elements(monkeypatch):
+    # refused before any search starts, whatever the bound
+    monkeypatch.setattr(tables, "_search_with_neutral", None)
+    for n, bound in ((257, 257), (257, 10 ** 6), (1000, 7)):
+        with pytest.raises(ValueError, match="exceeds 256"):
+            enumerate_tables(n, bound=bound)
+
+
 def test_enumeration_refuses_sizes_below_one():
     # the empty table has no neutral element, so it is no answer
     assert not validate(FiniteDomTable([]), ("neutral",))["neutral"][0]
@@ -223,8 +238,10 @@ def test_reference_search_matches_search():
 
 def final_pass_verdicts(monkeypatch, law, sizes, axiom_sets):
     """The verdicts on ``law`` of the final ``validate`` pass over every
-    leaf the search reaches for these sizes and axiom sets."""
+    leaf the search reaches for these sizes and axiom sets, and the number
+    of tables the search returned."""
     verdicts = []
+    returned = 0
     real_validate = tables.validate
 
     def spy(t, *args):
@@ -236,28 +253,30 @@ def final_pass_verdicts(monkeypatch, law, sizes, axiom_sets):
     monkeypatch.setattr(tables, "validate", spy)
     for n in sizes:
         for axioms in axiom_sets:
-            enumerate_tables(n, axioms)
-    return verdicts
+            returned += len(enumerate_tables(n, axioms))
+    return verdicts, returned
 
 
 def test_no_search_leaf_fails_mcprime(monkeypatch):
     # when MC' is asked for, it is checked on every placed triple as each
     # shell around the neutral is completed and after the last cell, so the
     # final pass over a leaf never finds a witness
-    verdicts = final_pass_verdicts(
+    verdicts, returned = final_pass_verdicts(
         monkeypatch, "MCprime", range(1, 8),
         ({"MCprime"}, {"MA", "MCprime"}, {"MB", "MCprime"}, {"MA", "MB", "MCprime"}))
-    assert len(verdicts) > 500
+    # every returned table went through the final pass
+    assert len(verdicts) == returned > 500
     assert all(v == (True, None) for v in verdicts)
 
 
 def test_no_search_leaf_fails_associativity(monkeypatch):
     # each associativity triple is checked when its last cell is placed,
     # so the final pass over a leaf never finds a witness
-    verdicts = final_pass_verdicts(
+    verdicts, returned = final_pass_verdicts(
         monkeypatch, "assoc", range(1, 7),
         (set(), {"MA"}, {"MB"}, {"MA", "MB"}, {"MA", "MB", "MCprime"}))
-    assert len(verdicts) > 1000
+    # every returned table went through the final pass
+    assert len(verdicts) == returned > 1000
     assert all(v == (True, None) for v in verdicts)
 
 
@@ -275,6 +294,12 @@ def test_assoc_witness_is_first_in_lexicographic_order():
             t = FiniteDomTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
             if first_assoc_witness(t) is not None:
                 cases.append(t)
+    cases += [FiniteDomTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+              for n in (1, 2, 3, 6, 9) for _ in range(100)]
+    # the largest table the byte layout holds, with a witness in row 1
+    plus = [list(row) for row in trivial_dom(256).plus]
+    plus[1][1] = 0
+    cases.append(FiniteDomTable(plus))
     for t in cases:
         w = first_assoc_witness(t)
         assert validate(t, ("assoc",))["assoc"] == (w is None, w), t
@@ -315,9 +340,10 @@ def random_symmetric_table(rng, n):
 
 
 def test_mcprime_verdict_matches_generic_check():
-    # the row-wise MC' check against the carrier-generic one, witness included
+    # the whole-table MC' kernel against the carrier-generic check, witness included
     rng = random.Random(7)
     cases = [random_symmetric_table(rng, n) for n in range(1, 7) for _ in range(150)]
+    cases += [random_symmetric_table(rng, n) for n in (7, 8, 9) for _ in range(50)]
     cases += [t for n in range(1, 6) for t in enumerate_tables(n, {"MA", "MB"})]
     failing = 0
     for t in cases:
