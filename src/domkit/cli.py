@@ -26,6 +26,7 @@ import sys
 
 from domkit.doms import CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set
 from domkit.groups import parse_group
+from domkit.scalars import parse_int
 
 
 class ParseError(ValueError):
@@ -241,8 +242,6 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_count(text: str) -> int:
-    from domkit.tables import parse_int
-
     try:
         return parse_int(text)
     except ValueError as exc:

@@ -2,22 +2,25 @@
 cuts of a finite carrier, the shift, and embeddings of the finite chains.
 
 Constructed carriers are lazy: the dual, the shift and the quotient are
-``View``s of their parent, the others tag their elements (a glued
-``PointGroup`` carrier is the lower part of an insemination); finite
-ones can be materialized to addition tables with ``to_table``. The
-n-chain embeds through one list of level edges of Q^a, with the group
-zero of the mixed carrier in the middle for odd n.
+``View``s of their parent, the others tag their elements; finite ones
+can be materialized to addition tables with ``to_table``. Gluing is
+``doms.GlueDom``: ``union`` re-glues a carrier at a width, and
+``inseminate`` glues any group carrier below a third-type carrier, one
+point inside each double-point class it names. The n-chain embeds
+through one list of level edges of Q^a, with the group zero of the
+mixed carrier in the middle for odd n.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+import random
+from typing import Callable, Optional
 
 from domkit import cuts as ct
 from domkit.cuts import NEG_INF, POS_INF
 from domkit.doms import (
-    CutDom, Dom, HomCandidate, SubDomView, TildeDom, View,
+    CutDom, Dom, GlueDom, HomCandidate, SubDomView, TildeDom, View,
     classify_type, f_plus, is_convex, multiplicity, sign_of, special_set,
 )
 from domkit.groups import Group
@@ -289,96 +292,6 @@ def s_k_map(d: Dom, k) -> HomCandidate:
 # -- gluing (and its special cases) --------------------------------------------
 
 
-class GlueDom(Dom):
-    """Join a carrier below with the wide part of another carrier above.
-
-    ``lower`` contributes all its elements, ``upper`` contributes those
-    whose width is at least ``o_min`` (the minimum of the final width
-    segment). ``theta_plus_min(x)`` is the largest member of the class
-    the lower element is sent to at the bottom width; the rest of the
-    compatible family follows from it.
-    """
-
-    def __init__(self, lower: Dom, upper: Dom, theta_plus_min: Callable, o_min,
-                 name: Optional[str] = None):
-        self.lower = lower
-        self.upper = upper
-        self.theta_plus_min = theta_plus_min
-        self.o_min = o_min
-        self.name = name or f"glue({lower.name},{upper.name})"
-
-    def theta_plus(self, j, x):
-        base = self.theta_plus_min(x)
-        n = self.upper
-        if n.eq(j, self.o_min):
-            return base
-        dv = n.neg(j)
-        return n.rsub(n.add(n.add(j, base), dv), dv)
-
-    def _in_segment(self, y) -> bool:
-        return self.upper.le(self.o_min, self.upper.width_of(y))
-
-    def zero(self):
-        return ("m", self.lower.zero())
-
-    def neg(self, x):
-        t, v = x
-        return ("m", self.lower.neg(v)) if t == "m" else ("n", self.upper.neg(v))
-
-    def add(self, x, y):
-        tx, vx = x
-        ty, vy = y
-        if tx == "m" and ty == "m":
-            return ("m", self.lower.add(vx, vy))
-        if tx == "n" and ty == "n":
-            return ("n", self.upper.add(vx, vy))
-        if tx == "m":
-            m_el, n_el = vx, vy
-        else:
-            m_el, n_el = vy, vx
-        j = self.upper.width_of(n_el)
-        return ("n", self.upper.add(self.theta_plus(j, m_el), n_el))
-
-    def cmp(self, x, y):
-        tx, vx = x
-        ty, vy = y
-        if tx == ty:
-            return (self.lower if tx == "m" else self.upper).cmp(vx, vy)
-        if tx == "m":
-            j = self.upper.width_of(vy)
-            return -1 if self.upper.le(self.theta_plus(j, vx), vy) else 1
-        return -self.cmp(y, x)
-
-    def contains(self, x):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            return False
-        t, v = x
-        if t == "m":
-            return self.lower.contains(v)
-        return t == "n" and self.upper.contains(v) and self._in_segment(v)
-
-    def iter_elements(self):
-        lo = self.lower.iter_elements()
-        up = self.upper.iter_elements()
-        if lo is None or up is None:
-            return None
-        out = [("m", v) for v in lo]
-        out += [("n", v) for v in up if self._in_segment(v)]
-        return sorted(out, key=functools.cmp_to_key(self.cmp))
-
-    def sample(self, rng, count):
-        ms = [("m", v) for v in self.lower.sample(rng, count // 2 + 1)]
-        ns = [("n", v) for v in self.upper.sample(rng, count)
-              if self._in_segment(v)]
-        mixed = ms + ns
-        rng.shuffle(mixed)
-        return mixed[:count]
-
-    def fmt(self, x):
-        t, v = x
-        return (self.lower if t == "m" else self.upper).fmt(v)
-
-
 def union(m: Dom, n: Dom, k) -> GlueDom:
     """Replace the wide part of ``m`` (widths >= k) by the carrier ``n``.
 
@@ -415,61 +328,19 @@ def split_iso(glued: GlueDom) -> HomCandidate:
                         universe=glued.iter_elements())
 
 
-class PointGroup(Dom):
-    """A subgroup of the double-point classes, given by representatives,
-    as a carrier (a group: the right sum is the sum).
-
-    ``plus_image`` sends a class value to the largest member of the
-    class inside the host carrier; ``member`` decides membership.
-    """
-
-    def __init__(self, name: str, zero: object, add: Callable, neg: Callable, cmp: Callable,
-                 plus_image: Callable, member: Callable, samples: Sequence = ()):
-        self.name = name
-        self._zero = zero
-        self._add = add
-        self._neg = neg
-        self._cmp = cmp
-        self.plus_image = plus_image
-        self.member = member
-        self.samples = samples
-
-    def zero(self):
-        return self._zero
-
-    def add(self, x, y):
-        return self._add(x, y)
-
-    def neg(self, x):
-        return self._neg(x)
-
-    def cmp(self, x, y):
-        return self._cmp(x, y)
-
-    def radd(self, x, y):
-        return self._add(x, y)
-
-    def contains(self, x):
-        return self.member(x)
-
-    def sample(self, rng, count):
-        vals = list(self.samples)
-        if not vals:
-            raise ValueError("point group has no sample values")
-        return [rng.choice(vals) for _ in range(count)]
-
-
-def inseminate(m: Dom, pg: PointGroup) -> GlueDom:
-    """Adjoin one group point inside each double-point class of ``pg``."""
+def inseminate(m: Dom, points: Dom, plus_image: Callable) -> GlueDom:
+    """Adjoin one point of the group carrier ``points`` inside each
+    double-point class of ``m`` it names: ``plus_image`` sends a point to
+    the largest member of its class."""
     if classify_type(m) != "third":
         raise ValueError("insemination needs a third-type carrier")
-    for v in list(pg.samples)[:8]:
-        x = pg.plus_image(v)
+    for v in points.sample(random.Random(0), 8):
+        x = plus_image(v)
         if multiplicity(m, x) != 2 or sign_of(m, x) != 1:
             raise ValueError("point group values must name double points by their "
                              "largest member")
     zero_width = m.width_of(m.zero())
-    return GlueDom(pg, m, pg.plus_image, zero_width, name=f"ins({m.name},{pg.name})")
+    return GlueDom(points, m, plus_image, zero_width, name=f"ins({m.name},{points.name})")
 
 
 def insemination_projection(ins: GlueDom) -> HomCandidate:
@@ -684,7 +555,7 @@ def embed_finite(n: int) -> HomCandidate:
     images = [NEG_INF, *(ct.neg(g, w) for w in reversed(widths)), *widths, POS_INF]
     if n % 2:
         target = TildeDom(g)
-        cuts = [("c", x) for x in images] if n > 1 else []
-        images = cuts[:a + 1] + [("g", g.zero())] + cuts[a + 1:]
+        cuts = [("n", x) for x in images] if n > 1 else []
+        images = cuts[:a + 1] + [("m", g.zero())] + cuts[a + 1:]
     return HomCandidate(FiniteDom(trivial_dom(n)), target, images.__getitem__,
                         universe=list(range(n)))

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from domkit.groups import Group, lex_cmp, parse_coords
-from domkit.scalars import Scalar, canon, format_scalar, scalar_floor
+from domkit.scalars import Scalar, canon, format_scalar, parse_int, scalar_floor
 
 MINUS, FILLED, PLUS = -1, 0, 1
 _SIDE_TEXT = {MINUS: "-", FILLED: "fill", PLUS: "+"}
@@ -399,7 +399,7 @@ def parse_cut(g: Group, text: str) -> Cut:
         return make_node(g, 0, parse_coords(s[5:-1]), FILLED)
     if s.startswith("edge("):
         close = s.index(")")
-        k = int(s[5:close])
+        k = parse_int(s[5:close].strip())
         rest = s[close + 1:]
         if rest.startswith("fill(") and rest.endswith(")"):
             return make_node(g, k, parse_coords(rest[5:-1]), FILLED)

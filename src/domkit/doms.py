@@ -17,8 +17,11 @@ group has no cut there, its error names a target element between the
 two edges, computed from the anchor.
 
 A carrier derived from another one is a ``View`` of it, overriding only
-what it changes. ``check_axioms``, ``verify_hom`` and
-``valuations.check_valuation`` draw their tuples from ``law_tuples``.
+what it changes. ``GlueDom`` glues a carrier below the wide part of
+another one; the mixed carrier ``TildeDom`` is a group glued below its
+cuts, each group element sent to its principal cut. ``check_axioms``,
+``verify_hom`` and ``valuations.check_valuation`` draw their tuples
+from ``law_tuples``.
 """
 
 from __future__ import annotations
@@ -610,91 +613,137 @@ def _cut_literal(cuts: CutDom, tok: str, owner: Dom) -> Cut:
     return cut
 
 
-class TildeDom(Dom):
-    """Disjoint union of a group and its cut carrier.
+class GlueDom(Dom):
+    """Join a carrier below with the wide part of another carrier above.
 
-    Group elements act on cuts by translation; the zero is the group
-    zero, so the minus fixes it and the carrier sits in the first type.
+    ``lower`` contributes all its elements, tagged ``"m"``; ``upper``
+    contributes those whose width is at least ``o_min`` (the minimum of
+    the final width segment), tagged ``"n"``. ``theta_plus_min(x)`` is
+    the largest member of the class the lower element is sent to at the
+    bottom width; the rest of the compatible family follows from it.
     """
 
-    def __init__(self, group: Group, field: str = "Q"):
-        self.group = group
-        self.field = field
-        self.cutdom = CutDom(group, field)
-        self.name = f"tilde({group.format()})" if field == "Q" else f"tilde({group.format()},r2)"
+    def __init__(self, lower: Dom, upper: Dom, theta_plus_min: Callable, o_min,
+                 name: Optional[str] = None):
+        self.lower = lower
+        self.upper = upper
+        self.theta_plus_min = theta_plus_min
+        self.o_min = o_min
+        self.name = name or f"glue({lower.name},{upper.name})"
+
+    def theta_plus(self, j, x):
+        base = self.theta_plus_min(x)
+        n = self.upper
+        if n.eq(j, self.o_min):
+            return base
+        dv = n.neg(j)
+        return n.rsub(n.add(n.add(j, base), dv), dv)
+
+    def _in_segment(self, y) -> bool:
+        return self.upper.le(self.o_min, self.upper.width_of(y))
 
     def zero(self):
-        return ("g", self.group.zero())
-
-    def add(self, x, y):
-        return self._sum(x, y, ct.add)
-
-    def radd(self, x, y):
-        return self._sum(x, y, ct.radd)
-
-    def _sum(self, x, y, cut_sum):
-        """Left or right sum: group elements translate cuts, and two cuts
-        meet in ``cut_sum``."""
-        tx, vx = x
-        ty, vy = y
-        if tx == "g" and ty == "g":
-            return ("g", self.group.add(vx, vy))
-        if tx == "g":
-            return ("c", ct.shift_by(self.group, vx, vy))
-        if ty == "g":
-            return ("c", ct.shift_by(self.group, vy, vx))
-        return ("c", cut_sum(self.group, vx, vy))
+        return ("m", self.lower.zero())
 
     def neg(self, x):
         t, v = x
-        return ("g", self.group.neg(v)) if t == "g" else ("c", ct.neg(self.group, v))
+        return ("m", self.lower.neg(v)) if t == "m" else ("n", self.upper.neg(v))
+
+    def add(self, x, y):
+        tx, vx = x
+        ty, vy = y
+        if tx == "m" and ty == "m":
+            return ("m", self.lower.add(vx, vy))
+        if tx == "n" and ty == "n":
+            return ("n", self.upper.add(vx, vy))
+        if tx == "m":
+            m_el, n_el = vx, vy
+        else:
+            m_el, n_el = vy, vx
+        j = self.upper.width_of(n_el)
+        return ("n", self.upper.add(self.theta_plus(j, m_el), n_el))
 
     def cmp(self, x, y):
         tx, vx = x
         ty, vy = y
-        if tx == "g" and ty == "g":
-            return self.group.cmp(vx, vy)
-        if tx == "c" and ty == "c":
-            return ct.compare(self.group, vx, vy)
-        if tx == "g":
-            # a cut splits its group: an element not below it is above it
-            return -1 if ct.member_below(self.group, vx, vy) else 1
+        if tx == ty:
+            return (self.lower if tx == "m" else self.upper).cmp(vx, vy)
+        if tx == "m":
+            j = self.upper.width_of(vy)
+            return -1 if self.upper.le(self.theta_plus(j, vx), vy) else 1
         return -self.cmp(y, x)
 
     def contains(self, x):
-        return isinstance(x, tuple) and len(x) == 2 and x[0] in ("g", "c")
+        if not (isinstance(x, tuple) and len(x) == 2):
+            return False
+        t, v = x
+        if t == "m":
+            return self.lower.contains(v)
+        return t == "n" and self.upper.contains(v) and self._in_segment(v)
 
     def iter_elements(self):
-        if self.group.num_atoms == 0:
-            return [("c", NEG_INF), ("g", ()), ("c", POS_INF)]
-        return None
+        lo = self.lower.iter_elements()
+        up = self.upper.iter_elements()
+        if lo is None or up is None:
+            return None
+        out = [("m", v) for v in lo]
+        out += [("n", v) for v in up if self._in_segment(v)]
+        return sorted(out, key=functools.cmp_to_key(self.cmp))
 
     def sample(self, rng, count):
-        gd = GroupDom(self.group)
+        ms = [("m", v) for v in self.lower.sample(rng, count // 2 + 1)]
+        ns = [("n", v) for v in self.upper.sample(rng, count)
+              if self._in_segment(v)]
+        mixed = ms + ns
+        rng.shuffle(mixed)
+        return mixed[:count]
+
+    def fmt(self, x):
+        t, v = x
+        return (self.lower if t == "m" else self.upper).fmt(v)
+
+
+class TildeDom(GlueDom):
+    """A group glued below its cut carrier.
+
+    A group element is sent to its principal cut at the zero width, so it
+    translates the cuts; the zero is the group zero, so the minus fixes
+    it and the carrier sits in the first type.
+    """
+
+    def __init__(self, group: Group, field: str = "Q"):
+        self.group = group
+        cuts = CutDom(group, field)
+        zero_cut = cuts.zero()
+        name = f"tilde({group.format()})" if field == "Q" else f"tilde({group.format()},r2)"
+        super().__init__(GroupDom(group), cuts, lambda v: ct.shift_by(group, v, zero_cut),
+                         cuts.width_of(zero_cut), name)
+
+    def sample(self, rng, count):
         n_cut = count // 2
-        cuts = [("c", v) for v in self.cutdom.sample(rng, n_cut)]
-        gels = [("g", v) for v in gd.sample(rng, count - n_cut)]
+        cuts = [("n", v) for v in self.upper.sample(rng, n_cut)]
+        gels = [("m", v) for v in self.lower.sample(rng, count - n_cut)]
         mixed = cuts + gels
         rng.shuffle(mixed)
         return mixed
 
     def fmt(self, x):
         t, v = x
-        return f"g({self.group.format_element(v)})" if t == "g" else ct.format_cut(self.group, v)
+        return f"g({self.lower.fmt(v)})" if t == "m" else self.upper.fmt(v)
 
     def parse_literal(self, tok):
         if _is_cut_literal(tok):
-            return ("c", _cut_literal(self.cutdom, tok, self))
+            return ("n", _cut_literal(self.upper, tok, self))
         if tok.startswith("g(") and tok.endswith(")"):
             tok = tok[2:-1]
-        return ("g", _group_literal(self.group, tok))
+        return ("m", _group_literal(self.group, tok))
 
     def associated_group(self):
         return AssociatedGroup(self.group, False, "width-zero part is the group itself",
                                class_of=lambda x: x[1])
 
     def width_set(self):
-        return [self.zero()] + [("c", w) for w in self.cutdom.width_set()]
+        return [self.zero()] + [("n", w) for w in self.upper.width_set()]
 
     def is_proper(self):
         return True
@@ -705,12 +754,12 @@ class TildeDom(Dom):
         return False
 
     def minimal_positive(self):
-        return ("c", self.cutdom.zero())
+        return ("n", self.upper.zero())
 
     def least_positives(self):
         # the group unit follows the zero cut
         unit = self.group.min_positive()
-        return [self.minimal_positive()] + ([("g", unit)] if unit is not None else [])
+        return [self.minimal_positive()] + ([("m", unit)] if unit is not None else [])
 
     def archimedean_le(self, x, y):
         return self._rank(x) <= self._rank(y)
@@ -719,15 +768,15 @@ class TildeDom(Dom):
         # the group zero (-1) lies below the zero cut, which it never
         # reaches; another element shares the class of its principal cut
         t, v = x
-        if t == "g":
+        if t == "m":
             return 2 * _lead_rank(v) - 1
-        return self.cutdom._rank(self.cutdom.abs_of(v))
+        return self.upper._rank(self.upper.abs_of(v))
 
     def witness_width(self, x):
         t, v = x
-        if t == "g" or v.kind != "n" or v.side != ct.FILLED:
+        if t == "m" or v.kind != "n" or v.side != ct.FILLED:
             return self.zero()
-        return ("c", self.cutdom.witness_width(v))
+        return ("n", self.upper.witness_width(v))
 
 
 # -- axiom checking ----------------------------------------------------------

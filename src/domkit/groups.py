@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from domkit.scalars import (
@@ -27,6 +26,7 @@ from domkit.scalars import (
     Sqrt2,
     canon,
     format_scalar,
+    parse_int,
     parse_scalar,
     scalar_cmp,
 )
@@ -44,6 +44,27 @@ def lex_cmp(x: tuple, y: tuple) -> int:
     return 0
 
 
+# Miller-Rabin to these bases decides every n below the limit (Sorenson
+# and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin; ValueError at and
+    above ``_MR_LIMIT``, where the bases no longer decide."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"Zloc needs a prime below {_MR_LIMIT}, got {n}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    # n is a strong probable prime to base a when a^d = 1 or
+    # a^(d * 2^r) = -1 for some r < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _MR_BASES)
+
+
 class Atom:
     """One rank-one component of a lexicographic product."""
 
@@ -53,7 +74,7 @@ class Atom:
         if kind not in ATOM_KINDS:
             raise ValueError(f"unknown atom kind {kind!r}")
         if kind == "Zloc":
-            if p is None or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            if p is None or not _is_prime(p):
                 raise ValueError(f"Zloc needs a prime, got {p!r}")
         elif p is not None:
             raise ValueError(f"{kind} takes no parameter")
@@ -488,7 +509,7 @@ def parse_group(text: str) -> Group:
     if s in ("Z", "Q", "Qr2", "triv"):
         return {"Z": Group.Z, "Q": Group.Q, "Qr2": Group.Qr2, "triv": Group.trivial}[s]()
     if s.startswith("Zloc(") and s.endswith(")"):
-        return Group.Zloc(int(s[5:-1]))
+        return Group.Zloc(parse_int(s[5:-1]))
     if s.startswith("lex(") and s.endswith(")"):
         inner = s[4:-1]
         parts, depth, start = [], 0, 0

@@ -222,6 +222,15 @@ def format_scalar(x: Scalar) -> str:
     return f"{a}+{bs}" if b > 0 else f"{a}{bs}"
 
 
+def parse_int(token: str) -> int:
+    """A run of ASCII digits, optionally after a minus sign.  ``int`` alone
+    would also read ``+1``, ``1_0`` and digits of other scripts."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 def _parse_fraction(text: str) -> "int | Fraction":
     try:
         return _rational(Fraction(text))

@@ -42,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 from domkit import doms
 from domkit.doms import Dom
+from domkit.scalars import parse_int
 
 DOM_AXIOM_SET = frozenset({"MA", "MB", "MCa", "MCb"})
 # the byte layout holds entries 0..255
@@ -97,15 +98,6 @@ def serialize_table(t: FiniteDomTable) -> str:
     lines = [str(t.n)]
     lines += [" ".join(str(v) for v in row) for row in t.plus]
     return "\n".join(lines) + "\n"
-
-
-def parse_int(token: str) -> int:
-    """A run of ASCII digits, optionally after a minus sign.  ``int`` alone
-    would also read ``+1``, ``1_0`` and digits of other scripts."""
-    digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{token!r} is not an integer")
-    return int(token)
 
 
 def parse_table(text: str) -> FiniteDomTable:

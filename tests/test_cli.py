@@ -89,11 +89,17 @@ def test_eval_error_codes(capsys):
         assert (code, out) == (3, ""), (carrier, expr)
         assert "type error" in err and "cut literal" in err
     # a group that does not parse is a parse error, inside cuts(..) and
-    # tilde(..) as well as bare
-    for carrier in ("Zloc(4)", "cuts(Zloc(4))", "tilde(Zloc(4))", "cuts(lex(Q,))"):
+    # tilde(..) as well as bare; Zloc(p) takes a run of ASCII digits
+    for carrier in ("Zloc(4)", "cuts(Zloc(4))", "tilde(Zloc(4))", "cuts(lex(Q,))",
+                    "Zloc(1_1)", "Zloc(+3)", "Zloc(\u0663)", "cuts(Zloc(+3))"):
         code, out, err = run(capsys, "eval", "--carrier", carrier, "cut(0)+")
         assert (code, out) == (2, ""), carrier
         assert "parse error" in err, carrier
+    # and so does the level of edge(k)
+    for expr in ("edge(+1)+0", "edge(\u0661)+0", "edge(1_0)+0"):
+        code, out, err = run(capsys, "eval", "--carrier", "cuts(lex(Q,Q))", expr)
+        assert (code, out) == (2, ""), expr
+        assert "is not an integer" in err, expr
 
 
 def test_readme_examples(capsys):
@@ -628,10 +634,24 @@ def _cold_env():
     return env
 
 
-def _cold(*args, cwd=None):
+def _cold(*args, cwd=None, timeout=120):
     """Run ``python`` in a fresh process that imports domkit from this tree."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=_cold_env(), cwd=cwd, timeout=120)
+                          env=_cold_env(), cwd=cwd, timeout=timeout)
+
+
+def test_zloc_primality_on_the_command_line():
+    # 17- and 19-digit primes are decided at once (trial division took 13 s
+    # and minutes); a modulus past the exact range of the primality test
+    # is a parse error
+    for p in ("10000000000000061", str(2 ** 61 - 1)):
+        proc = _cold("-m", "domkit", "eval", "--carrier", f"Zloc({p})", "1/2 + 1/2",
+                     timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", ""), p
+    for p in ("561", "10000004400000259", str(2 ** 89 - 1)):
+        proc = _cold("-m", "domkit", "eval", "--carrier", f"Zloc({p})", "0")
+        assert (proc.returncode, proc.stdout) == (2, ""), p
+        assert proc.stderr.startswith("parse error: Zloc needs a prime"), p
 
 
 def test_import_leaves_unused_modules_out():
@@ -651,6 +671,7 @@ BAD3 = "3\n0 0 2\n0 1 2\n2 2 2\n"
 
 FRESH_CASES = [
     (["eval", "--carrier", "cuts(Zloc(2))", "fill(1/2) + fill(1/2)"], 0, "cut(1)-\n"),
+    (["eval", "--carrier", "tilde(Q)", "g(2) + cut(3)-"], 0, "cut(5)-\n"),
     (["check-table", "bad3.tbl"], 1,
      "monoid: PASS\nassociativity: PASS\ncommutativity: PASS\nPA: PASS\nminus: PASS\n"
      "MA: PASS\nMB: PASS\nMC(a): PASS\nMC(b): FAIL witness x=0\n"
@@ -666,7 +687,8 @@ FRESH_CASES = [
 
 
 @pytest.mark.parametrize("argv, code, stdout", FRESH_CASES,
-                         ids=[argv[0] for argv, _, _ in FRESH_CASES])
+                         ids=["eval-tilde" if "tilde(Q)" in argv else argv[0]
+                              for argv, _, _ in FRESH_CASES])
 def test_each_subcommand_in_a_fresh_process(tmp_path, argv, code, stdout):
     # in-process tests run with every module already loaded; a fresh
     # process sees an import missing from a command body

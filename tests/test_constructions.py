@@ -7,13 +7,13 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.constructions import (
-    FiberedProduct, GlueDom, InfinityExtension, MuProduct, PointGroup, ShiftedMinusDom,
+    FiberedProduct, InfinityExtension, MuProduct, ShiftedMinusDom,
     collapse, cuts_of_dom, dual, embed_finite, factor_through_quotient, inseminate,
     insemination_projection, quotient_by_subdom, quotient_equiv, s_k_map, shift, split_at_width, split_iso, to_table,
     union,
 )
 from domkit.doms import (
-    CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, View, check_axioms,
+    CutDom, GlueDom, GroupDom, HomCandidate, SubDomView, TildeDom, View, check_axioms,
     classify_type, f_minus, f_plus, hom_kernel, special_set, verify_hom,
 )
 from domkit.groups import Group
@@ -259,39 +259,48 @@ def test_glue_axioms_finite():
 # -- insemination ---------------------------------------------------------------------------
 
 
-def _rational_points(g):
-    vals = [(F(n, d),) for n in range(-6, 7) for d in (1, 2, 3)]
-    return PointGroup(
-        name="points(Q)",
-        zero=(F(0),),
-        add=lambda a, b: (a[0] + b[0],),
-        neg=lambda a: (-a[0],),
-        cmp=lambda a, b: (a[0] > b[0]) - (a[0] < b[0]),
-        plus_image=lambda v: make_node(g, 0, v, PLUS),
-        member=lambda v: True,
-        samples=vals,
-    )
+# adjoined points as wide as the tests have always ranged over, wider than
+# GroupDom's sampling palette: they are passed as explicit universes
+RATIONAL_POINTS = [(F(n, d),) for n in range(-6, 7) for d in (1, 2, 3)]
+INTEGER_POINTS = [(F(n),) for n in range(-5, 6)]
+
+
+def _principal(g):
+    return lambda v: make_node(g, 0, v, PLUS)
+
+
+def _ins_universe(ins, points, rng, count):
+    """``count`` seeded elements of an insemination: adjoined points drawn
+    from ``points``, host elements from the host's sampler."""
+    mixed = [("m", rng.choice(points)) for _ in range(count // 2 + 1)]
+    mixed += [("n", v) for v in ins.upper.sample(rng, count)]
+    rng.shuffle(mixed)
+    return mixed[:count]
 
 
 def test_insemination_is_the_mixed_carrier():
-    d = CutDom(Q)
-    ins = inseminate(d, _rational_points(Q))
+    ins = inseminate(CutDom(Q), GroupDom(Q), _principal(Q))
     tilde = TildeDom(Q)
-
-    def iso(x):
-        tag, v = x
-        return ("g", v) if tag == "m" else ("c", v)
-
-    rng = random.Random(5)
-    h = HomCandidate(ins, tilde, iso, universe=ins.sample(rng, 80))
+    universe = _ins_universe(ins, RATIONAL_POINTS, random.Random(5), 80)
+    h = HomCandidate(ins, tilde, lambda x: x, universe=universe)
     assert hom_ok(verify_hom(h))
     assert classify_type(ins) == "first"
-    assert all_pass(check_axioms(ins, samples=150, seed=5))
+    universe = _ins_universe(ins, RATIONAL_POINTS, random.Random(5), 150)
+    assert all_pass(check_axioms(ins, universe, samples=150, seed=5))
+
+
+def test_inseminate_refusals():
+    # the host must be of the third type, and each point must name the
+    # largest member of its double-point class
+    with pytest.raises(ValueError, match="third-type"):
+        inseminate(CutDom(Z), GroupDom(Z), _principal(Z))
+    with pytest.raises(ValueError, match="largest member"):
+        inseminate(CutDom(Q), GroupDom(Q), lambda v: make_node(Q, 0, v, MINUS))
 
 
 def test_insemination_bridges():
     d = CutDom(Q)
-    ins = inseminate(d, _rational_points(Q))
+    ins = inseminate(d, GroupDom(Q), _principal(Q))
     rng = random.Random(6)
     for v in [(F(1),), (F(-1, 2),), (F(0),)]:
         p = ("m", v)
@@ -313,7 +322,7 @@ def test_insemination_bridges():
 
 def test_insemination_projection_kernel():
     d = CutDom(Q)
-    ins = inseminate(d, _rational_points(Q))
+    ins = inseminate(d, GroupDom(Q), _principal(Q))
     proj = insemination_projection(ins)
     expected = [("m", (F(0),)), ("n", d.zero()), ("n", d.delta())]
     universe = expected + [("m", (F(1),)), ("n", cc(Q, "cut(1)+")),
@@ -321,7 +330,7 @@ def test_insemination_projection_kernel():
     kernel = hom_kernel(proj, universe=universe)
     assert kernel == expected
     rng = random.Random(7)
-    proj_universe = ins.sample(rng, 50)
+    proj_universe = _ins_universe(ins, RATIONAL_POINTS, rng, 50)
     h = HomCandidate(ins, proj.target, proj.mapping, universe=proj_universe)
     assert hom_ok(verify_hom(h))
 
@@ -329,24 +338,10 @@ def test_insemination_projection_kernel():
 def test_insemination_of_subgroup_points():
     # adjoining only the integer points gives a sub-structure of the
     # mixed carrier over the rationals
-    g = Q
-    ints = PointGroup(
-        name="points(Z)",
-        zero=(F(0),),
-        add=lambda a, b: (a[0] + b[0],),
-        neg=lambda a: (-a[0],),
-        cmp=lambda a, b: (a[0] > b[0]) - (a[0] < b[0]),
-        plus_image=lambda v: make_node(g, 0, v, PLUS),
-        member=lambda v: v[0].denominator == 1,
-        samples=[(F(n),) for n in range(-5, 6)],
-    )
-    d = CutDom(Q)
-    ins = inseminate(d, ints)
-    tilde = TildeDom(Q)
+    ins = inseminate(CutDom(Q), GroupDom(Z), _principal(Q))
     rng = random.Random(8)
-    h = HomCandidate(ins, tilde,
-                     lambda x: ("g", x[1]) if x[0] == "m" else ("c", x[1]),
-                     universe=ins.sample(rng, 60))
+    h = HomCandidate(ins, TildeDom(Q), lambda x: x,
+                     universe=_ins_universe(ins, INTEGER_POINTS, rng, 60))
     assert hom_ok(verify_hom(h))
 
 

@@ -11,7 +11,7 @@ from domkit.doms import (
     equiv_class, f_minus, f_plus, hom_kernel, is_convex,
     multiplicity, sign_of, special_set, verify_hom,
 )
-from domkit.groups import Group
+from domkit.groups import Group, lex_cmp
 from domkit.scalars import Sqrt2
 from domkit.tables import FiniteDom, trivial_dom
 
@@ -221,7 +221,7 @@ def test_signature_row7_both_outcomes():
 def test_signature_ambient_symbols():
     assert sign_of(CutDom(Z), cc(Z, "cut(0)+")) == "inf"
     assert sign_of(GroupDom(Q), (F(2),)) == "spade"
-    assert sign_of(TildeDom(Q), ("g", (F(1),))) == "spade"
+    assert sign_of(TildeDom(Q), ("m", (F(1),))) == "spade"
     d = CutDom(Group.lex(Z, Q))
     om = ct.level_edge(d.group, 1)  # wide slice sits over the discrete atom
     assert sign_of(d, om) == "inf"
@@ -468,6 +468,33 @@ def test_duals_satisfy_axioms():
         assert classify_type(dd) == classify_type(d)
     dq = dual(CutDom(Q))
     assert dq.zero() == cc(Q, "cut(0)-")   # the roles of the two zero cuts swap
+
+
+# -- the mixed carrier against the cut engine ---------------------------------------------
+
+
+def test_mixed_carrier_against_the_cut_engine():
+    # the glued sums and order of tilde(G), checked directly: a group
+    # element translates a cut in either order and either sum, and lies
+    # below it exactly when it is in the cut's left part
+    for g, field in ((Q, "Q"), (Z, "Q"), (Z2, "Q"), (QQ, "Q"), (Group.lex(Z, Q), "Q"),
+                     (Q, "Qr2"), (Group.trivial(), "Q")):
+        d = TildeDom(g, field)
+        pool = d.sample(random.Random(21), 40)
+        for x, y in itertools.product(pool, repeat=2):
+            (tx, vx), (ty, vy) = x, y
+            sums = [d.add(x, y), d.add(y, x), d.radd(x, y), d.radd(y, x)]
+            if tx == ty == "m":
+                assert sums == [("m", g.add(vx, vy)), ("m", g.add(vy, vx))] * 2
+                assert d.cmp(x, y) == lex_cmp(vx, vy)
+            elif tx == ty == "n":
+                assert sums == [("n", ct.add(g, vx, vy)), ("n", ct.add(g, vy, vx)),
+                                ("n", ct.radd(g, vx, vy)), ("n", ct.radd(g, vy, vx))]
+                assert d.cmp(x, y) == ct.compare(g, vx, vy)
+            elif tx == "m":
+                assert sums == [("n", ct.shift_by(g, vx, vy))] * 4, (d.name, d.fmt(x), d.fmt(y))
+                below = ct.member_below(g, vx, vy)
+                assert d.cmp(x, y) == (-1 if below else 1) == -d.cmp(y, x)
 
 
 # -- first/second type laws ---------------------------------------------------------------------

@@ -210,8 +210,10 @@ def test_parse_and_format():
     assert g.parse_element("(1,1/2)") == el(1, F(1, 2))
     with pytest.raises(ValueError):
         parse_group("lex()")
-    with pytest.raises(ValueError):
-        parse_group("Zloc(4)")
+    # Zloc(p) takes a run of ASCII digits
+    for text in ("Zloc(4)", "Zloc(1_1)", "Zloc(+3)", "Zloc(\u0663)"):
+        with pytest.raises(ValueError):
+            parse_group(text)
 
 
 def test_crossed_quotient_is_stable():
@@ -230,6 +232,19 @@ def test_zloc_primality_is_fast_and_exact():
             Atom("Zloc", p)
     for p in (2, 3, 5, 10_000_019):
         assert Atom("Zloc", p).p == p
+    # Carmichael numbers, a semiprime near 10^16, and a strong pseudoprime
+    # to every prime base up to 37
+    for p in (561, 41041, 100_000_007 * 100_000_037, 318_665_857_834_031_151_167_461):
+        with pytest.raises(ValueError, match="needs a prime, got"):
+            Atom("Zloc", p)
+    t0 = time.perf_counter()
+    for p in (10_000_000_000_000_061, 2 ** 61 - 1):
+        assert Atom("Zloc", p).p == p
+    assert time.perf_counter() - t0 < 2.0
+    # past the range where the test is exact, even a prime is refused
+    for p in (3_317_044_064_679_887_385_961_981, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="needs a prime below"):
+            Atom("Zloc", p)
 
 
 def test_quotient_range_checked_after_the_cache():

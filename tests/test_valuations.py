@@ -68,8 +68,8 @@ def test_natural_valuation_past_64_doublings():
     big = 2 ** 70
     for d, x, y in ((CutDom(Q), parse_cut(Q, f"cut({big})+"), parse_cut(Q, "cut(1)+")),
                     (GroupDom(Q), (big,), (1,)),
-                    (TildeDom(Q), ("g", (big,)), ("g", (1,))),
-                    (TildeDom(Q), ("c", parse_cut(Q, f"cut({-big})-")), ("g", (1,)))):
+                    (TildeDom(Q), ("m", (big,)), ("m", (1,))),
+                    (TildeDom(Q), ("n", parse_cut(Q, f"cut({-big})-")), ("m", (1,)))):
         v = natural_valuation(d)
         assert v.value_cmp(v(x), v(y)) == 0, d.name
         assert v.value_cmp(v(y), v(x)) == 0, d.name
@@ -106,7 +106,7 @@ def test_archimedean_ranks_agree_with_doubling():
         if isinstance(d, CutDom):
             pool += [ct.make_node(d.group, 0, x, ct.PLUS) for x in big]
         elif isinstance(d, TildeDom):
-            pool += [("g", x) for x in big]
+            pool += [("m", x) for x in big]
         else:
             pool += big
         for _ in range(250):
@@ -244,6 +244,6 @@ def test_w_valuation_tilde():
     # bottom, just below the group zero
     d = TildeDom(Q, "Qr2")
     v = w_valuation(d)
-    assert v(("c", make_node(Q, 0, (Sqrt2(0, 1),), FILLED))) == ("below", ("c", ct.zero_cut(Q)))
-    assert v(("c", make_node(Q, 0, (F(1),), ct.PLUS))) == ("below", ("g", (F(0),)))
-    assert v(("g", (F(1),))) == ("below", ("g", (F(0),)))
+    assert v(("n", make_node(Q, 0, (Sqrt2(0, 1),), FILLED))) == ("below", ("n", ct.zero_cut(Q)))
+    assert v(("n", make_node(Q, 0, (F(1),), ct.PLUS))) == ("below", ("m", (F(0),)))
+    assert v(("m", (F(1),))) == ("below", ("m", (F(0),)))
