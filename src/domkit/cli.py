@@ -24,7 +24,9 @@ import os
 import random
 import sys
 
-from domkit.doms import CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set
+from domkit.doms import (
+    M_AXIOMS, CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set,
+)
 from domkit.groups import parse_group
 from domkit.scalars import parse_int
 
@@ -209,7 +211,7 @@ def _cmd_check_table(args) -> int:
 def _parse_axioms(text: str) -> frozenset:
     s = text.strip()
     if s in ("dom", ""):
-        return frozenset({"MA", "MB", "MCa", "MCb"})
+        return frozenset(M_AXIOMS)
     if s == "predom":
         return frozenset()
     return frozenset(p.strip() for p in s.split(",") if p.strip())

@@ -4,11 +4,12 @@ cuts of a finite carrier, the shift, and embeddings of the finite chains.
 Constructed carriers are lazy: the dual, the shift and the quotient are
 ``View``s of their parent, the others tag their elements; finite ones
 can be materialized to addition tables with ``to_table``. Gluing is
-``doms.GlueDom``: ``union`` re-glues a carrier at a width, and
-``inseminate`` glues any group carrier below a third-type carrier, one
-point inside each double-point class it names. The n-chain embeds
-through one list of level edges of Q^a, with the group zero of the
-mixed carrier in the middle for odd n.
+``doms.GlueDom``: ``InfinityExtension`` adjoins -inf and +inf by gluing
+a carrier below the cuts of the trivial group, ``union`` re-glues a
+carrier at a width, and ``inseminate`` glues any group carrier below a
+third-type carrier, one point inside each double-point class it names.
+The n-chain embeds through one list of level edges of Q^a, with the
+group zero of the mixed carrier in the middle for odd n.
 """
 
 from __future__ import annotations
@@ -79,62 +80,14 @@ def dual(d: Dom) -> Dom:
 # -- adjoining infinities -------------------------------------------------------
 
 
-class InfinityExtension(Dom):
-    """Parent carrier with absorbing endpoints; -inf wins against +inf."""
-
-    LO = ("lo",)
-    HI = ("hi",)
+class InfinityExtension(GlueDom):
+    """Parent carrier glued below the carrier {-inf, +inf} of the cuts of
+    the trivial group, every element sent to +inf: the ends absorb, and
+    -inf wins against +inf."""
 
     def __init__(self, parent: Dom):
-        self.parent = parent
-        self.name = f"{parent.name}+inf"
-
-    def zero(self):
-        return ("el", self.parent.zero())
-
-    def add(self, x, y):
-        if x == self.LO or y == self.LO:
-            return self.LO
-        if x == self.HI or y == self.HI:
-            return self.HI
-        return ("el", self.parent.add(x[1], y[1]))
-
-    def neg(self, x):
-        if x == self.LO:
-            return self.HI
-        if x == self.HI:
-            return self.LO
-        return ("el", self.parent.neg(x[1]))
-
-    def cmp(self, x, y):
-        rx = -1 if x == self.LO else (1 if x == self.HI else 0)
-        ry = -1 if y == self.LO else (1 if y == self.HI else 0)
-        if rx or ry:
-            return (rx > ry) - (rx < ry)
-        return self.parent.cmp(x[1], y[1])
-
-    def contains(self, x):
-        return x in (self.LO, self.HI) or (
-            isinstance(x, tuple) and len(x) == 2 and x[0] == "el"
-            and self.parent.contains(x[1]))
-
-    def iter_elements(self):
-        elems = self.parent.iter_elements()
-        if elems is None:
-            return None
-        return [self.LO] + [("el", x) for x in elems] + [self.HI]
-
-    def sample(self, rng, count):
-        out = [self.LO, self.HI]
-        out += [("el", x) for x in self.parent.sample(rng, count)]
-        return out[:count]
-
-    def fmt(self, x):
-        if x == self.LO:
-            return "-inf"
-        if x == self.HI:
-            return "+inf"
-        return self.parent.fmt(x[1])
+        super().__init__(parent, CutDom(Group.trivial()), lambda x: POS_INF, POS_INF,
+                         f"{parent.name}+inf")
 
 
 # -- shift ----------------------------------------------------------------------
@@ -503,22 +456,18 @@ def collapse(m: Dom, class_in_p: Callable) -> tuple[FiberedProduct, Callable]:
 # -- cuts of a finite carrier -----------------------------------------------------
 
 
-def cuts_of_dom(d: Dom, plus_rule: str = "right") -> FiniteDom:
+def cuts_of_dom(d: Dom) -> FiniteDom:
     """The cut carrier of a finite first-type carrier.
 
-    The sum of two cuts is the upper edge of the right-sums of their
-    left parts; ``plus_rule="left"`` selects the (defective) variant
-    using the plain sums instead.
+    The sum of two cuts is the upper edge of the right sums of their
+    left parts.
     """
     elems = d.iter_elements()
     if elems is None:
         raise ValueError("cut carriers are materialized for finite carriers only")
-    if plus_rule not in ("right", "left"):
-        raise ValueError("plus_rule must be 'right' or 'left'")
     if classify_type(d) != "first":
         raise ValueError("the base carrier must be of the first type")
     n = len(elems)
-    op = d.radd if plus_rule == "right" else d.add
 
     def plus(i: int, j: int) -> int:
         if i == 0 or j == 0:
@@ -526,7 +475,7 @@ def cuts_of_dom(d: Dom, plus_rule: str = "right") -> FiniteDom:
         best = 0
         for a in range(i):
             for b in range(j):
-                best = max(best, _index_of(d, elems, op(elems[a], elems[b])))
+                best = max(best, _index_of(d, elems, d.radd(elems[a], elems[b])))
         return best + 1
 
     table = [[plus(i, j) for j in range(n + 1)] for i in range(n + 1)]

@@ -18,10 +18,11 @@ two edges, computed from the anchor.
 
 A carrier derived from another one is a ``View`` of it, overriding only
 what it changes. ``GlueDom`` glues a carrier below the wide part of
-another one; the mixed carrier ``TildeDom`` is a group glued below its
-cuts, each group element sent to its principal cut. ``check_axioms``,
-``verify_hom`` and ``valuations.check_valuation`` draw their tuples
-from ``law_tuples``.
+another one and draws samples from both; the mixed carrier ``TildeDom``
+is a group glued below its cuts, each group element sent to its
+principal cut, with only literals and closed-form facts of its own.
+``check_axioms``, ``verify_hom`` and ``valuations.check_valuation`` draw
+their tuples from ``law_tuples``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from domkit.cuts import Cut, NEG_INF, POS_INF, SIGN_INF, SIGN_SPADE
 from domkit.scalars import Sqrt2, canon, is_rational
 
 PREDOM_AXIOMS = ("assoc", "comm", "neutral", "PA", "minus")
-DOM_AXIOMS = PREDOM_AXIOMS + ("MA", "MB", "MCa", "MCb")
+# the axioms that make a pre-dom a dom
+M_AXIOMS = ("MA", "MB", "MCa", "MCb")
+DOM_AXIOMS = PREDOM_AXIOMS + M_AXIOMS
 ALL_AXIOMS = DOM_AXIOMS + ("MCprime",)
 
 
@@ -691,12 +694,12 @@ class GlueDom(Dom):
         return sorted(out, key=functools.cmp_to_key(self.cmp))
 
     def sample(self, rng, count):
-        ms = [("m", v) for v in self.lower.sample(rng, count // 2 + 1)]
-        ns = [("n", v) for v in self.upper.sample(rng, count)
-              if self._in_segment(v)]
-        mixed = ms + ns
+        # count // 2 upper draws kept where in the segment, the rest lower
+        n_up = count // 2
+        mixed = [("n", v) for v in self.upper.sample(rng, n_up) if self._in_segment(v)]
+        mixed += [("m", v) for v in self.lower.sample(rng, count - n_up)]
         rng.shuffle(mixed)
-        return mixed[:count]
+        return mixed
 
     def fmt(self, x):
         t, v = x
@@ -718,14 +721,6 @@ class TildeDom(GlueDom):
         name = f"tilde({group.format()})" if field == "Q" else f"tilde({group.format()},r2)"
         super().__init__(GroupDom(group), cuts, lambda v: ct.shift_by(group, v, zero_cut),
                          cuts.width_of(zero_cut), name)
-
-    def sample(self, rng, count):
-        n_cut = count // 2
-        cuts = [("n", v) for v in self.upper.sample(rng, n_cut)]
-        gels = [("m", v) for v in self.lower.sample(rng, count - n_cut)]
-        mixed = cuts + gels
-        rng.shuffle(mixed)
-        return mixed
 
     def fmt(self, x):
         t, v = x

@@ -44,7 +44,6 @@ from domkit import doms
 from domkit.doms import Dom
 from domkit.scalars import parse_int
 
-DOM_AXIOM_SET = frozenset({"MA", "MB", "MCa", "MCb"})
 # the byte layout holds entries 0..255
 MAX_ELEMENTS = 256
 _BYTE_VALUES = bytes(range(256))
@@ -212,7 +211,7 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
     if e is None:
         return report
 
-    rest = [a for a in axioms if a in ("minus", "MA", "MB", "MCa", "MCb")]
+    rest = [a for a in axioms if a == "minus" or a in doms.M_AXIOMS]
     if rest:
         d = FiniteDom(t)
         report.update(doms.check_axioms(d, universe=d.iter_elements(), which=rest))
@@ -266,7 +265,7 @@ def _neutral_candidates(n: int, axioms: frozenset) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def enumerate_tables(n: int, axioms: Iterable[str] = DOM_AXIOM_SET,
+def enumerate_tables(n: int, axioms: Iterable[str] = doms.M_AXIOMS,
                      bound: int = 7) -> list[FiniteDomTable]:
     """All tables on the n-chain satisfying the requested axiom subset.
 
@@ -279,8 +278,8 @@ def enumerate_tables(n: int, axioms: Iterable[str] = DOM_AXIOM_SET,
     _check_size(n)
     if n > bound:
         raise ValueError(f"size {n} exceeds the enumeration bound {bound}")
-    axioms = frozenset(axioms) - {"assoc", "comm", "neutral", "PA", "minus", "predom"}
-    unknown = axioms - {"MA", "MB", "MCa", "MCb", "MCprime"}
+    axioms = frozenset(axioms).difference(doms.PREDOM_AXIOMS, ("predom",))
+    unknown = axioms.difference(doms.ALL_AXIOMS)
     if unknown:
         raise ValueError(f"unknown axioms {sorted(unknown)}")
     results: list[FiniteDomTable] = []

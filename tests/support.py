@@ -7,6 +7,7 @@ import random
 
 from domkit.doms import CutDom, Dom
 from domkit.groups import Group
+from domkit.tables import FiniteDom, FiniteDomTable
 
 
 def standard_cut_carriers() -> dict[str, CutDom]:
@@ -16,6 +17,20 @@ def standard_cut_carriers() -> dict[str, CutDom]:
         "cuts(Zloc(2))": CutDom(Group.Zloc(2)),
         "cuts(lex(Q,Q))": CutDom(Group.lex(Group.Q(), Group.Q())),
     }
+
+
+def left_rule_cuts(d: FiniteDom) -> FiniteDom:
+    """The cut carrier of a finite carrier with the paper's defective sum:
+    the upper edge of the plain sums of the left parts. Cut i has the
+    left part {0, ..., i-1}, so cut 0 is the empty cut."""
+    n = len(d.iter_elements())
+
+    def plus(i, j):
+        if i == 0 or j == 0:
+            return 0
+        return 1 + max(d.add(a, b) for a in range(i) for b in range(j))
+
+    return FiniteDom(FiniteDomTable([[plus(i, j) for j in range(n + 1)] for i in range(n + 1)]))
 
 
 def sample_tuples(d: Dom, count: int, seed: int = 0, width: int = 4) -> list[tuple]:

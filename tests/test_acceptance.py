@@ -251,7 +251,7 @@ def test_criterion_7_construction_contracts():
         assert all(ok for key, (ok, _) in rep.items())
     # cut carrier of the three-chain, and the defective alternative sum
     assert cuts_of_dom(FiniteDom(trivial_dom(3))).table == trivial_dom(4)
-    alt = cuts_of_dom(FiniteDom(trivial_dom(3)), plus_rule="left")
+    alt = support.left_rule_cuts(FiniteDom(trivial_dom(3)))
     rep = validate(alt.table, MAIN + STRUCTURAL)
     assert {k for k, (ok, _) in rep.items() if not ok} == {"MCa"}
     lam, gam = 2, 3  # the two cuts around the wide top element

@@ -680,6 +680,8 @@ FRESH_CASES = [
      "count: 1\n# table 1\n4\n0 0 0 0\n0 1 1 3\n0 1 2 3\n0 3 3 3\n"),
     (["classify", "--carrier", "cuts(Z)"], 0, "type: second\n"),
     (["construct", "cuts", "trivial:3"], 0, "4\n0 0 0 0\n0 1 1 3\n0 1 2 3\n0 3 3 3\n"),
+    (["construct", "infinity", "bad3.tbl"], 0,
+     "5\n0 0 0 0 0\n0 1 1 3 4\n0 1 2 3 4\n0 3 3 3 4\n0 4 4 4 4\n"),
     (["valuation", "natural", "--carrier", "cuts(Z)"], 0,
      "value cut(0)+: cut(-1)+ cut(-2)+ cut(-3)+ cut(-4)+ cut(0)+ cut(1)+ cut(2)+ cut(3)+\n"
      "value -inf: +inf -inf\n"),
@@ -687,7 +689,8 @@ FRESH_CASES = [
 
 
 @pytest.mark.parametrize("argv, code, stdout", FRESH_CASES,
-                         ids=["eval-tilde" if "tilde(Q)" in argv else argv[0]
+                         ids=["eval-tilde" if "tilde(Q)" in argv else
+                              "construct-infinity" if "infinity" in argv else argv[0]
                               for argv, _, _ in FRESH_CASES])
 def test_each_subcommand_in_a_fresh_process(tmp_path, argv, code, stdout):
     # in-process tests run with every module already loaded; a fresh

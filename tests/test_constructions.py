@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from domkit import cuts as ct
-from domkit.cuts import MINUS, PLUS, POS_INF, make_node, parse_cut
+from domkit.cuts import MINUS, NEG_INF, PLUS, POS_INF, make_node, parse_cut
 from domkit.constructions import (
     FiberedProduct, InfinityExtension, MuProduct, ShiftedMinusDom,
     collapse, cuts_of_dom, dual, embed_finite, factor_through_quotient, inseminate,
@@ -17,7 +17,9 @@ from domkit.doms import (
     classify_type, f_minus, f_plus, hom_kernel, special_set, verify_hom,
 )
 from domkit.groups import Group
-from domkit.tables import FiniteDom, trivial_dom, validate
+from domkit.tables import FiniteDom, FiniteDomTable, enumerate_tables, trivial_dom, validate
+
+from support import left_rule_cuts
 
 Q = Group.Q()
 Z = Group.Z()
@@ -50,8 +52,34 @@ def test_infinity_extension_identities():
         assert classify_type(ext) == classify_type(t(n))
         assert to_table(ext) == trivial_dom(n + 2)
     inf_q = InfinityExtension(GroupDom(Q))
-    assert all_pass(check_axioms(inf_q, samples=150, seed=0))
+    # the two ends and 148 group elements: the glued sampler would draw
+    # about half of its universe from the two ends
+    universe = [("n", NEG_INF), ("n", POS_INF)]
+    universe += [("m", x) for x in GroupDom(Q).sample(random.Random(0), 148)]
+    assert all_pass(check_axioms(inf_q, universe=universe, samples=150, seed=0))
     assert classify_type(inf_q) == "first"
+
+
+def _bordered(t):
+    """t with an absorbing bottom 0 and top n+1 around it: the bottom
+    wins against the top."""
+    top = t.n + 1
+
+    def entry(i, j):
+        if i == 0 or j == 0:
+            return 0
+        if i == top or j == top:
+            return top
+        return t.plus[i - 1][j - 1] + 1
+
+    return FiniteDomTable([[entry(i, j) for j in range(top + 1)] for i in range(top + 1)])
+
+
+def test_infinity_extension_of_every_small_table():
+    tables = [t for n in range(1, 6) for t in enumerate_tables(n, set(), bound=n)]
+    assert len(tables) == 123
+    for table in tables:
+        assert to_table(InfinityExtension(FiniteDom(table))) == _bordered(table), table.plus
 
 
 # -- shift -------------------------------------------------------------------------
@@ -522,7 +550,7 @@ def test_cuts_of_dom():
 
 
 def test_cuts_of_dom_alternative_plus_defect():
-    alt = cuts_of_dom(t(3), plus_rule="left")
+    alt = left_rule_cuts(t(3))
     rep = validate(alt.table)
     assert not rep["MCa"][0]
     assert rep["MCb"][0] and rep["MA"][0] and rep["MB"][0]

@@ -497,6 +497,21 @@ def test_mixed_carrier_against_the_cut_engine():
                 assert d.cmp(x, y) == (-1 if below else 1) == -d.cmp(y, x)
 
 
+def test_glued_theta_plus_above_the_bottom_width():
+    # at the width of level k, a group element is sent to the largest
+    # member of its level-k class: the cut engine's PLUS node at level k
+    cases = 0
+    for g in (QQ, Group.lex(Z, Q), Group.lex(Q, Z), Group.lex(Q, Q, Z), Group.lex(Z2, Q)):
+        d = TildeDom(g)
+        m = g.num_atoms
+        for gamma in GroupDom(g).sample(random.Random(31), 4)[1:]:
+            for k in range(1, m):
+                expected = make_node(g, k, gamma[:m - k], PLUS)
+                assert d.theta_plus(ct.level_edge(g, k), gamma) == expected, (g.format(), k)
+                cases += 1
+    assert cases == 18
+
+
 # -- first/second type laws ---------------------------------------------------------------------
 
 
