@@ -14,12 +14,19 @@ within a shell by the width of the static bounds, narrowest first; then
 row-major. Each cell is also bounded by the placed cells nearest to it
 on either side in its row and in its column, worked out from the order
 before the search starts. Each associativity triple is checked once,
-when the last of its four lookups is placed. When MC' is asked for, it
-is checked on every triple whose four lookups are placed each time a
-shell is completed, the last cell included. A leaf is built unchecked
-from the search's own matrix, and one ``validate`` call on that matrix
-re-checks it: a final full associativity pass and, when MC' is asked
-for, MC' over all triples.
+when the last of its four lookups is placed. The order also fixes, for
+each cell and each of its ordered pairs (a, b), the completion columns:
+the c != e with (b, c) placed once the cell is. They are worked out
+before the search starts, so the check walks only those columns; a
+triple with c = e holds trivially. The neutral's pinned pairs (e, j)
+and (j, e) are left out of the index of placed pairs by value, since
+every triple they close holds. When MC' is asked for, it is checked on
+every triple whose four lookups are placed each time a shell is
+completed, the last cell included. Each leaf gets one independent final
+pass on the search's own matrix: the whole-table kernels below are
+called on its rows directly, associativity over all triples and, when
+MC' is asked for, MC' over all triples; only a leaf passing both is
+built as a table.
 
 ``validate`` checks associativity and MC' on all n^3 triples at once,
 on a byte layout of the table built once per call: ``rows[x]`` is row
@@ -37,7 +44,7 @@ are refused by ``validate`` and by the search.
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import attrgetter, lt, ne
+from operator import attrgetter, itemgetter, lt, ne
 from typing import Iterable, Optional, Sequence
 
 from domkit import doms
@@ -229,7 +236,9 @@ def _triple(k: int, n: int) -> tuple:
 def _assoc_verdict(rows: list, flat: bytes, pad: bytes) -> tuple:
     # (x + y) + z is row x + y: one row per entry of flat.  x + (y + z)
     # is flat read through row x: one translate per row
-    left = b"".join(map(rows.__getitem__, flat))
+    # itemgetter of a single index returns the item, not a 1-tuple; at
+    # n <= 1 the left string is flat itself
+    left = b"".join(itemgetter(*flat)(rows)) if len(flat) > 1 else flat
     right = b"".join([flat.translate(r + pad) for r in rows])
     if left == right:
         return (True, None)
@@ -294,13 +303,11 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
     delta = top - e
     need_mcprime = "MCprime" in axioms
     P = [[-1] * n for _ in range(n)]
-    # where[v]: the placed ordered pairs (a, b) with P[a][b] == v
-    where: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for j in range(n):
         P[e][j] = P[j][e] = j
-        where[j].append((e, j))
-        if j != e:
-            where[j].append((j, e))
+    # where[v]: the placed ordered pairs (a, b) with P[a][b] == v, except
+    # the neutral's (e, j) and (j, e): every triple they close holds
+    where: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     # the bounds that hold before any other cell is placed
     static = {}
     for i in range(n):
@@ -329,11 +336,12 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
     # outermost shell first; within a shell the narrowest static bounds
     # first, then row-major
     cells = sorted(static, key=lambda c: (-shell(c), static[c][1] - static[c][0], c))
-    # per cell: its ordered pairs, its static bounds, the placed cells
-    # nearest to it on each side in its row i and its column j (the
-    # column is row j by symmetry; the neutral's row and column are left
-    # to the static bounds), and whether MC' is checked once it is placed:
-    # at the end of each shell
+    # per cell: its ordered pairs, each with its completion columns (the
+    # c != e with (b, c) placed once the cell is), its static bounds, the
+    # placed cells nearest to it on each side in its row i and its column
+    # j (the column is row j by symmetry; the neutral's row and column are
+    # left to the static bounds), and whether MC' is checked once it is
+    # placed: at the end of each shell
     placed = [[k == e or i == e for k in range(n)] for i in range(n)]
     plan = []
     for idx, (i, j) in enumerate(cells):
@@ -347,29 +355,29 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
             if right != e:
                 above.append((P[r], right))
         placed[i][j] = placed[j][i] = True
+        completions = tuple((a, b, tuple(c for c in range(n) if c != e and placed[b][c]))
+                            for a, b in pairs)
         shell_end = idx + 1 == len(cells) or shell(cells[idx + 1]) != shell((i, j))
-        plan.append((i, j, pairs, *static[i, j], tuple(below), tuple(above),
+        plan.append((i, j, pairs, completions, *static[i, j], tuple(below), tuple(above),
                      need_mcprime and shell_end))
-    checks = ("assoc", "MCprime") if need_mcprime else ("assoc",)
+    pad = _BYTE_VALUES[n:]
     out: list[FiniteDomTable] = []
 
-    def assoc_ok_around(pairs: tuple, v: int) -> bool:
+    def assoc_ok_around(completions: tuple, v: int) -> bool:
         # Check once each triple (a, b, c) whose last lookup is the new
-        # cell P[a][b] = v, (a, b) in pairs.  The lookups are P[a][b],
-        # P[b][c], P[ab][c] and P[a][bc]; the mirror (c, b, a) shares them
-        # and the equation, so the new cell is only sought as P[a][b] or
-        # as P[ab][c].
+        # cell P[a][b] = v, (a, b) in the cell's pairs.  The lookups are
+        # P[a][b], P[b][c], P[ab][c] and P[a][bc]; the mirror (c, b, a)
+        # shares them and the equation, so the new cell is only sought as
+        # P[a][b] or as P[ab][c].  Triples with c == e hold trivially.
         Pv = P[v]
-        for a, b in pairs:
+        for a, b, cols in completions:
             Pa, Pb = P[a], P[b]
-            for c in range(n):
-                bc = Pb[c]
-                if bc >= 0:
-                    left = Pv[c]
-                    if left >= 0:
-                        right = Pa[bc]
-                        if right >= 0 and right != left:
-                            return False
+            for c in cols:
+                left = Pv[c]
+                if left >= 0:
+                    right = Pa[Pb[c]]
+                    if right >= 0 and right != left:
+                        return False
             # the new cell as P[ab][c]: triples (x, y, b) with P[x][y] == a.
             # where[a] does not hold the new cell yet, and for y == a the
             # new cell is also P[y][b], which the loop above covered
@@ -380,7 +388,7 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
                 if bc < 0:
                     continue
                 if x == a and bc == b and a > b:
-                    continue  # also P[a][bc]: its mirror came with pairs[0]
+                    continue  # also P[a][bc]: its mirror came with the first pair
                 right = P[x][bc]
                 if right >= 0 and right != v:
                     return False
@@ -403,11 +411,14 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
 
     def place(idx: int) -> None:
         if idx == len(plan):
-            t = FiniteDomTable._of(tuple(map(tuple, P)))
-            if table_passes(t, checks):
-                out.append(t)
+            # one independent whole-table pass over the leaf
+            rows = list(map(bytes, P))
+            flat = b"".join(rows)
+            if _assoc_verdict(rows, flat, pad)[0] and (
+                    not need_mcprime or _mcprime_verdict(rows, flat, pad)[0]):
+                out.append(FiniteDomTable._of(tuple(map(tuple, P))))
             return
-        i, j, pairs, lo, hi, below, above, check_mcprime = plan[idx]
+        i, j, pairs, completions, lo, hi, below, above, check_mcprime = plan[idx]
         for row, k in below:
             if row[k] > lo:
                 lo = row[k]
@@ -416,7 +427,7 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
                 hi = row[k]
         for v in range(lo, hi + 1):
             P[i][j] = P[j][i] = v
-            if assoc_ok_around(pairs, v) and (not check_mcprime or mcprime_ok_so_far()):
+            if assoc_ok_around(completions, v) and (not check_mcprime or mcprime_ok_so_far()):
                 where[v].extend(pairs)
                 place(idx + 1)
                 del where[v][-len(pairs):]

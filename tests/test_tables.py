@@ -236,21 +236,51 @@ def test_reference_search_matches_search():
             assert enumerate_tables(n, axioms) == expected, (n, sorted(axioms))
 
 
-def final_pass_verdicts(monkeypatch, law, sizes, axiom_sets):
-    """The verdicts on ``law`` of the final ``validate`` pass over every
-    leaf the search reaches for these sizes and axiom sets, and the number
-    of tables the search returned."""
+def order_dual(t):
+    """The table P'[i][j] = s(P[s(i)][s(j)]) under the order reversal
+    s(i) = n-1-i of the chain."""
+    s = t.n - 1
+    return FiniteDomTable([[s - t.plus[s - i][s - j] for j in range(t.n)]
+                           for i in range(t.n)])
+
+
+# the tables of enumerate_tables(7, set()) by the index of their neutral
+RECORDED_NEUTRAL_COUNTS_AT_SEVEN = [451, 308, 217, 194, 217, 308, 451]
+
+
+def test_tables_closed_under_order_dual():
+    # the order reversal commutes with the minus i -> n-1-i, so the dual of
+    # a commutative, associative, monotone table with neutral e is one with
+    # neutral n-1-e; checked without validate and without the search's own
+    # checks, up to the 2,146 tables at n = 7
+    for n in range(1, 8):
+        found = enumerate_tables(n, set())
+        identity = tuple(range(n))
+        neutral = {t: t.plus.index(identity) for t in found}
+        assert len(neutral) == len(found), n
+        for t in found:
+            dual = order_dual(t)
+            assert dual in neutral, (n, t)
+            assert neutral[dual] == n - 1 - neutral[t], (n, t)
+        counts = [list(neutral.values()).count(e) for e in range(n)]
+        assert counts == counts[::-1], n
+    assert counts == RECORDED_NEUTRAL_COUNTS_AT_SEVEN
+
+
+def final_pass_verdicts(monkeypatch, kernel, sizes, axiom_sets):
+    """The verdicts of the whole-table ``kernel`` in the final pass over
+    every leaf the search reaches for these sizes and axiom sets, and the
+    number of tables the search returned."""
     verdicts = []
     returned = 0
-    real_validate = tables.validate
+    real_kernel = getattr(tables, kernel)
 
-    def spy(t, *args):
-        rep = real_validate(t, *args)
-        if law in rep:
-            verdicts.append(rep[law])
-        return rep
+    def spy(*args):
+        verdict = real_kernel(*args)
+        verdicts.append(verdict)
+        return verdict
 
-    monkeypatch.setattr(tables, "validate", spy)
+    monkeypatch.setattr(tables, kernel, spy)
     for n in sizes:
         for axioms in axiom_sets:
             returned += len(enumerate_tables(n, axioms))
@@ -262,7 +292,7 @@ def test_no_search_leaf_fails_mcprime(monkeypatch):
     # shell around the neutral is completed and after the last cell, so the
     # final pass over a leaf never finds a witness
     verdicts, returned = final_pass_verdicts(
-        monkeypatch, "MCprime", range(1, 8),
+        monkeypatch, "_mcprime_verdict", range(1, 8),
         ({"MCprime"}, {"MA", "MCprime"}, {"MB", "MCprime"}, {"MA", "MB", "MCprime"}))
     # every returned table went through the final pass
     assert len(verdicts) == returned > 500
@@ -273,7 +303,7 @@ def test_no_search_leaf_fails_associativity(monkeypatch):
     # each associativity triple is checked when its last cell is placed,
     # so the final pass over a leaf never finds a witness
     verdicts, returned = final_pass_verdicts(
-        monkeypatch, "assoc", range(1, 7),
+        monkeypatch, "_assoc_verdict", range(1, 7),
         (set(), {"MA"}, {"MB"}, {"MA", "MB"}, {"MA", "MB", "MCprime"}))
     # every returned table went through the final pass
     assert len(verdicts) == returned > 1000
