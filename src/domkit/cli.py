@@ -85,7 +85,10 @@ def _split_top(s: str) -> list[str]:
     return parts
 
 
-_UNARY = ("neg(", "width(", "abs(", "sign(")
+# each operator, and each unary head, with the carrier method it calls;
+# sign(..) has none, since it is read only as the outermost operation
+_BINARY = {"+": "add", "+R": "radd", "-": "rsub", "-L": "lsub"}
+_UNARY = {"neg(": "neg", "width(": "width_of", "abs(": "abs_of", "sign(": None}
 
 
 def eval_expr(d: Dom, text: str):
@@ -118,31 +121,19 @@ def _eval(d: Dom, text: str):
     for i in range(1, len(parts), 2):
         op, rhs_text = parts[i], parts[i + 1]
         rhs = _atom(d, rhs_text)
-        if op == "+":
-            val = d.add(val, rhs)
-        elif op == "+R":
-            val = d.radd(val, rhs)
-        elif op == "-":
-            val = d.rsub(val, rhs)
-        elif op == "-L":
-            val = d.lsub(val, rhs)
-        else:
+        if op not in _BINARY:
             raise ParseError(f"unknown operator {op!r}")
+        val = getattr(d, _BINARY[op])(val, rhs)
     return val
 
 
 def _atom(d: Dom, tok: str):
-    for head in _UNARY:
+    for head, method in _UNARY.items():
         if tok.startswith(head) and tok.endswith(")") and _balanced(tok[len(head):-1]):
             inner = _eval(d, tok[len(head):-1])
-            name = head[:-1]
-            if name == "neg":
-                return d.neg(inner)
-            if name == "width":
-                return d.width_of(inner)
-            if name == "abs":
-                return d.abs_of(inner)
-            raise ParseError("sign(..) may only be the outermost operation")
+            if method is None:
+                raise ParseError("sign(..) may only be the outermost operation")
+            return getattr(d, method)(inner)
     try:
         return d.parse_literal(tok)
     except TypeError as exc:

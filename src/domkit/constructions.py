@@ -141,8 +141,9 @@ def _is_convex_subdom(d: Dom, sub: list, universe: list) -> bool:
             and is_convex(d, sub, universe))
 
 
-def quotient_by_subdom(d: Dom, sub: list) -> tuple[FiniteDom, HomCandidate]:
-    """Collapse a convex symmetric sub-carrier to a point (finite carriers)."""
+def quotient_by_subdom(d: Dom, sub: list) -> tuple[Quotient, HomCandidate]:
+    """Collapse a convex symmetric sub-carrier to a point (finite carriers);
+    each class is named by its least member."""
     elems = d.iter_elements()
     if elems is None:
         raise ValueError("quotients by sub-carriers are materialized for finite carriers")
@@ -153,48 +154,31 @@ def quotient_by_subdom(d: Dom, sub: list) -> tuple[FiniteDom, HomCandidate]:
         return any(d.le(d.add(y, w1), x) and d.le(x, d.radd(y, w2))
                    for w1 in sub for w2 in sub)
 
-    classes: list[list] = []
-    for x in elems:
-        for cls in classes:
-            if related(x, cls[0]) and related(cls[0], x):
-                cls.append(x)
-                break
-        else:
-            classes.append([x])
-    reps = [cls[0] for cls in classes]
+    def least(x):
+        return next(y for y in elems if related(x, y) and related(y, x))
 
-    def class_index(x):
-        for i, cls in enumerate(classes):
-            if any(d.eq(x, y) for y in cls):
-                return i
-        raise ValueError("element escaped its class")
-
-    n = len(classes)
-    plus = [[class_index(d.add(reps[i], reps[j])) for j in range(n)] for i in range(n)]
-    q = FiniteDom(FiniteDomTable(plus))
-    hom = HomCandidate(d, q, class_index, universe=elems)
-    return q, hom
+    q = Quotient(d, least, f"{d.name}/sub")
+    return q, q.quotient_map()
 
 
 def factor_through_quotient(qhom: HomCandidate, phi: HomCandidate) -> HomCandidate:
     """Induced map on the quotient from a map killing the kernel."""
     d = qhom.source
     elems = d.iter_elements()
-    reps: dict[int, object] = {}
+    reps: dict = {}
     for x in elems:
         reps.setdefault(qhom(x), x)
     return HomCandidate(qhom.target, phi.target, lambda c: phi(reps[c]),
                         universe=sorted(reps))
 
 
-class QuotientEquiv(View):
-    """Quotient by the class relation of the largest-member map."""
+class Quotient(View):
+    """Quotient of the parent by a map ``rep`` that sends each element to
+    the chosen member of its class."""
 
-    def __init__(self, parent: Dom):
-        super().__init__(parent, f"{parent.name}/~")
-
-    def rep(self, x):
-        return f_plus(self.parent, x)
+    def __init__(self, parent: Dom, rep: Callable, name: str):
+        super().__init__(parent, name)
+        self.rep = rep
 
     def zero(self):
         return self.rep(self.parent.zero())
@@ -227,8 +211,9 @@ class QuotientEquiv(View):
                             universe=self.parent.iter_elements())
 
 
-def quotient_equiv(d: Dom) -> tuple[QuotientEquiv, HomCandidate]:
-    q = QuotientEquiv(d)
+def quotient_equiv(d: Dom) -> tuple[Quotient, HomCandidate]:
+    """Quotient by the class relation, each class named by its largest member."""
+    q = Quotient(d, lambda x: f_plus(d, x), f"{d.name}/~")
     return q, q.quotient_map()
 
 
@@ -237,7 +222,7 @@ def s_k_map(d: Dom, k) -> HomCandidate:
     if not d.eq(d.width_of(k), k):
         raise ValueError("the shift base must be a width element")
     upper = special_set(d, "Mge", k)
-    target = QuotientEquiv(upper)
+    target = quotient_equiv(upper)[0]
     return HomCandidate(d, target, lambda y: target.rep(d.add(y, k)),
                         universe=d.iter_elements())
 
@@ -298,7 +283,7 @@ def inseminate(m: Dom, points: Dom, plus_image: Callable) -> GlueDom:
 
 def insemination_projection(ins: GlueDom) -> HomCandidate:
     """Collapse the adjoined points back onto their classes in M/~."""
-    q = QuotientEquiv(ins.upper)
+    q = quotient_equiv(ins.upper)[0]
     theta = ins.theta_plus_min
 
     def proj(x):
@@ -439,7 +424,7 @@ def collapse(m: Dom, class_in_p: Callable) -> tuple[FiberedProduct, Callable]:
     """
     if classify_type(m) != "third":
         raise ValueError("collapse needs a third-type carrier")
-    q = QuotientEquiv(m)
+    q = quotient_equiv(m)[0]
     two = FiniteDom(trivial_dom(2))
 
     coll = FiberedProduct(q, class_in_p, two, name=f"coll({m.name})")

@@ -127,10 +127,7 @@ class Dom:
             return self.zero()
         if n < 0:
             return self.neg(self.scale(-n, x))
-        out = x
-        for _ in range(n - 1):
-            out = self.add(out, x)
-        return out
+        return self.add_n(x, x, n - 1)
 
     # -- universe ---------------------------------------------------------
 
@@ -164,18 +161,22 @@ class Dom:
 
     # -- carrier facts: by enumeration when finite, else a ValueError ------
 
+    def _finite(self, fact: str) -> list:
+        """The elements of a finite carrier, else a ValueError naming the fact."""
+        elems = self.iter_elements()
+        if elems is None:
+            raise ValueError(f"{fact} for {self.name}")
+        return elems
+
     def associated_group(self) -> AssociatedGroup:
         """The ordered group of width-zero classes, with the quotient map."""
-        if self.iter_elements() is not None:
-            return AssociatedGroup(Group.trivial(), False, "finite ordered group is trivial",
-                                   class_of=lambda x: ())
-        raise ValueError(f"associated group unsupported for {self.name}")
+        self._finite("associated group unsupported")
+        return AssociatedGroup(Group.trivial(), False, "finite ordered group is trivial",
+                               class_of=lambda x: ())
 
     def width_set(self) -> list:
         """The set of width elements, ordered."""
-        elems = self.iter_elements()
-        if elems is None:
-            raise ValueError(f"width set undecidable for {self.name}")
+        elems = self._finite("width set undecidable")
         return [x for x in elems if self.eq(self.width_of(x), x)]
 
     def _width_zero(self, elems: list) -> list:
@@ -184,9 +185,7 @@ class Dom:
 
     def is_proper(self) -> bool:
         """Between any two elements x < y lies a width-zero element."""
-        elems = self.iter_elements()
-        if elems is None:
-            raise ValueError(f"properness undecidable for {self.name}")
+        elems = self._finite("properness undecidable")
         m0 = self._width_zero(elems)
         return all(any(self.le(x, z) and self.le(z, y) for z in m0)
                    for x in elems for y in elems if self.lt(x, y))
@@ -196,9 +195,7 @@ class Dom:
         element."""
         if not self.is_proper():
             return False
-        elems = self.iter_elements()
-        if elems is None:
-            raise ValueError(f"strong properness undecidable for {self.name}")
+        elems = self._finite("strong properness undecidable")
         zero = self.zero()
         m0 = self._width_zero(elems)
         for y in elems:
@@ -209,9 +206,7 @@ class Dom:
 
     def minimal_positive(self):
         """The least element above the zero, or None when there is none."""
-        elems = self.iter_elements()
-        if elems is None:
-            raise ValueError(f"minimal positive element undecidable for {self.name}")
+        elems = self._finite("minimal positive element undecidable")
         zero = self.zero()
         pos = [x for x in elems if self.lt(zero, x)]
         return min(pos, key=functools.cmp_to_key(self.cmp)) if pos else None
@@ -228,9 +223,7 @@ class Dom:
         A finite carrier doubles |y| once per element: its iterates
         repeat within that many steps, so the answer is exact.
         """
-        elems = self.iter_elements()
-        if elems is None:
-            raise ValueError(f"Archimedean order undecidable for {self.name}")
+        elems = self._finite("Archimedean order undecidable")
         ax, cur = self.abs_of(x), self.abs_of(y)
         for _ in elems:
             if self.le(ax, cur):
@@ -242,9 +235,7 @@ class Dom:
         """Least width of an element y with y + width(x) = x or
         y - width(x) = x; width(x) itself when no y qualifies."""
         wx = self.width_of(x)
-        elems = self.iter_elements()
-        if elems is None:
-            raise ValueError(f"w-valuation unsupported for {self.name}")
+        elems = self._finite("w-valuation unsupported")
         best = None
         for y in elems:
             if self.eq(self.add(y, wx), x) or self.eq(self.rsub(y, wx), x):
@@ -339,9 +330,6 @@ class GroupDom(Dom):
 
     def cmp(self, x, y):
         return self.group.cmp(x, y)
-
-    def radd(self, x, y):
-        return self.group.add(x, y)
 
     def contains(self, x):
         return isinstance(x, tuple) and self.group.contains(x)

@@ -6,6 +6,7 @@ subadditivity into equality.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Iterable, Optional
 
@@ -104,9 +105,9 @@ def check_valuation(v: Valuation, which: Iterable[str] = VAL_AXIOMS,
         return law_tuples(universe, 2, exhaustive, samples, rng)
 
     if "V1" in which:
-        ok = all(v.value_cmp(v.min_value(), v(x)) <= 0 for x in universe) \
-            and v.is_min(v(d.zero()))
-        report["V1"] = (ok, None if ok else (d.zero(),))
+        bottom = v.min_value()
+        report["V1"] = first_witness(((x,) for x in universe),
+                                     lambda x: v.value_cmp(bottom, v(x)) > 0)
     if "V2" in which:
         report["V2"] = first_witness(((x,) for x in universe),
                                      lambda x: v.value_cmp(v(d.neg(x)), v(x)) != 0)
@@ -134,12 +135,9 @@ def coarsening_of(coarse: Valuation, fine: Valuation,
     rng = random.Random(seed)
     if universe is None:
         universe = d.universe(rng, samples)
-    for x in universe:
-        for y in universe:
-            if fine.value_cmp(fine(x), fine(y)) <= 0 \
-                    and coarse.value_cmp(coarse(x), coarse(y)) > 0:
-                return False
-    return True
+    return first_witness(itertools.product(universe, repeat=2),
+                         lambda x, y: fine.value_cmp(fine(x), fine(y)) <= 0
+                         and coarse.value_cmp(coarse(x), coarse(y)) > 0)[0]
 
 
 def valuation_partition(v: Valuation, universe: list) -> list[tuple]:

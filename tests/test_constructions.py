@@ -126,6 +126,7 @@ def test_shift_preconditions():
     # third type: identity (same object)
     d = CutDom(Q)
     assert shift(d) is d
+    assert d.minimal_positive() is None  # dense: no least positive cut
     with pytest.raises(ValueError):
         shift(t(5))  # first type, but the minimal positive does not cancel
 
@@ -169,6 +170,24 @@ def test_quotient_by_convex_hull():
     bar = factor_through_quotient(hom, phi)
     assert hom_ok(verify_hom(bar))
     assert bar.universe is not None and verify_hom(bar)["injective"][0]
+
+
+def test_quotients_of_the_chains_by_symmetric_intervals():
+    # among the intervals of the n-chain, the convex symmetric sub-carriers
+    # are exactly [i, n-1-i], and the quotient by [i, n-1-i] is the chain
+    # with 2i + 1 elements
+    for n in range(1, 9):
+        d = t(n)
+        for lo in range(n):
+            for hi in range(lo, n):
+                try:
+                    q, hom = quotient_by_subdom(d, list(range(lo, hi + 1)))
+                except ValueError:
+                    assert hi != n - 1 - lo, (n, lo, hi)
+                    continue
+                assert hi == n - 1 - lo, (n, lo, hi)
+                assert to_table(q) == trivial_dom(2 * lo + 1), (n, lo)
+                assert hom_ok(verify_hom(hom)), (n, lo)
 
 
 def test_quotient_rejects_non_subdoms():

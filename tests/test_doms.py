@@ -239,6 +239,7 @@ def test_signature_ambient_symbols():
 def test_associated_group():
     assert FiniteDom(trivial_dom(5)).associated_group().group == Group.trivial()
     assert GroupDom(Q).associated_group().group == Q
+    assert CutDom(Group.trivial()).associated_group().group == Group.trivial()
     ag = TildeDom(Z).associated_group()
     assert ag.group == Z and not ag.shifted_minus
     ag = CutDom(Z).associated_group()
@@ -272,6 +273,8 @@ def test_width_sets():
     t5 = FiniteDom(trivial_dom(5))
     assert t5.width_set() == [2, 3, 4]
     assert GroupDom(Q).width_set() == [(F(0),)]
+    tq = TildeDom(Q)
+    assert " ".join(map(tq.fmt, tq.width_set())) == "g(0) cut(0)+ +inf"
     # every finite carrier is dominance-driven: width equals absolute value
     for n in range(1, 7):
         dn = FiniteDom(trivial_dom(n))
@@ -338,6 +341,7 @@ def test_properness():
     assert TildeDom(Q).is_proper() and not TildeDom(Q).is_strongly_proper()
     assert CutDom(Z).is_proper() and CutDom(Z).is_strongly_proper()
     assert CutDom(Q).is_proper() and GroupDom(Q).is_proper()
+    assert GroupDom(Q).is_strongly_proper()
 
 
 def test_strong_properness_finite():

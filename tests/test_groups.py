@@ -202,7 +202,7 @@ def test_zero_factor_set_is_lex():
 
 
 def test_parse_and_format():
-    for text in ("Z", "Q", "Zloc(2)", "lex(Z,Q)", "lex(Q,Q)", "Qr2", "triv"):
+    for text in ("Z", "Q", "Zloc(2)", "lex(Z,Q)", "lex(Q,Q)", "Qr2", "triv", "lex(Zloc(3),Q)"):
         assert parse_group(text).format() == text
     g = parse_group("lex(Z, Q)")
     assert g.atoms == (Atom("Z"), Atom("Q"))

@@ -11,7 +11,7 @@ from domkit.groups import FactorSet, Group
 from domkit.scalars import Sqrt2
 from domkit.tables import FiniteDom, trivial_dom
 from domkit.valuations import (
-    check_valuation, coarsening_of, natural_valuation, trivial_valuation,
+    Valuation, check_valuation, coarsening_of, natural_valuation, trivial_valuation,
     two_valued_valuation, valuation_partition, w_valuation, width_valuation,
 )
 
@@ -170,6 +170,15 @@ def test_strong_iff_coarsening_of_width():
               trivial_valuation(d), two_valued_valuation(d)):
         strong = check_valuation(v, which=("strong",), universe=univ)["strong"][0]
         assert strong == coarsening_of(v, vw, universe=univ), v.name
+    # the trivial valuation cannot determine the two-valued one
+    assert not coarsening_of(two_valued_valuation(d), trivial_valuation(d))
+
+
+def test_v1_witness_is_valued_below_the_zero():
+    d = FiniteDom(trivial_dom(5))
+    v = Valuation(d, "bad", lambda x: abs(x - 2) - 5 * (x == 0),
+                  lambda a, b: (a > b) - (a < b))
+    assert check_valuation(v, which=("V1",))["V1"] == (False, (0,))
 
 
 def test_strong_or_convex_consequences():
