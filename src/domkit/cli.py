@@ -27,7 +27,7 @@ import sys
 from domkit.doms import (
     M_AXIOMS, CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set,
 )
-from domkit.groups import parse_group
+from domkit.groups import parse_group, split_top
 from domkit.scalars import parse_int
 
 
@@ -67,24 +67,6 @@ def parse_carrier(text: str) -> Dom:
 # -- expression evaluation -----------------------------------------------------
 
 
-def _split_top(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                parts.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
 # each operator, and each unary head, with the carrier method it calls;
 # sign(..) has none, since it is read only as the outermost operation
 _BINARY = {"+": "add", "+R": "radd", "-": "rsub", "-L": "lsub"}
@@ -112,7 +94,7 @@ def _balanced(s: str) -> bool:
 
 
 def _eval(d: Dom, text: str):
-    parts = _split_top(text)
+    parts = [p for p in split_top(text, str.isspace) if p]
     if not parts:
         raise ParseError("empty expression")
     if len(parts) % 2 == 0:
@@ -242,17 +224,18 @@ def _parse_count(text: str) -> int:
 
 
 def _load_table_arg(text: str):
-    from domkit.tables import FiniteDom, parse_table, trivial_dom
+    from domkit.tables import parse_table, trivial_dom
 
     if text.startswith("trivial:"):
-        return FiniteDom(trivial_dom(_parse_count(text.split(":", 1)[1])))
+        return trivial_dom(_parse_count(text.split(":", 1)[1]))
     with open(text, "r", encoding="utf-8") as fh:
         content = fh.read()
     try:
         t = parse_table(content)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return FiniteDom(t)
+    t.zero()  # every construction needs the neutral: refuse a table without one
+    return t
 
 
 def _cmd_construct(args) -> int:
@@ -275,8 +258,8 @@ def _cmd_construct(args) -> int:
         "trivial": (1, lambda n: trivial_dom(_parse_count(n))),
         "infinity": (1, lambda t: to_table(InfinityExtension(load(t)))),
         "dual": (1, lambda t: to_table(dual(load(t)))),
-        "cuts": (1, lambda t: cuts_of_dom(load(t)).table),
-        "quot-equiv": (1, lambda t: to_table(quotient_equiv(load(t))[0])),
+        "cuts": (1, lambda t: cuts_of_dom(load(t))),
+        "quot-equiv": (1, lambda t: to_table(quotient_equiv(load(t)))),
         "mu": (2, lambda s, t: to_table(MuProduct(load(s), load(t)))),
         "collapse": (1, lambda t: to_table(collapsed(load(t)))),
         "split": (2, lambda t, k: to_table(split_at_width(load(t), _parse_count(k)))),

@@ -25,7 +25,7 @@ from domkit.doms import (
     classify_type, f_plus, is_convex, multiplicity, sign_of, special_set,
 )
 from domkit.groups import Group
-from domkit.tables import FiniteDom, FiniteDomTable, trivial_dom
+from domkit.tables import FiniteDom, trivial_dom
 
 
 def _index_of(d: Dom, elems: list, x) -> int:
@@ -35,7 +35,7 @@ def _index_of(d: Dom, elems: list, x) -> int:
     raise ValueError(f"element {d.fmt(x)} escaped the finite carrier")
 
 
-def to_table(d: Dom) -> FiniteDomTable:
+def to_table(d: Dom) -> FiniteDom:
     """Materialize a finite carrier as an addition table (order-sorted)."""
     elems = d.iter_elements()
     if elems is None:
@@ -44,7 +44,7 @@ def to_table(d: Dom) -> FiniteDomTable:
     n = len(elems)
     plus = [[_index_of(d, elems, d.add(elems[i], elems[j])) for j in range(n)]
             for i in range(n)]
-    return FiniteDomTable(plus)
+    return FiniteDom(plus)
 
 
 # -- dual ---------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _is_convex_subdom(d: Dom, sub: list, universe: list) -> bool:
             and is_convex(d, sub, universe))
 
 
-def quotient_by_subdom(d: Dom, sub: list) -> tuple[Quotient, HomCandidate]:
+def quotient_by_subdom(d: Dom, sub: list) -> Quotient:
     """Collapse a convex symmetric sub-carrier to a point (finite carriers);
     each class is named by its least member."""
     elems = d.iter_elements()
@@ -157,8 +157,7 @@ def quotient_by_subdom(d: Dom, sub: list) -> tuple[Quotient, HomCandidate]:
     def least(x):
         return next(y for y in elems if related(x, y) and related(y, x))
 
-    q = Quotient(d, least, f"{d.name}/sub")
-    return q, q.quotient_map()
+    return Quotient(d, least, f"{d.name}/sub")
 
 
 def factor_through_quotient(qhom: HomCandidate, phi: HomCandidate) -> HomCandidate:
@@ -211,10 +210,9 @@ class Quotient(View):
                             universe=self.parent.iter_elements())
 
 
-def quotient_equiv(d: Dom) -> tuple[Quotient, HomCandidate]:
+def quotient_equiv(d: Dom) -> Quotient:
     """Quotient by the class relation, each class named by its largest member."""
-    q = Quotient(d, lambda x: f_plus(d, x), f"{d.name}/~")
-    return q, q.quotient_map()
+    return Quotient(d, lambda x: f_plus(d, x), f"{d.name}/~")
 
 
 def s_k_map(d: Dom, k) -> HomCandidate:
@@ -222,7 +220,7 @@ def s_k_map(d: Dom, k) -> HomCandidate:
     if not d.eq(d.width_of(k), k):
         raise ValueError("the shift base must be a width element")
     upper = special_set(d, "Mge", k)
-    target = quotient_equiv(upper)[0]
+    target = quotient_equiv(upper)
     return HomCandidate(d, target, lambda y: target.rep(d.add(y, k)),
                         universe=d.iter_elements())
 
@@ -283,7 +281,7 @@ def inseminate(m: Dom, points: Dom, plus_image: Callable) -> GlueDom:
 
 def insemination_projection(ins: GlueDom) -> HomCandidate:
     """Collapse the adjoined points back onto their classes in M/~."""
-    q = quotient_equiv(ins.upper)[0]
+    q = quotient_equiv(ins.upper)
     theta = ins.theta_plus_min
 
     def proj(x):
@@ -424,8 +422,8 @@ def collapse(m: Dom, class_in_p: Callable) -> tuple[FiberedProduct, Callable]:
     """
     if classify_type(m) != "third":
         raise ValueError("collapse needs a third-type carrier")
-    q = quotient_equiv(m)[0]
-    two = FiniteDom(trivial_dom(2))
+    q = quotient_equiv(m)
+    two = trivial_dom(2)
 
     coll = FiberedProduct(q, class_in_p, two, name=f"coll({m.name})")
 
@@ -463,8 +461,7 @@ def cuts_of_dom(d: Dom) -> FiniteDom:
                 best = max(best, _index_of(d, elems, d.radd(elems[a], elems[b])))
         return best + 1
 
-    table = [[plus(i, j) for j in range(n + 1)] for i in range(n + 1)]
-    return FiniteDom(FiniteDomTable(table))
+    return FiniteDom([[plus(i, j) for j in range(n + 1)] for i in range(n + 1)])
 
 
 # -- embedding the finite chains ----------------------------------------------------
@@ -491,5 +488,5 @@ def embed_finite(n: int) -> HomCandidate:
         target = TildeDom(g)
         cuts = [("n", x) for x in images] if n > 1 else []
         images = cuts[:a + 1] + [("m", g.zero())] + cuts[a + 1:]
-    return HomCandidate(FiniteDom(trivial_dom(n)), target, images.__getitem__,
+    return HomCandidate(trivial_dom(n), target, images.__getitem__,
                         universe=list(range(n)))

@@ -481,6 +481,7 @@ class CutDom(Dom):
 
     def parse_literal(self, tok):
         if not _is_cut_literal(tok):
+            parse_coords(tok)  # a malformed token is a parse error, not a type error
             raise TypeError(f"{tok!r} is not a cut literal")
         return _cut_literal(self, tok, self)
 

@@ -503,6 +503,22 @@ def parse_coords(text: str) -> tuple:
     return tuple(parse_scalar(part) for part in s.split(","))
 
 
+def split_top(s: str, is_sep: Callable[[str], bool]) -> list[str]:
+    """The parts of ``s`` between the separators outside parentheses,
+    empty parts included."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and is_sep(ch):
+            parts.append(s[start:i])
+            start = i + 1
+    parts.append(s[start:])
+    return parts
+
+
 def parse_group(text: str) -> Group:
     """Parse descriptors like ``Z``, ``Q``, ``Qr2``, ``Zloc(2)``, ``lex(Z,Q)``."""
     s = text.strip().replace(" ", "")
@@ -511,16 +527,5 @@ def parse_group(text: str) -> Group:
     if s.startswith("Zloc(") and s.endswith(")"):
         return Group.Zloc(parse_int(s[5:-1]))
     if s.startswith("lex(") and s.endswith(")"):
-        inner = s[4:-1]
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
-        return Group.lex(*(parse_group(p) for p in parts))
+        return Group.lex(*(parse_group(p) for p in split_top(s[4:-1], ",".__eq__)))
     raise ValueError(f"cannot parse group descriptor {text!r}")

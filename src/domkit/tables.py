@@ -1,8 +1,12 @@
 """Finite carriers given by explicit addition tables, and their search.
 
-A table lives on the labeled chain 0 < 1 < ... < n-1. The minus is the
+A finite carrier is its table: ``FiniteDom`` is both the n x n matrix
+and the carrier, and every function here takes or returns it. A table
+lives on the labeled chain 0 < 1 < ... < n-1. The minus is the
 unique order anti-involution of the chain, i = n-1-i, and when the sign
 axioms hold the neutral element is forced to sit at index n//2. The
+neutral is found once, when a table is built; a table without one can
+be validated, but it has no zero. The
 enumerator searches symmetric row-monotone matrices with the neutral
 row pinned and prunes with the per-cell sign constraints. Since the
 neutral e's row and column are placed first, monotonicity bounds every
@@ -29,8 +33,9 @@ MC' is asked for, MC' over all triples; only a leaf passing both is
 built as a table.
 
 ``validate`` checks associativity and MC' on all n^3 triples at once,
-on a byte layout of the table built once per call: ``rows[x]`` is row
-x as bytes, ``flat`` their concatenation (x + y at x*n + y), and
+on a byte layout of the table that ``_layout`` builds once per call
+(and the search once per leaf): ``rows[x]`` is row x as bytes,
+``flat`` their concatenation (x + y at x*n + y), and
 ``pad`` the byte values n..255, which complete a row to a 256-byte
 ``bytes.translate`` table. Joining ``rows[v]`` over the bytes v of
 ``flat`` gives (x + y) + z at x*n*n + y*n + z; translating ``flat``
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from itertools import compress, count
 from operator import attrgetter, itemgetter, lt, ne
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from domkit import doms
 from domkit.doms import Dom
@@ -56,10 +61,13 @@ MAX_ELEMENTS = 256
 _BYTE_VALUES = bytes(range(256))
 
 
-class FiniteDomTable:
-    """n x n addition matrix over the ordered carrier 0..n-1."""
+class FiniteDom(Dom):
+    """A finite carrier as its n x n addition table over the ordered
+    carrier 0..n-1, with the forced minus i -> n-1-i. Two are equal when
+    their tables are. ``neutral`` is the index of the identity row, or
+    None: such a table can be validated, but it has no zero."""
 
-    __slots__ = ("n", "plus")
+    __slots__ = ("n", "plus", "neutral")
 
     def __init__(self, plus: Sequence[Sequence[int]]):
         n = len(plus)
@@ -73,40 +81,63 @@ class FiniteDomTable:
             rows.append(row)
         self.n = n
         self.plus = tuple(rows)
+        identity = tuple(range(n))
+        self.neutral = next((e for e, row in enumerate(rows) if row == identity), None)
 
     @classmethod
-    def _of(cls, plus: tuple) -> "FiniteDomTable":
+    def _of(cls, plus: tuple, e: int) -> "FiniteDom":
         """Unchecked: ``plus`` is already a square tuple of int tuples with
-        entries in 0..n-1, as the search builds it."""
+        entries in 0..n-1 and identity row ``e``, as the search builds it."""
         t = object.__new__(cls)
         t.n = len(plus)
         t.plus = plus
+        t.neutral = e
         return t
 
+    @property
+    def name(self):
+        return f"table{self.n}"
+
     def __eq__(self, other):
-        return isinstance(other, FiniteDomTable) and self.plus == other.plus
+        return isinstance(other, FiniteDom) and self.plus == other.plus
 
     def __hash__(self):
         return hash(self.plus)
 
     def __repr__(self):
-        return f"FiniteDomTable({[list(r) for r in self.plus]})"
+        return f"FiniteDom({[list(r) for r in self.plus]})"
 
-    def neutral(self) -> Optional[int]:
-        identity = tuple(range(self.n))
-        for e, row in enumerate(self.plus):
-            if row == identity:
-                return e
-        return None
+    def zero(self):
+        if self.neutral is None:
+            raise ValueError("table has no neutral element")
+        return self.neutral
+
+    def add(self, x, y):
+        return self.plus[x][y]
+
+    def neg(self, x):
+        return self.n - 1 - x
+
+    def cmp(self, x, y):
+        return (x > y) - (x < y)
+
+    def contains(self, x):
+        return isinstance(x, int) and 0 <= x < self.n
+
+    def iter_elements(self):
+        return list(range(self.n))
+
+    def fmt(self, x):
+        return str(x)
 
 
-def serialize_table(t: FiniteDomTable) -> str:
+def serialize_table(t: FiniteDom) -> str:
     lines = [str(t.n)]
     lines += [" ".join(str(v) for v in row) for row in t.plus]
     return "\n".join(lines) + "\n"
 
 
-def parse_table(text: str) -> FiniteDomTable:
+def parse_table(text: str) -> FiniteDom:
     rows = []
     n = None
     for raw in text.splitlines():
@@ -123,43 +154,10 @@ def parse_table(text: str) -> FiniteDomTable:
         raise ValueError("empty table file")
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, got {len(rows)}")
-    return FiniteDomTable(rows)
+    return FiniteDom(rows)
 
 
-class FiniteDom(Dom):
-    """Table-backed carrier; requires a neutral element to exist."""
-
-    def __init__(self, table: FiniteDomTable):
-        self.table = table
-        e = table.neutral()
-        if e is None:
-            raise ValueError("table has no neutral element")
-        self._zero = e
-        self.name = f"table{table.n}"
-
-    def zero(self):
-        return self._zero
-
-    def add(self, x, y):
-        return self.table.plus[x][y]
-
-    def neg(self, x):
-        return self.table.n - 1 - x
-
-    def cmp(self, x, y):
-        return (x > y) - (x < y)
-
-    def contains(self, x):
-        return isinstance(x, int) and 0 <= x < self.table.n
-
-    def iter_elements(self):
-        return list(range(self.table.n))
-
-    def fmt(self, x):
-        return str(x)
-
-
-def trivial_dom(n: int) -> FiniteDomTable:
+def trivial_dom(n: int) -> FiniteDom:
     """Dominance-by-absolute-value addition on the n-chain."""
     if n < 1:
         raise ValueError("need at least one element")
@@ -173,7 +171,7 @@ def trivial_dom(n: int) -> FiniteDomTable:
         for j in range(n):
             ai, aj = absval(i), absval(j)
             plus[i][j] = i if ai > aj else (j if aj > ai else min(i, j))
-    return FiniteDomTable(plus)
+    return FiniteDom(plus)
 
 
 def _check_size(n: int) -> None:
@@ -181,7 +179,7 @@ def _check_size(n: int) -> None:
         raise ValueError(f"table size {n} exceeds {MAX_ELEMENTS}: entries are held in bytes")
 
 
-def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict:
+def validate(t: FiniteDom, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict:
     """Per-law verdicts for a table, with minimal witnesses.
 
     Structural laws (neutral element, associativity, commutativity,
@@ -193,12 +191,10 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
     """
     n = t.n
     _check_size(n)
-    rows = list(map(bytes, t.plus))
-    flat = b"".join(rows)
-    pad = _BYTE_VALUES[n:]
+    layout = _layout(t.plus)
     report: dict = {}
     axioms = list(axioms)
-    e = t.neutral()
+    e = t.neutral
     if "neutral" in axioms:
         report["neutral"] = (e is not None, None if e is not None else ())
     if e is None:
@@ -214,17 +210,23 @@ def validate(t: FiniteDomTable, axioms: Iterable[str] = doms.ALL_AXIOMS) -> dict
                   for u in range(n) if t.plus[x][u] > t.plus[y][u]), None)
         report["PA"] = (w is None, w)
     if "assoc" in axioms:
-        report["assoc"] = _assoc_verdict(rows, flat, pad)
+        report["assoc"] = _assoc_verdict(*layout)
     if e is None:
         return report
 
     rest = [a for a in axioms if a == "minus" or a in doms.M_AXIOMS]
     if rest:
-        d = FiniteDom(t)
-        report.update(doms.check_axioms(d, universe=d.iter_elements(), which=rest))
+        report.update(doms.check_axioms(t, universe=t.iter_elements(), which=rest))
     if "MCprime" in axioms:
-        report["MCprime"] = _mcprime_verdict(rows, flat, pad)
+        report["MCprime"] = _mcprime_verdict(*layout)
     return report
+
+
+def _layout(plus) -> tuple:
+    """The byte layout of a table: its rows as bytes, their concatenation
+    and the pad that completes a row to a translate table."""
+    rows = list(map(bytes, plus))
+    return rows, b"".join(rows), _BYTE_VALUES[len(rows):]
 
 
 def _triple(k: int, n: int) -> tuple:
@@ -260,10 +262,6 @@ def _mcprime_verdict(rows: list, flat: bytes, pad: bytes) -> tuple:
     return (True, None) if k is None else (False, _triple(k, len(rows)))
 
 
-def table_passes(t: FiniteDomTable, axioms: Iterable[str]) -> bool:
-    return all(ok for ok, _ in validate(t, axioms).values())
-
-
 # -- exhaustive search --------------------------------------------------------
 
 
@@ -275,7 +273,7 @@ def _neutral_candidates(n: int, axioms: frozenset) -> list[int]:
 
 
 def enumerate_tables(n: int, axioms: Iterable[str] = doms.M_AXIOMS,
-                     bound: int = 7) -> list[FiniteDomTable]:
+                     bound: int = 7) -> list[FiniteDom]:
     """All tables on the n-chain satisfying the requested axiom subset.
 
     ``axioms`` may contain MA, MB, MCa, MCb, MCprime; the structural
@@ -291,14 +289,14 @@ def enumerate_tables(n: int, axioms: Iterable[str] = doms.M_AXIOMS,
     unknown = axioms.difference(doms.ALL_AXIOMS)
     if unknown:
         raise ValueError(f"unknown axioms {sorted(unknown)}")
-    results: list[FiniteDomTable] = []
+    results: list[FiniteDom] = []
     for e in _neutral_candidates(n, axioms):
         results.extend(_search_with_neutral(n, e, axioms))
     results.sort(key=attrgetter("plus"))
     return results
 
 
-def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTable]:
+def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDom]:
     top = n - 1
     delta = top - e
     need_mcprime = "MCprime" in axioms
@@ -360,8 +358,7 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
         shell_end = idx + 1 == len(cells) or shell(cells[idx + 1]) != shell((i, j))
         plan.append((i, j, pairs, completions, *static[i, j], tuple(below), tuple(above),
                      need_mcprime and shell_end))
-    pad = _BYTE_VALUES[n:]
-    out: list[FiniteDomTable] = []
+    out: list[FiniteDom] = []
 
     def assoc_ok_around(completions: tuple, v: int) -> bool:
         # Check once each triple (a, b, c) whose last lookup is the new
@@ -412,11 +409,10 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDomTab
     def place(idx: int) -> None:
         if idx == len(plan):
             # one independent whole-table pass over the leaf
-            rows = list(map(bytes, P))
-            flat = b"".join(rows)
-            if _assoc_verdict(rows, flat, pad)[0] and (
-                    not need_mcprime or _mcprime_verdict(rows, flat, pad)[0]):
-                out.append(FiniteDomTable._of(tuple(map(tuple, P))))
+            layout = _layout(P)
+            if _assoc_verdict(*layout)[0] and (
+                    not need_mcprime or _mcprime_verdict(*layout)[0]):
+                out.append(FiniteDom._of(tuple(map(tuple, P)), e))
             return
         i, j, pairs, completions, lo, hi, below, above, check_mcprime = plan[idx]
         for row, k in below:

@@ -7,7 +7,7 @@ import random
 
 from domkit.doms import CutDom, Dom
 from domkit.groups import Group
-from domkit.tables import FiniteDom, FiniteDomTable
+from domkit.tables import FiniteDom
 
 
 def standard_cut_carriers() -> dict[str, CutDom]:
@@ -30,7 +30,7 @@ def left_rule_cuts(d: FiniteDom) -> FiniteDom:
             return 0
         return 1 + max(d.add(a, b) for a in range(i) for b in range(j))
 
-    return FiniteDom(FiniteDomTable([[plus(i, j) for j in range(n + 1)] for i in range(n + 1)]))
+    return FiniteDom([[plus(i, j) for j in range(n + 1)] for i in range(n + 1)])
 
 
 def sample_tuples(d: Dom, count: int, seed: int = 0, width: int = 4) -> list[tuple]:

@@ -26,7 +26,7 @@ from domkit.groups import FactorSet, Group
 from domkit.oracle import oracle_diff, oracle_radd, oracle_sum
 from domkit.scalars import Sqrt2
 from domkit.tables import (
-    FiniteDom, FiniteDomTable, enumerate_tables, trivial_dom, validate,
+    FiniteDom, enumerate_tables, trivial_dom, validate,
 )
 from domkit.valuations import (
     check_valuation, coarsening_of, natural_valuation, trivial_valuation,
@@ -40,10 +40,10 @@ Z = Group.Z()
 Z2 = Group.Zloc(2)
 QQ = Group.lex(Group.Q(), Group.Q())
 
-BAD3 = FiniteDomTable([(0, 0, 2), (0, 1, 2), (2, 2, 2)])
-BAD4A = FiniteDomTable([(0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
-BAD4B = FiniteDomTable([(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
-NONASSOC = FiniteDomTable([(0, 0, 0, 0), (0, 0, 1, 3), (0, 1, 2, 3), (0, 3, 3, 3)])
+BAD3 = FiniteDom([(0, 0, 2), (0, 1, 2), (2, 2, 2)])
+BAD4A = FiniteDom([(0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
+BAD4B = FiniteDom([(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
+NONASSOC = FiniteDom([(0, 0, 0, 0), (0, 0, 1, 3), (0, 1, 2, 3), (0, 3, 3, 3)])
 
 MAIN = ("MA", "MB", "MCa", "MCb")
 STRUCTURAL = ("neutral", "assoc", "comm", "PA", "minus")
@@ -82,8 +82,8 @@ def test_criterion_2_uniqueness():
 
 
 def test_criterion_3_axiom_independence():
-    shifted_up = FiniteDomTable([(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)])
-    shifted_down = FiniteDomTable([(0, 0, 0), (0, 0, 1), (0, 1, 2)])
+    shifted_up = FiniteDom([(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)])
+    shifted_down = FiniteDom([(0, 0, 0), (0, 0, 1), (0, 1, 2)])
     for axiom, table in (("MA", shifted_up), ("MB", shifted_down),
                          ("MCa", BAD4A), ("MCb", BAD3)):
         assert _fails(table) == {axiom}, axiom
@@ -108,7 +108,7 @@ def test_criterion_4_derived_law_suite():
         failures = support.run_item_suite(d, tuples)
         assert not failures, (name, failures[:3])
     for n in range(1, 7):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         failures = support.run_item_suite(d, support.exhaustive_tuples(d))
         assert not failures, (n, failures[:3])
     elapsed = time.time() - started
@@ -225,16 +225,16 @@ def test_criterion_7_construction_contracts():
     # every construction output satisfies the axioms
     finite_outputs = []
     for n in (2, 3, 4, 5):
-        finite_outputs.append(InfinityExtension(FiniteDom(trivial_dom(n))))
-        finite_outputs.append(MuProduct(FiniteDom(trivial_dom(3)), FiniteDom(trivial_dom(n))))
+        finite_outputs.append(InfinityExtension(trivial_dom(n)))
+        finite_outputs.append(MuProduct(trivial_dom(3), trivial_dom(n)))
     for n in (3, 5):
-        finite_outputs.append(cuts_of_dom(FiniteDom(trivial_dom(n))))
+        finite_outputs.append(cuts_of_dom(trivial_dom(n)))
     for d in finite_outputs:
         rep = check_axioms(d, universe=d.iter_elements())
         assert all(ok for ok, _ in rep.values()), d.name
     # re-glue identities, exhaustively over all positive widths
     for n in range(2, 7):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         for k in d.width_set():
             if d.lt(d.zero(), k):
                 glued = split_at_width(d, k)
@@ -243,16 +243,16 @@ def test_criterion_7_construction_contracts():
                 assert all(ok for ok, _ in rep.values())
     # collapse at the double-point subgroup is an isomorphism
     for n in (4, 6):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         coll, eta = collapse(d, special_set(d, "H").contains)
         assert to_table(coll) == trivial_dom(n)
         h = HomCandidate(d, coll, eta, universe=d.iter_elements())
         rep = verify_hom(h)
         assert all(ok for key, (ok, _) in rep.items())
     # cut carrier of the three-chain, and the defective alternative sum
-    assert cuts_of_dom(FiniteDom(trivial_dom(3))).table == trivial_dom(4)
-    alt = support.left_rule_cuts(FiniteDom(trivial_dom(3)))
-    rep = validate(alt.table, MAIN + STRUCTURAL)
+    assert cuts_of_dom(trivial_dom(3)) == trivial_dom(4)
+    alt = support.left_rule_cuts(trivial_dom(3))
+    rep = validate(alt, MAIN + STRUCTURAL)
     assert {k for k, (ok, _) in rep.items() if not ok} == {"MCa"}
     lam, gam = 2, 3  # the two cuts around the wide top element
     assert alt.cmp(lam, gam) < 0 and alt.cmp(alt.rsub(lam, gam), alt.zero()) >= 0
@@ -296,14 +296,14 @@ def test_criterion_8_finite_chain_embeddings():
 def test_criterion_9_valuations():
     # width valuation is strong everywhere checked
     for n in range(1, 7):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         rep = check_valuation(width_valuation(d), universe=d.iter_elements())
         assert rep["strong"][0] and rep["V1"][0] and rep["V2"][0]
     for d in (CutDom(Q), CutDom(Z), CutDom(QQ)):
         rep = check_valuation(width_valuation(d), samples=200, seed=9)
         assert rep["strong"][0], d.name
     # natural valuation is convex and the coarsening criteria agree
-    d5 = FiniteDom(trivial_dom(5))
+    d5 = trivial_dom(5)
     univ = d5.iter_elements()
     vn, vw = natural_valuation(d5), width_valuation(d5)
     for v in (vn, vw, trivial_valuation(d5), two_valued_valuation(d5)):

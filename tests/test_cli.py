@@ -145,6 +145,17 @@ def test_eval_cut_outside_anchor_field(capsys):
     assert code == 0 and out.strip() == "fill(1+r2)"
 
 
+def test_malformed_tokens_are_parse_errors_on_every_carrier(capsys):
+    # a token that is neither a cut literal nor a group literal does not
+    # parse, whatever the carrier; a literal of the other kind is a type error
+    for carrier in ("cuts(Q)", "cuts(Z)", "tilde(Q)", "Q"):
+        for expr in ("foo", "1/0", "(cut(1)+", "foo + cut(0)+"):
+            code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
+            assert (code, out) == (2, "") and err.startswith("parse error: "), (carrier, expr)
+    code, out, err = run(capsys, "eval", "--carrier", "cuts(Q)", "1/2")
+    assert (code, out) == (3, "") and err.startswith("type error: ")
+
+
 def test_check_table_output(capsys, tmp_path):
     bad = tmp_path / "bad3.tbl"
     bad.write_text("3\n0 0 2\n0 1 2\n2 2 2\n")
@@ -193,6 +204,18 @@ def test_construct_numbers_are_ascii_digit_runs(capsys, tmp_path):
     # a well-formed size below 1 is a precondition, not a parse error
     code, out, err = run(capsys, "construct", "trivial", "0")
     assert (code, out) == (4, "") and "at least one" in err
+
+
+def test_constructions_refuse_a_table_without_neutral(capsys, tmp_path):
+    # the table is refused when it is loaded, whichever argument it is
+    flat = tmp_path / "flat.tbl"
+    flat.write_text("2\n0 0\n0 0\n")
+    f = str(flat)
+    for argv in (["dual", f], ["infinity", f], ["cuts", f], ["quot-equiv", f],
+                 ["collapse", f], ["mu", f, "trivial:3"], ["mu", "trivial:3", f],
+                 ["split", f, "1"]):
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out, err) == (4, "", "error: table has no neutral element\n"), argv
 
 
 def test_enumerate_output(capsys):
@@ -703,11 +726,11 @@ def test_each_subcommand_in_a_fresh_process(tmp_path, argv, code, stdout):
 def test_closed_stdout_exits_1_without_traceback():
     # `dom enumerate 7 --axioms=predom | head -1`: its 240 kB of output
     # overfill the pipe, so writing meets the closed end
-    proc = subprocess.Popen([sys.executable, "-m", "domkit", "enumerate", "7",
-                             "--axioms=predom"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_cold_env())
-    assert proc.stdout.readline() == b"count: 2146\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen([sys.executable, "-m", "domkit", "enumerate", "7",
+                           "--axioms=predom"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_cold_env()) as proc:
+        assert proc.stdout.readline() == b"count: 2146\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err

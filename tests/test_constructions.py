@@ -17,7 +17,7 @@ from domkit.doms import (
     classify_type, f_minus, f_plus, hom_kernel, special_set, verify_hom,
 )
 from domkit.groups import Group
-from domkit.tables import FiniteDom, FiniteDomTable, enumerate_tables, trivial_dom, validate
+from domkit.tables import FiniteDom, enumerate_tables, trivial_dom, validate
 
 from support import left_rule_cuts
 
@@ -27,7 +27,7 @@ QQ = Group.lex(Group.Q(), Group.Q())
 
 
 def t(n):
-    return FiniteDom(trivial_dom(n))
+    return trivial_dom(n)
 
 
 def all_pass(report):
@@ -72,14 +72,14 @@ def _bordered(t):
             return top
         return t.plus[i - 1][j - 1] + 1
 
-    return FiniteDomTable([[entry(i, j) for j in range(top + 1)] for i in range(top + 1)])
+    return FiniteDom([[entry(i, j) for j in range(top + 1)] for i in range(top + 1)])
 
 
 def test_infinity_extension_of_every_small_table():
     tables = [t for n in range(1, 6) for t in enumerate_tables(n, set(), bound=n)]
     assert len(tables) == 123
     for table in tables:
-        assert to_table(InfinityExtension(FiniteDom(table))) == _bordered(table), table.plus
+        assert to_table(InfinityExtension(table)) == _bordered(table), table.plus
 
 
 # -- shift -------------------------------------------------------------------------
@@ -151,14 +151,16 @@ def test_minus_witness_shapes():
 
 def test_quotient_by_trivial_subdom():
     d = t(5)
-    q, hom = quotient_by_subdom(d, [d.zero()])
+    q = quotient_by_subdom(d, [d.zero()])
+    hom = q.quotient_map()
     assert to_table(q) == trivial_dom(5)
     assert hom_ok(verify_hom(hom))
 
 
 def test_quotient_by_convex_hull():
     d = t(5)
-    q, hom = quotient_by_subdom(d, [1, 2, 3])
+    q = quotient_by_subdom(d, [1, 2, 3])
+    hom = q.quotient_map()
     assert to_table(q) == trivial_dom(3)
     rep = verify_hom(hom)
     assert hom_ok(rep)
@@ -181,13 +183,13 @@ def test_quotients_of_the_chains_by_symmetric_intervals():
         for lo in range(n):
             for hi in range(lo, n):
                 try:
-                    q, hom = quotient_by_subdom(d, list(range(lo, hi + 1)))
+                    q = quotient_by_subdom(d, list(range(lo, hi + 1)))
                 except ValueError:
                     assert hi != n - 1 - lo, (n, lo, hi)
                     continue
                 assert hi == n - 1 - lo, (n, lo, hi)
                 assert to_table(q) == trivial_dom(2 * lo + 1), (n, lo)
-                assert hom_ok(verify_hom(hom)), (n, lo)
+                assert hom_ok(verify_hom(q.quotient_map())), (n, lo)
 
 
 def test_quotient_rejects_non_subdoms():
@@ -200,7 +202,8 @@ def test_quotient_rejects_non_subdoms():
 
 def test_quotient_equiv():
     d = CutDom(Q)
-    q, hom = quotient_equiv(d)
+    q = quotient_equiv(d)
+    hom = q.quotient_map()
     assert q.rep(cc(Q, "cut(2)-")) == cc(Q, "cut(2)+")
     assert q.rep(cc(Q, "cut(2)+")) == cc(Q, "cut(2)+")
     rng = random.Random(3)
@@ -209,7 +212,7 @@ def test_quotient_equiv():
     assert classify_type(q) == "first"
     # the displaced zero collapses onto the zero in the third type
     assert d.eq(f_plus(d, d.delta()), d.zero())
-    q4, _ = quotient_equiv(t(4))
+    q4 = quotient_equiv(t(4))
     assert to_table(q4) == trivial_dom(3)
 
 
@@ -559,7 +562,7 @@ def test_collapse_at_smaller_group_not_additive():
 
 def test_cuts_of_dom():
     cd = cuts_of_dom(t(3))
-    assert cd.table == trivial_dom(4)
+    assert cd == trivial_dom(4)
     assert cd.delta() == cd.zero() - 1   # the displaced zero is the lower zero cut
     assert cd.cmp(cd.delta(), cd.zero()) < 0
     with pytest.raises(ValueError):
@@ -570,7 +573,7 @@ def test_cuts_of_dom():
 
 def test_cuts_of_dom_alternative_plus_defect():
     alt = left_rule_cuts(t(3))
-    rep = validate(alt.table)
+    rep = validate(alt)
     assert not rep["MCa"][0]
     assert rep["MCb"][0] and rep["MA"][0] and rep["MB"][0]
     # the cited witness: both cuts at a wide element x; the lower one
@@ -606,7 +609,7 @@ def test_embed_finite(n):
 CONSTRUCTED = {
     "dual(t4)": lambda: dual(t(4)),
     "infinity(t3)": lambda: InfinityExtension(t(3)),
-    "quot-equiv(t4)": lambda: quotient_equiv(t(4))[0],
+    "quot-equiv(t4)": lambda: quotient_equiv(t(4)),
     "split(t5,3)": lambda: split_at_width(t(5), 3),
     "collapse(t4,H)": lambda: collapse(t(4), special_set(t(4), "H").contains)[0],
     "mu(t3,t3)": lambda: MuProduct(t(3), t(3)),

@@ -13,7 +13,7 @@ from domkit.doms import (
 )
 from domkit.groups import Group, lex_cmp
 from domkit.scalars import Sqrt2
-from domkit.tables import FiniteDom, trivial_dom
+from domkit.tables import trivial_dom
 
 Q = Group.Q()
 Z = Group.Z()
@@ -23,7 +23,7 @@ QQ = Group.lex(Group.Q(), Group.Q())
 ALL_CARRIERS = [
     CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ),
     TildeDom(Q), TildeDom(Z), GroupDom(Q), GroupDom(Z),
-    FiniteDom(trivial_dom(4)), FiniteDom(trivial_dom(5)),
+    trivial_dom(4), trivial_dom(5),
 ]
 
 
@@ -44,7 +44,7 @@ def test_derived_basics():
     for x, y in zip(gd.sample(rng, 30), gd.sample(rng, 30)):
         assert gd.eq(gd.radd(x, y), gd.add(x, y))
     assert gd.eq(gd.delta(), gd.zero())
-    t4 = FiniteDom(trivial_dom(4))
+    t4 = trivial_dom(4)
     assert t4.abs_of(t4.delta()) == t4.zero()
 
 
@@ -237,7 +237,7 @@ def test_signature_ambient_symbols():
 
 
 def test_associated_group():
-    assert FiniteDom(trivial_dom(5)).associated_group().group == Group.trivial()
+    assert trivial_dom(5).associated_group().group == Group.trivial()
     assert GroupDom(Q).associated_group().group == Q
     assert CutDom(Group.trivial()).associated_group().group == Group.trivial()
     ag = TildeDom(Z).associated_group()
@@ -270,14 +270,14 @@ def test_width_sets():
     d = CutDom(QQ)
     ws = d.width_set()
     assert ws == [ct.zero_cut(QQ), ct.level_edge(QQ, 1), POS_INF]
-    t5 = FiniteDom(trivial_dom(5))
+    t5 = trivial_dom(5)
     assert t5.width_set() == [2, 3, 4]
     assert GroupDom(Q).width_set() == [(F(0),)]
     tq = TildeDom(Q)
     assert " ".join(map(tq.fmt, tq.width_set())) == "g(0) cut(0)+ +inf"
     # every finite carrier is dominance-driven: width equals absolute value
     for n in range(1, 7):
-        dn = FiniteDom(trivial_dom(n))
+        dn = trivial_dom(n)
         for x in dn.iter_elements():
             assert dn.width_of(x) == dn.abs_of(x)
 
@@ -336,7 +336,7 @@ def test_abs_bounded_set_closed():
 
 
 def test_properness():
-    verdicts = {n: FiniteDom(trivial_dom(n)).is_proper() for n in range(1, 7)}
+    verdicts = {n: trivial_dom(n).is_proper() for n in range(1, 7)}
     assert verdicts == {1: True, 2: True, 3: True, 4: True, 5: False, 6: False}
     assert TildeDom(Q).is_proper() and not TildeDom(Q).is_strongly_proper()
     assert CutDom(Z).is_proper() and CutDom(Z).is_strongly_proper()
@@ -347,7 +347,7 @@ def test_properness():
 def test_strong_properness_finite():
     # proper, and below each positive width lies a positive width-zero element
     for n in range(1, 7):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         elems, zero = d.iter_elements(), d.zero()
         m0 = [z for z in elems if d.width_of(z) == zero]
         proper = all(any(x <= z <= y for z in m0) for x in elems for y in elems if x < y)
@@ -439,7 +439,7 @@ def test_hom_inclusion_passes():
 def test_hom_injectivity_needs_an_exhaustive_universe():
     # a universe is exhaustive when it holds every element once, in any
     # order; with a repeated element it is sampled and injectivity is open
-    t5 = FiniteDom(trivial_dom(5))
+    t5 = trivial_dom(5)
     h = HomCandidate(t5, t5, lambda x: x, universe=[0] * 5)
     assert verify_hom(h)["injective"] == (None, None)
     h.universe = [3, 1, 4, 0, 2]
@@ -447,8 +447,8 @@ def test_hom_injectivity_needs_an_exhaustive_universe():
 
 
 def test_kernel_convexity():
-    t5 = FiniteDom(trivial_dom(5))
-    t3 = FiniteDom(trivial_dom(3))
+    t5 = trivial_dom(5)
+    t3 = trivial_dom(3)
     mapping = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2}
     h = HomCandidate(t5, t3, lambda x: mapping[x],
                      universe=t5.iter_elements())
@@ -464,7 +464,7 @@ def test_kernel_convexity():
 
 def test_duals_satisfy_axioms():
     from domkit.constructions import dual
-    for d in (CutDom(Q), CutDom(Z), TildeDom(Q), FiniteDom(trivial_dom(4))):
+    for d in (CutDom(Q), CutDom(Z), TildeDom(Q), trivial_dom(4)):
         dd = dual(d)
         rep = check_axioms(dd, samples=120, seed=9)
         assert all(ok for ok, _ in rep.values()), (d.name, rep)

@@ -9,19 +9,22 @@ from domkit.constructions import ShiftedMinusDom
 from domkit.doms import GroupDom, check_axioms, classify_type
 from domkit.groups import Group
 from domkit.tables import (
-    FiniteDom, FiniteDomTable, enumerate_tables, parse_table, serialize_table,
-    table_passes, trivial_dom, validate,
+    FiniteDom, enumerate_tables, parse_table, serialize_table, trivial_dom, validate,
 )
 
 # the three-element table failing only the backward comparison axiom
-BAD3 = FiniteDomTable([(0, 0, 2), (0, 1, 2), (2, 2, 2)])
+BAD3 = FiniteDom([(0, 0, 2), (0, 1, 2), (2, 2, 2)])
 # the two four-element tables failing only the forward comparison axiom
-BAD4A = FiniteDomTable([(0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
-BAD4B = FiniteDomTable([(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
+BAD4A = FiniteDom([(0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
+BAD4B = FiniteDom([(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 3), (0, 1, 3, 3)])
 # and the one whose addition is not associative
-NONASSOC = FiniteDomTable([(0, 0, 0, 0), (0, 0, 1, 3), (0, 1, 2, 3), (0, 3, 3, 3)])
+NONASSOC = FiniteDom([(0, 0, 0, 0), (0, 0, 1, 3), (0, 1, 2, 3), (0, 3, 3, 3)])
 
 CORE = ("neutral", "assoc", "comm", "PA", "minus", "MA", "MB", "MCa", "MCb")
+
+
+def passes(t, axioms):
+    return all(ok for ok, _ in validate(t, axioms).values())
 
 
 def verdict(t):
@@ -60,7 +63,7 @@ def test_round_trip_and_parse_errors():
     with pytest.raises(ValueError, match="out of range"):
         parse_table("4\n0 0 0 0\n0 1 1 1\n0 1 2 4\n0 1 3 3\n")
     with pytest.raises(ValueError, match="square"):
-        FiniteDomTable([(0, 0), (0,)])
+        FiniteDom([(0, 0), (0,)])
     with pytest.raises(ValueError, match="rows"):
         parse_table("3\n0 0 0\n0 1 2\n")
     # a size below 1 is refused before any row is read
@@ -76,7 +79,7 @@ def test_round_trip_and_parse_errors():
 
 def test_validate_trivial_up_to_seven():
     for n in range(1, 8):
-        assert table_passes(trivial_dom(n), CORE), n
+        assert passes(trivial_dom(n), CORE), n
 
 
 def test_uniqueness_small_sizes():
@@ -94,7 +97,7 @@ def test_validate_refuses_more_than_256_elements():
     # entries are held in bytes; a table on 256 elements is the largest
     assert validate(trivial_dom(256), ("assoc",))["assoc"] == (True, None)
     with pytest.raises(ValueError, match="exceeds 256"):
-        validate(FiniteDomTable([[0] * 257 for _ in range(257)]), ("assoc",))
+        validate(FiniteDom([[0] * 257 for _ in range(257)]), ("assoc",))
 
 
 def test_enumeration_refuses_more_than_256_elements(monkeypatch):
@@ -105,9 +108,16 @@ def test_enumeration_refuses_more_than_256_elements(monkeypatch):
             enumerate_tables(n, bound=bound)
 
 
+def test_a_table_without_neutral_has_no_zero():
+    flat = FiniteDom([[0, 0], [0, 0]])
+    assert flat.neutral is None
+    with pytest.raises(ValueError, match="no neutral element"):
+        flat.zero()
+
+
 def test_enumeration_refuses_sizes_below_one():
     # the empty table has no neutral element, so it is no answer
-    assert not validate(FiniteDomTable([]), ("neutral",))["neutral"][0]
+    assert not validate(FiniteDom([]), ("neutral",))["neutral"][0]
     for n in (0, -3):
         with pytest.raises(ValueError, match="at least one"):
             enumerate_tables(n)
@@ -175,8 +185,8 @@ def brute_force_tables(n):
                 plus[e][k] = plus[k][e] = k
             for (i, j), v in zip(cells, values):
                 plus[i][j] = plus[j][i] = v
-            t = FiniteDomTable(plus)
-            if table_passes(t, ("neutral", "assoc", "comm", "PA", "minus")):
+            t = FiniteDom(plus)
+            if passes(t, ("neutral", "assoc", "comm", "PA", "minus")):
                 yield t, validate(t, SEARCH_AXIOMS)
 
 
@@ -202,9 +212,9 @@ def reference_search(n):
 
     def place(P, cells, k):
         if k == len(cells):
-            t = FiniteDomTable(P)
+            t = FiniteDom(P)
             # associativity first: it rejects most leaves, and cheaply
-            if table_passes(t, ("assoc",)):
+            if passes(t, ("assoc",)):
                 rep = validate(t, STRUCTURAL + SEARCH_AXIOMS)
                 if all(rep[a][0] for a in STRUCTURAL):
                     yield t, rep
@@ -236,12 +246,20 @@ def test_reference_search_matches_search():
             assert enumerate_tables(n, axioms) == expected, (n, sorted(axioms))
 
 
+def test_search_pins_the_identity_row():
+    # the search builds its tables unchecked, with the neutral it pinned
+    for n in range(1, 7):
+        for axioms in AXIOM_SUBSETS:
+            for t in enumerate_tables(n, axioms):
+                assert t.neutral == t.plus.index(tuple(range(n))), (n, sorted(axioms))
+
+
 def order_dual(t):
     """The table P'[i][j] = s(P[s(i)][s(j)]) under the order reversal
     s(i) = n-1-i of the chain."""
     s = t.n - 1
-    return FiniteDomTable([[s - t.plus[s - i][s - j] for j in range(t.n)]
-                           for i in range(t.n)])
+    return FiniteDom([[s - t.plus[s - i][s - j] for j in range(t.n)]
+                      for i in range(t.n)])
 
 
 # the tables of enumerate_tables(7, set()) by the index of their neutral
@@ -321,15 +339,15 @@ def test_assoc_witness_is_first_in_lexicographic_order():
     cases = [NONASSOC, BAD3, BAD4A, trivial_dom(5)]
     for n in (4, 5):
         while len(cases) < 4 + 200 * (n - 3):
-            t = FiniteDomTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+            t = FiniteDom([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
             if first_assoc_witness(t) is not None:
                 cases.append(t)
-    cases += [FiniteDomTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    cases += [FiniteDom([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
               for n in (1, 2, 3, 6, 9) for _ in range(100)]
     # the largest table the byte layout holds, with a witness in row 1
     plus = [list(row) for row in trivial_dom(256).plus]
     plus[1][1] = 0
-    cases.append(FiniteDomTable(plus))
+    cases.append(FiniteDom(plus))
     for t in cases:
         w = first_assoc_witness(t)
         assert validate(t, ("assoc",))["assoc"] == (w is None, w), t
@@ -366,7 +384,7 @@ def random_symmetric_table(rng, n):
             plus[i][j] = plus[j][i]
     for k in range(n):
         plus[e][k] = plus[k][e] = k
-    return FiniteDomTable(plus)
+    return FiniteDom(plus)
 
 
 def test_mcprime_verdict_matches_generic_check():
@@ -377,8 +395,7 @@ def test_mcprime_verdict_matches_generic_check():
     cases += [t for n in range(1, 6) for t in enumerate_tables(n, {"MA", "MB"})]
     failing = 0
     for t in cases:
-        d = FiniteDom(t)
-        expected = check_axioms(d, universe=d.iter_elements(), which=["MCprime"])["MCprime"]
+        expected = check_axioms(t, universe=t.iter_elements(), which=["MCprime"])["MCprime"]
         assert validate(t, ("MCprime",))["MCprime"] == expected, t
         failing += not expected[0]
     assert 0 < failing < len(cases)
@@ -388,7 +405,7 @@ def test_search_leaves_equal_checked_tables():
     for n in range(1, 7):
         for axioms in (set(), {"MB"}, {"MA", "MB", "MCprime"}):
             for t in enumerate_tables(n, axioms):
-                checked = FiniteDomTable([list(row) for row in t.plus])
+                checked = FiniteDom([list(row) for row in t.plus])
                 assert t == checked and hash(t) == hash(checked)
                 assert t.n == n and type(t.plus) is tuple
                 assert all(type(row) is tuple and len(row) == n for row in t.plus)
@@ -417,7 +434,7 @@ def test_finite_type_partition():
     # odd sizes sit in the first type, even sizes in the third; the
     # second type needs an infinite narrow part
     for n in range(1, 8):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         expected = "first" if n % 2 else "third"
         assert classify_type(d) == expected
         for x in d.iter_elements():
@@ -425,8 +442,8 @@ def test_finite_type_partition():
 
 
 # truncated shifted-group chains realizing the sign-axiom failures as tables
-SHIFTED_UP_4 = FiniteDomTable([(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)])
-SHIFTED_DOWN_3 = FiniteDomTable([(0, 0, 0), (0, 0, 1), (0, 1, 2)])
+SHIFTED_UP_4 = FiniteDom([(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)])
+SHIFTED_DOWN_3 = FiniteDom([(0, 0, 0), (0, 0, 1), (0, 1, 2)])
 
 
 def test_each_axiom_fails_alone_on_some_table():

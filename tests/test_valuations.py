@@ -9,7 +9,7 @@ from domkit.cuts import FILLED, POS_INF, make_node, parse_cut
 from domkit.doms import CutDom, GroupDom, TildeDom
 from domkit.groups import FactorSet, Group
 from domkit.scalars import Sqrt2
-from domkit.tables import FiniteDom, trivial_dom
+from domkit.tables import trivial_dom
 from domkit.valuations import (
     Valuation, check_valuation, coarsening_of, natural_valuation, trivial_valuation,
     two_valued_valuation, valuation_partition, w_valuation, width_valuation,
@@ -26,7 +26,7 @@ def ok(report, keys):
 
 def test_width_valuation_strong_on_finite():
     for n in range(1, 7):
-        d = FiniteDom(trivial_dom(n))
+        d = trivial_dom(n)
         v = width_valuation(d)
         rep = check_valuation(v, universe=d.iter_elements())
         assert ok(rep, ("V1", "V2", "V3", "V4", "strong")), (n, rep)
@@ -121,7 +121,7 @@ def test_archimedean_order_of_other_infinite_carriers_is_an_error():
 
 
 def test_natural_valuation_finite():
-    d = FiniteDom(trivial_dom(5))
+    d = trivial_dom(5)
     v = natural_valuation(d)
     rep = check_valuation(v, universe=d.iter_elements())
     assert ok(rep, ("V1", "V2", "V3", "V4"))
@@ -144,7 +144,7 @@ def test_two_valued_coarsens_natural():
 
 
 def test_convex_iff_coarsening_of_natural_finite():
-    d = FiniteDom(trivial_dom(5))
+    d = trivial_dom(5)
     univ = d.iter_elements()
     vn = natural_valuation(d)
     for v in (width_valuation(d), natural_valuation(d),
@@ -163,7 +163,7 @@ def test_convex_iff_coarsening_of_natural_finite():
 
 
 def test_strong_iff_coarsening_of_width():
-    d = FiniteDom(trivial_dom(5))
+    d = trivial_dom(5)
     univ = d.iter_elements()
     vw = width_valuation(d)
     for v in (width_valuation(d), natural_valuation(d),
@@ -175,7 +175,7 @@ def test_strong_iff_coarsening_of_width():
 
 
 def test_v1_witness_is_valued_below_the_zero():
-    d = FiniteDom(trivial_dom(5))
+    d = trivial_dom(5)
     v = Valuation(d, "bad", lambda x: abs(x - 2) - 5 * (x == 0),
                   lambda a, b: (a > b) - (a < b))
     assert check_valuation(v, which=("V1",))["V1"] == (False, (0,))
@@ -240,7 +240,7 @@ def test_w_valuation_group_and_finite():
     rng = random.Random(9)
     for x in gd.sample(rng, 20):
         assert v.is_min(v(x))
-    d = FiniteDom(trivial_dom(5))
+    d = trivial_dom(5)
     v = w_valuation(d)
     rep = check_valuation(v, universe=d.iter_elements(), which=("V1", "V2", "V3"))
     assert ok(rep, ("V1", "V2", "V3"))
