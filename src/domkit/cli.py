@@ -7,14 +7,14 @@ Each subcommand imports only the modules it runs: ``tables``,
 that use them, so ``eval`` and ``classify`` load only the carrier
 layers and a ``dom`` process starts sooner.
 
-Exit codes: 0 success, 1 failed checks or stdout closed before all
-output was written, 2 parse errors, 3 type errors, 4 bad
-usage/preconditions (argparse's own usage errors included, a
-``--samples`` below 1, and a ``construct`` kind given the wrong number
-of arguments).  An expression that starts with ``-``, such as
-``-inf``, is read as the expression, not as an option.  ``sign(..)`` is
-read only as the outermost operation: its inner part is a plain
-expression, so a nested ``sign`` is a parse error.
+Commands raise; ``main`` maps each error kind to its exit code once:
+0 success, 1 failed checks or stdout closed early, 2 ``ParseError``
+(an unreadable table file included), 3 ``CarrierTypeError``, 4 any
+other ``ValueError`` or ``OSError`` and argparse's usage errors.  An
+expression that starts with ``-``, such as ``-inf``, is read as the
+expression, not as an option.  ``sign(..)`` is read only as the
+outermost operation: its inner part is a plain expression, so a nested
+``sign`` is a parse error.
 """
 
 from __future__ import annotations
@@ -134,15 +134,13 @@ def format_value(d: Dom, kind: str, v) -> str:
 
 
 def _cmd_eval(args) -> int:
+    d = parse_carrier(args.carrier)
     try:
-        d = parse_carrier(args.carrier)
         kind, v = eval_expr(d, args.expr)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    except ParseError:
+        raise
     except (ValueError, TypeError) as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 3
+        raise CarrierTypeError(str(exc)) from exc
     print(format_value(d, kind, v))
     return 0
 
@@ -154,20 +152,22 @@ def _fmt_witness(w) -> str:
     return " witness " + " ".join(f"{n}={v}" for n, v in zip(names, w))
 
 
-def _cmd_check_table(args) -> int:
-    from domkit.tables import parse_table, validate
+def _read_table(path: str):
+    """The table in file ``path``; a file that cannot be read or parsed
+    is a parse error."""
+    from domkit.tables import parse_table
 
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            t = parse_table(fh.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_table(fh.read())
     except (OSError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = validate(t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        raise ParseError(str(exc)) from exc
+
+
+def _cmd_check_table(args) -> int:
+    from domkit.tables import validate
+
+    report = validate(_read_table(args.file))
     failed = False
     for key, label in AXIOM_LABELS:
         if key not in report:
@@ -193,11 +193,7 @@ def _parse_axioms(text: str) -> frozenset:
 def _cmd_enumerate(args) -> int:
     from domkit.tables import enumerate_tables, serialize_table
 
-    try:
-        found = enumerate_tables(args.n, _parse_axioms(args.axioms), bound=args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    found = enumerate_tables(args.n, _parse_axioms(args.axioms), bound=args.bound)
     print(f"count: {len(found)}")
     for i, t in enumerate(found):
         print(f"# table {i + 1}")
@@ -206,13 +202,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        d = parse_carrier(args.carrier)
-        t = classify_type(d)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"type: {t}")
+    print(f"type: {classify_type(parse_carrier(args.carrier))}")
     return 0
 
 
@@ -224,16 +214,11 @@ def _parse_count(text: str) -> int:
 
 
 def _load_table_arg(text: str):
-    from domkit.tables import parse_table, trivial_dom
+    from domkit.tables import trivial_dom
 
     if text.startswith("trivial:"):
         return trivial_dom(_parse_count(text.split(":", 1)[1]))
-    with open(text, "r", encoding="utf-8") as fh:
-        content = fh.read()
-    try:
-        t = parse_table(content)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    t = _read_table(text)
     t.zero()  # every construction needs the neutral: refuse a table without one
     return t
 
@@ -266,21 +251,12 @@ def _cmd_construct(args) -> int:
         "embed": (1, lambda n: embed(_parse_count(n))),
     }
     if args.kind not in makers:
-        print(f"error: unknown construction {args.kind!r}", file=sys.stderr)
-        return 4
+        raise ValueError(f"unknown construction {args.kind!r}")
     arity, maker = makers[args.kind]
     if len(args.args) != arity:
-        print(f"error: construct {args.kind} takes {arity} argument"
-              f"{'s' if arity > 1 else ''}, got {len(args.args)}", file=sys.stderr)
-        return 4
-    try:
-        out = maker(*args.args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        raise ValueError(f"construct {args.kind} takes {arity} argument"
+                         f"{'s' if arity > 1 else ''}, got {len(args.args)}")
+    out = maker(*args.args)
     sys.stdout.write(out if isinstance(out, str) else serialize_table(out))
     return 0
 
@@ -288,22 +264,17 @@ def _cmd_construct(args) -> int:
 def _cmd_valuation(args) -> int:
     from domkit import valuations
 
-    try:
-        d = parse_carrier(args.carrier)
-        maker = {
-            "width": valuations.width_valuation,
-            "natural": valuations.natural_valuation,
-            "w": valuations.w_valuation,
-            "trivial": valuations.trivial_valuation,
-            "two": valuations.two_valued_valuation,
-        }[args.which]
-        v = maker(d)
-    except KeyError:
-        print(f"error: unknown valuation {args.which!r}", file=sys.stderr)
-        return 4
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    d = parse_carrier(args.carrier)
+    makers = {
+        "width": valuations.width_valuation,
+        "natural": valuations.natural_valuation,
+        "w": valuations.w_valuation,
+        "trivial": valuations.trivial_valuation,
+        "two": valuations.two_valued_valuation,
+    }
+    if args.which not in makers:
+        raise ValueError(f"unknown valuation {args.which!r}")
+    v = makers[args.which](d)
     rng = random.Random(args.seed)
     universe = d.universe(rng, min(args.samples, 40))
     for val, members in valuations.valuation_partition(v, universe):
@@ -380,6 +351,15 @@ def main(argv=None) -> int:
         # exit raises nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except CarrierTypeError as exc:
+        print(f"type error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     return code
 
 

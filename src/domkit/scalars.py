@@ -16,8 +16,10 @@ machine-word arithmetic.  The invariant is a matter of speed only: a
 stray ``Fraction(3)`` still equals ``3`` and hashes like it, so every
 answer and every structural cut equality is the same either way.
 
-``parse_scalar`` reads ``a``, ``br2``, ``a+br2`` and ``a-br2``; the
-``r2`` term ends the literal, and any text after it is a ``ValueError``.
+``parse_scalar`` reads ``a``, ``br2``, ``a+br2`` and ``a-br2``, where
+``a`` and ``b`` are ``n`` or ``n/d`` in ASCII digits (``n`` may carry a
+minus sign); the ``r2`` term ends the literal, and any text after it is
+a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -232,10 +234,17 @@ def parse_int(token: str) -> int:
 
 
 def _parse_fraction(text: str) -> "int | Fraction":
-    try:
-        return _rational(Fraction(text))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """``[-]digits`` or ``[-]digits/digits`` in ASCII digits.  ``Fraction``
+    alone would also read ``1e3``, ``1.5``, ``+1`` and ``1_0``."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        return parse_int(text)
+    if den[:1] == "-":
+        raise ValueError(f"{den!r} is not a denominator")
+    d = parse_int(den)
+    if d == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return _rational(Fraction(parse_int(num), d))
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -260,6 +269,6 @@ def parse_scalar(text: str) -> Scalar:
     elif b_txt == "-":
         b = -1
     else:
-        b = _parse_fraction(b_txt)
-    a = _parse_fraction(a_txt) if a_txt not in ("", "+") else 0
+        b = _parse_fraction(b_txt.removeprefix("+"))
+    a = _parse_fraction(a_txt)
     return _normalize(a, b)

@@ -64,8 +64,9 @@ _BYTE_VALUES = bytes(range(256))
 class FiniteDom(Dom):
     """A finite carrier as its n x n addition table over the ordered
     carrier 0..n-1, with the forced minus i -> n-1-i. Two are equal when
-    their tables are. ``neutral`` is the index of the identity row, or
-    None: such a table can be validated, but it has no zero."""
+    their tables are. ``neutral`` is the first e whose row and column are
+    both the identity, or None: such a table can be validated, but it has
+    no zero."""
 
     __slots__ = ("n", "plus", "neutral")
 
@@ -82,12 +83,14 @@ class FiniteDom(Dom):
         self.n = n
         self.plus = tuple(rows)
         identity = tuple(range(n))
-        self.neutral = next((e for e, row in enumerate(rows) if row == identity), None)
+        self.neutral = next((e for e, row in enumerate(rows) if row == identity
+                             and all(r[e] == i for i, r in enumerate(rows))), None)
 
     @classmethod
     def _of(cls, plus: tuple, e: int) -> "FiniteDom":
         """Unchecked: ``plus`` is already a square tuple of int tuples with
-        entries in 0..n-1 and identity row ``e``, as the search builds it."""
+        entries in 0..n-1 and identity row and column ``e``, as the search
+        builds it."""
         t = object.__new__(cls)
         t.n = len(plus)
         t.plus = plus

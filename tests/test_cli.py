@@ -149,7 +149,10 @@ def test_malformed_tokens_are_parse_errors_on_every_carrier(capsys):
     # a token that is neither a cut literal nor a group literal does not
     # parse, whatever the carrier; a literal of the other kind is a type error
     for carrier in ("cuts(Q)", "cuts(Z)", "tilde(Q)", "Q"):
-        for expr in ("foo", "1/0", "(cut(1)+", "foo + cut(0)+"):
+        # scalar literals are [-]digits or [-]digits/digits in ASCII digits:
+        # Fraction's own exponents, decimals, signs and underscores are not
+        for expr in ("foo", "1/0", "(cut(1)+", "foo + cut(0)+", "1e5000", "1e300000000",
+                     "1_0", "+1", "\u0663", "1.5", ".5", "1e3"):
             code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
             assert (code, out) == (2, "") and err.startswith("parse error: "), (carrier, expr)
     code, out, err = run(capsys, "eval", "--carrier", "cuts(Q)", "1/2")
@@ -216,6 +219,17 @@ def test_constructions_refuse_a_table_without_neutral(capsys, tmp_path):
                  ["split", f, "1"]):
         code, out, err = run(capsys, "construct", *argv)
         assert (code, out, err) == (4, "", "error: table has no neutral element\n"), argv
+
+
+def test_a_one_sided_neutral_is_no_neutral(capsys, tmp_path):
+    # row 0 is the identity, but 1 + 0 = 0: the neutral must be two-sided
+    path = tmp_path / "onesided.tbl"
+    path.write_text("2\n0 1\n0 0\n")
+    assert parse_table(path.read_text()).neutral is None
+    code, out, _ = run(capsys, "check-table", str(path))
+    assert code == 1 and "monoid: FAIL" in out.splitlines()
+    code, out, err = run(capsys, "construct", "dual", str(path))
+    assert (code, out, err) == (4, "", "error: table has no neutral element\n")
 
 
 def test_enumerate_output(capsys):
@@ -316,6 +330,40 @@ def test_construct_embed_odd_chain(capsys):
     assert code == 0
     assert out.splitlines()[1:] == ["0 -> -inf", "1 -> cut(0)-", "2 -> g(0)",
                                     "3 -> cut(0)+", "4 -> +inf"]
+
+
+NINES = "9" * 4300
+
+EXIT_CONTRACT = [
+    # a table file that cannot be read is a parse error in every subcommand
+    (["check-table", "missing.tbl"], 2, "parse error: "),
+    (["check-table", "."], 2, "parse error: "),
+    *[(["construct", kind, *args], 2, "parse error: ") for kind, args in (
+        ("infinity", ["missing.tbl"]), ("dual", ["missing.tbl"]), ("cuts", ["missing.tbl"]),
+        ("quot-equiv", ["missing.tbl"]), ("collapse", ["missing.tbl"]), ("dual", ["."]),
+        ("mu", ["missing.tbl", "trivial:3"]), ("mu", ["trivial:3", "missing.tbl"]),
+        ("split", ["missing.tbl", "1"]))],
+    # so is a carrier that does not parse, whichever subcommand reads it
+    (["eval", "--carrier", "foo", "1"], 2, "parse error: "),
+    (["classify", "--carrier", "foo"], 2, "parse error: "),
+    *[(["valuation", which, "--carrier", "foo"], 2, "parse error: ")
+      for which in ("width", "natural", "w", "trivial", "two", "bogus")],
+    # an unknown name is a usage error
+    (["construct", "nonsense"], 4, "error: unknown construction 'nonsense'"),
+    (["valuation", "bogus", "--carrier", "cuts(Q)"], 4, "error: unknown valuation 'bogus'"),
+    # an error while printing is mapped too, not left as a traceback
+    (["eval", "--carrier", "cuts(Q)", f"cut({NINES})+ + cut({NINES})+"], 4, "error: "),
+]
+
+
+@pytest.mark.parametrize("argv, code, prefix", EXIT_CONTRACT,
+                         ids=[" ".join(argv)[:40] for argv, _, _ in EXIT_CONTRACT])
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, code, prefix):
+    # one mapping from error kind to exit code and stderr prefix, for
+    # every subcommand
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "") and err.startswith(prefix), err
 
 
 def test_usage_errors_exit_4(capsys):
