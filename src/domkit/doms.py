@@ -917,13 +917,19 @@ class SubDomView(View):
         return [x for x in elems if self.pred(x)]
 
     def sample(self, rng, count):
-        out = [s for s in self._staples if self.pred(s)]
-        guard = 0
-        while len(out) < count and guard < 200 * count:
-            guard += 1
+        """Distinct members, the staples first; drawing stops after 50
+        parent samples that add no new member."""
+        seen = set(self._staples)
+        out = [s for s in dict.fromkeys(self._staples) if self.pred(s)]
+        idle = 0
+        while len(out) < count and idle < 50:
+            before = len(out)
             for x in self.parent.sample(rng, 16):
-                if self.pred(x):
-                    out.append(x)
+                if x not in seen:
+                    seen.add(x)
+                    if self.pred(x):
+                        out.append(x)
+            idle += len(out) == before
         if len(out) < max(2, count // 8):
             raise ValueError(f"could not sample enough elements of {self.name}")
         return out[:count]

@@ -28,6 +28,7 @@ from domkit.scalars import (
     format_scalar,
     parse_int,
     parse_scalar,
+    scalar_add,
     scalar_cmp,
 )
 
@@ -38,6 +39,12 @@ def lex_cmp(x: tuple, y: tuple) -> int:
     """Lexicographic comparison of two coordinate tuples, up to the end of
     the shorter one: -1, 0 or 1."""
     for u, v in zip(x, y):
+        if u is v:
+            continue
+        if type(u) is int and type(v) is int:
+            if u != v:
+                return 1 if u > v else -1
+            continue
         c = scalar_cmp(u, v)
         if c:
             return c
@@ -68,7 +75,7 @@ def _is_prime(n: int) -> bool:
 class Atom:
     """One rank-one component of a lexicographic product."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "discrete")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in ATOM_KINDS:
@@ -80,6 +87,7 @@ class Atom:
             raise ValueError(f"{kind} takes no parameter")
         self.kind = kind
         self.p = p
+        self.discrete = kind == "Z"
 
     def contains(self, x: Scalar) -> bool:
         if type(x) is int or self.kind == "Qr2":
@@ -95,10 +103,6 @@ class Atom:
         if self.kind == "Zloc":
             return f.denominator % self.p != 0
         return True  # Q
-
-    @property
-    def discrete(self) -> bool:
-        return self.kind == "Z"
 
     def is_subgroup_of(self, other: "Atom") -> bool:
         """Z < Zloc(p) < Q < Qr2; localizations at different primes are
@@ -180,7 +184,7 @@ class FactorSet:
         s = self.section
         if s is None:
             return (canon(sum(k * c[0] ** i * d[0] ** j for (i, j), k in self.poly.items())),)
-        sx, sy, sxy = s(c), s(d), s(tuple(map(operator.add, c, d)))
+        sx, sy, sxy = s(c), s(d), s(tuple(map(scalar_add, c, d)))
         return tuple(canon(u + v - w) for u, v, w in zip(sx, sy, sxy))
 
     def __repr__(self):
@@ -410,10 +414,10 @@ class Group:
             c1, a1 = self._split(x)
             c2, a2 = self._split(y)
             tw = self._twist(c1, c2)
-            c = tuple(map(canon, map(operator.add, c1, c2)))
-            a = tuple(canon(u + v + w) for u, v, w in zip(a1, a2, tw))
+            c = tuple(map(scalar_add, c1, c2))
+            a = tuple(scalar_add(scalar_add(u, v), w) for u, v, w in zip(a1, a2, tw))
             return c + a
-        return tuple(map(canon, map(operator.add, x, y)))
+        return tuple(map(scalar_add, x, y))
 
     def neg(self, x: tuple) -> tuple:
         if self.base is not None:

@@ -16,6 +16,14 @@ machine-word arithmetic.  The invariant is a matter of speed only: a
 stray ``Fraction(3)`` still equals ``3`` and hashes like it, so every
 answer and every structural cut equality is the same either way.
 
+``scalar_add`` and ``scalar_cmp`` are the kernels under group sums and
+the lexicographic order.  Canonical in, canonical out: they take any
+form, and every sum comes back through ``canon``'s forms.  Each reads
+its operands' ``type()`` once instead of going through the operators'
+generic coercions: int with int is plain machine arithmetic, a rational
+pair is one cross-multiplication over ``numerator``/``denominator``, and
+only a ``Sqrt2`` operand takes its own operators.
+
 ``parse_scalar`` reads ``a``, ``br2``, ``a+br2`` and ``a-br2``, where
 ``a`` and ``b`` are ``n`` or ``n/d`` in ASCII digits (``n`` may carry a
 minus sign); the ``r2`` term ends the literal, and any text after it is
@@ -25,7 +33,7 @@ a ``ValueError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Scalar = Union[int, Fraction, "Sqrt2"]
@@ -175,10 +183,33 @@ def as_fraction(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
+def scalar_add(x: Scalar, y: Scalar) -> Scalar:
+    """The canonical sum x + y."""
+    tx, ty = type(x), type(y)
+    if tx is int:
+        if ty is int:
+            return x + y
+        if not x:
+            return canon(y)
+    elif ty is int and not y:
+        return canon(x)
+    if tx is Sqrt2 or ty is Sqrt2:
+        return canon(x + y)
+    # int or Fraction, denominators positive: one cross-multiplication
+    xd, yd = x.denominator, y.denominator
+    n = x.numerator * yd + y.numerator * xd
+    d = xd * yd
+    g = gcd(n, d)
+    if g == d:
+        return n // d
+    return Fraction(n // g, d // g)
+
+
 def scalar_cmp(x: Scalar, y: Scalar) -> int:
-    if type(x) is int and type(y) is int:
+    tx, ty = type(x), type(y)
+    if tx is int and ty is int:
         return (x > y) - (x < y)
-    if not isinstance(x, Sqrt2) and not isinstance(y, Sqrt2):
+    if tx is not Sqrt2 and ty is not Sqrt2:
         # int or Fraction, denominators positive: one cross-multiplication
         d = x.numerator * y.denominator - y.numerator * x.denominator
         return (d > 0) - (d < 0)

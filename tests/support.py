@@ -4,10 +4,21 @@ the 27-item derived-law suite that doubles as the acceptance engine."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from domkit.doms import CutDom, Dom
 from domkit.groups import Group
+from domkit.scalars import Sqrt2
 from domkit.tables import FiniteDom
+
+
+def is_canonical(v) -> bool:
+    """Whether a scalar is in ``scalars.canon``'s form."""
+    if type(v) is int:
+        return True
+    if type(v) is Fraction:
+        return v.denominator != 1
+    return type(v) is Sqrt2 and v.b != 0
 
 
 def standard_cut_carriers() -> dict[str, CutDom]:

@@ -21,17 +21,10 @@ from domkit.doms import CutDom
 from domkit.groups import FactorSet, Group
 from domkit.oracle import oracle_sum
 from domkit.scalars import Sqrt2, canon, scalar_cmp, scalar_floor
+from support import is_canonical
 
 Q = Group.Q()
 Z = Group.Z()
-
-
-def is_canonical(v) -> bool:
-    if type(v) is int:
-        return True
-    if type(v) is F:
-        return v.denominator != 1
-    return type(v) is Sqrt2 and v.b != 0
 
 
 def _carriers():

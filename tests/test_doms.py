@@ -298,6 +298,17 @@ def test_m0_and_slices():
         special_set(d, "Mge", cc(QQ, "cut((1,0))+"))
 
 
+def test_subset_sample_has_no_repeats():
+    # the parent's staples lead every parent sample; the view keeps each once
+    d = CutDom(Q)
+    for which in ("M0", "H"):
+        view = special_set(d, which)
+        got = view.sample(random.Random(1), 40)
+        assert len(set(got)) == len(got), which
+        assert all(view.contains(x) for x in got), which
+    assert len(special_set(d, "M0").sample(random.Random(1), 40)) >= 25
+
+
 def test_d_and_h_sets():
     d = CutDom(Q, "Qr2")
     dd = special_set(d, "D")

@@ -2,10 +2,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from domkit.groups import Atom
-from domkit.scalars import Sqrt2, format_scalar, parse_scalar, scalar_cmp, scalar_floor
+from domkit.groups import Atom, lex_cmp
+from domkit.scalars import (
+    Sqrt2, canon, format_scalar, parse_scalar, scalar_add, scalar_cmp, scalar_floor,
+)
+from support import is_canonical
 
 
 def test_sign_cases():
@@ -103,3 +106,68 @@ def test_atom_contains_ignores_scalar_kind(a, n):
     for atom in ATOMS:
         assert atom.contains(a) == atom.contains(Sqrt2(a, 0))
         assert atom.contains(n) == atom.contains(F(n)) == atom.contains(Sqrt2(n, 0))
+
+
+# -- kernel agreement: scalar_add, scalar_cmp and lex_cmp against the
+# operators of int, Fraction and Sqrt2 ---------------------------------------
+
+BIG = 2**70
+huge_ints = st.integers(-BIG, BIG)
+small_ints = st.integers(-3, 3)
+kernel_rationals = st.one_of(
+    huge_ints,
+    small_ints,
+    st.builds(F, huge_ints, st.integers(1, BIG)),
+    st.builds(F, small_ints, st.integers(1, 4)),
+    huge_ints.map(F),  # non-canonical: an integral Fraction
+    st.sampled_from([F(0), F(2, 1), F(-1, 1), 0]),
+)
+kernel_scalars = st.one_of(
+    kernel_rationals,
+    st.builds(Sqrt2, kernel_rationals, kernel_rationals),  # b = 0 is non-canonical
+)
+
+
+def lex_cmp_reference(x: tuple, y: tuple) -> int:
+    for u, v in zip(x, y):
+        if u != v:
+            return 1 if u > v else -1
+    return 0
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(kernel_scalars, kernel_scalars)
+def test_scalar_kernels_agree_with_operators(x, y):
+    for u, v in ((x, y), (y, x), (x, x), (x, -y), (-x, x), (x, 0), (0, x), (x, F(0))):
+        s = scalar_add(u, v)
+        assert s == canon(u + v) and type(s) is type(canon(u + v)), (u, v, s)
+        assert is_canonical(s), (u, v, s)
+        assert scalar_cmp(u, v) == (u > v) - (u < v), (u, v)
+
+
+@st.composite
+def tuple_pairs(draw):
+    """Two coordinate tuples of up to four scalars, where each coordinate of
+    the second is the first's own object, a fresh equal value, or another
+    scalar; the second may be shorter or longer."""
+    x = tuple(draw(st.lists(kernel_scalars, min_size=0, max_size=4)))
+    y = []
+    for u in x:
+        how = draw(st.sampled_from(("same", "equal", "other")))
+        if how == "same":
+            y.append(u)
+        elif how == "equal":
+            y.append(F(u) if not isinstance(u, Sqrt2) else Sqrt2(u.a, u.b))
+        else:
+            y.append(draw(kernel_scalars))
+    y = y[:draw(st.integers(0, len(y)))] + draw(st.lists(kernel_scalars, max_size=1))
+    return x, tuple(y)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(tuple_pairs())
+def test_lex_cmp_agrees_with_zip_and_compare(pair):
+    x, y = pair
+    assert lex_cmp(x, y) == lex_cmp_reference(x, y), (x, y)
+    assert lex_cmp(y, x) == lex_cmp_reference(y, x), (x, y)
+    assert lex_cmp(x, x) == 0
