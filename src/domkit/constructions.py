@@ -479,6 +479,7 @@ def embed_finite(n: int) -> HomCandidate:
     """
     if n < 1:
         raise ValueError("chain size must be positive")
+    source = trivial_dom(n)  # refuses a chain too large for a table first
     a = max(n - 2, 0) // 2
     g = Group.trivial() if a == 0 else Group.lex(*([Group.Q()] * a))
     target: Dom = CutDom(g)
@@ -488,5 +489,5 @@ def embed_finite(n: int) -> HomCandidate:
         target = TildeDom(g)
         cuts = [("n", x) for x in images] if n > 1 else []
         images = cuts[:a + 1] + [("m", g.zero())] + cuts[a + 1:]
-    return HomCandidate(trivial_dom(n), target, images.__getitem__,
+    return HomCandidate(source, target, images.__getitem__,
                         universe=list(range(n)))

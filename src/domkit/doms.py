@@ -21,8 +21,8 @@ what it changes. ``GlueDom`` glues a carrier below the wide part of
 another one and draws samples from both; the mixed carrier ``TildeDom``
 is a group glued below its cuts, each group element sent to its
 principal cut, with only literals and closed-form facts of its own.
-``check_axioms``, ``verify_hom`` and ``valuations.check_valuation`` draw
-their tuples from ``law_tuples``.
+``check_axioms``, ``verify_hom`` and ``valuations.check_valuation`` are
+law tables run by one ``check_laws``.
 """
 
 from __future__ import annotations
@@ -414,15 +414,9 @@ class CutDom(Dom):
     def cmp(self, x, y):
         return ct.compare(self.group, x, y)
 
-    # the right-set rule tables, kept independent of the derived forms
+    # the right-set rule tables, kept independent of the derived form
     def radd(self, x, y):
         return ct.radd(self.group, x, y)
-
-    def rsub(self, x, y):
-        return ct.rsub(self.group, x, y)
-
-    def lsub(self, x, y):
-        return ct.lsub(self.group, x, y)
 
     def width_of(self, x):
         if x.kind != "n":
@@ -773,19 +767,40 @@ def is_exhaustive(d: Dom, universe: Sequence) -> bool:
             and all(universe.count(e) == 1 for e in elems))
 
 
-def law_tuples(universe: Sequence, k: int, exhaustive: bool, samples: int,
-               rng: random.Random) -> Iterable[tuple]:
-    """Every k-tuple of an exhaustive universe, else ``samples`` seeded
-    draws of k elements each (drawn lazily, one tuple at a time)."""
-    if exhaustive:
-        return itertools.product(universe, repeat=k)
-    return (tuple(rng.choice(universe) for _ in range(k)) for _ in range(samples))
-
-
 def first_witness(tuples: Iterable[tuple], fails: Callable) -> tuple:
     """(True, None) when no tuple fails, else (False, the first that does)."""
     w = next((t for t in tuples if fails(*t)), None)
     return (w is None, w)
+
+
+def check_laws(d: Dom, laws: dict, universe: Optional[Sequence], which: Optional[Iterable[str]],
+               samples: int, seed: int) -> dict:
+    """Run a law table: ``laws`` maps a name to ``(tuples, fails)``, and the
+    report maps it to ``first_witness``'s verdict, in the order of ``laws``
+    (only the names in ``which``, all when it is None).
+
+    ``tuples`` is ``1`` for a law over the whole universe; ``k >= 2`` for
+    every k-tuple of an exhaustive universe (``is_exhaustive``), else
+    ``samples`` seeded draws of k elements each, drawn lazily one tuple at
+    a time; or an explicit list of tuples. Without a universe the carrier
+    draws one from the same ``Random(seed)`` as the tuples.
+    """
+    rng = random.Random(seed)
+    universe = list(d.universe(rng, samples) if universe is None else universe)
+    exhaustive = is_exhaustive(d, universe)
+    which = None if which is None else set(which)
+    report = {}
+    for name, (tuples, fails) in laws.items():
+        if which is not None and name not in which:
+            continue
+        if tuples == 1:
+            tuples = ((x,) for x in universe)
+        elif isinstance(tuples, int):
+            k = tuples
+            tuples = (itertools.product(universe, repeat=k) if exhaustive else
+                      (tuple(rng.choice(universe) for _ in range(k)) for _ in range(samples)))
+        report[name] = first_witness(tuples, fails)
+    return report
 
 
 def check_axioms(d: Dom, universe: Optional[Sequence] = None,
@@ -797,38 +812,26 @@ def check_axioms(d: Dom, universe: Optional[Sequence] = None,
     checked over all tuples; any other over seeded samples drawn from
     ``universe`` (or the carrier's own sampler).
     """
-    rng = random.Random(seed)
-    if universe is None:
-        universe = d.universe(rng, samples)
-    universe = list(universe)
-    exhaustive = is_exhaustive(d, universe)
     zero = d.zero()
     delta = d.delta()
-
-    def draw(k):  # lazy: a law's tuples are drawn only when it is checked
-        return law_tuples(universe, k, exhaustive, samples, rng)
-
-    # each law's tuples (laws in one variable run over the whole universe)
+    # each law's arity (laws in one variable run over the whole universe)
     # and the test that a tuple is a witness against it
-    singles = [(x,) for x in universe]
     laws = {
-        "assoc": (draw(3), lambda x, y, z: not d.eq(d.add(d.add(x, y), z), d.add(x, d.add(y, z)))),
-        "comm": (draw(2), lambda x, y: not d.eq(d.add(x, y), d.add(y, x))),
-        "neutral": (singles, lambda x: not d.eq(d.add(x, zero), x)),
-        "PA": (draw(3), lambda x, y, t: d.lt(x, y) and d.cmp(d.add(x, t), d.add(y, t)) > 0),
-        "minus": (draw(2), lambda x, y: not d.eq(d.neg(d.neg(x)), x)
+        "assoc": (3, lambda x, y, z: not d.eq(d.add(d.add(x, y), z), d.add(x, d.add(y, z)))),
+        "comm": (2, lambda x, y: not d.eq(d.add(x, y), d.add(y, x))),
+        "neutral": (1, lambda x: not d.eq(d.add(x, zero), x)),
+        "PA": (3, lambda x, y, t: d.lt(x, y) and d.cmp(d.add(x, t), d.add(y, t)) > 0),
+        "minus": (2, lambda x, y: not d.eq(d.neg(d.neg(x)), x)
                   or (d.le(x, y) and d.cmp(d.neg(y), d.neg(x)) > 0)),
         "MA": ([(delta,)], lambda x: not d.le(x, zero)),
-        "MB": (singles, lambda x: d.lt(d.abs_of(x), zero)),
-        "MCa": (draw(2), lambda x, y: d.lt(x, y) and not d.lt(d.rsub(x, y), zero)),
+        "MB": (1, lambda x: d.lt(d.abs_of(x), zero)),
+        "MCa": (2, lambda x, y: d.lt(x, y) and not d.lt(d.rsub(x, y), zero)),
         # single-variable equivalent: every width is nonnegative
-        "MCb": (singles, lambda x: d.lt(d.width_of(x), zero)),
-        "MCprime": (draw(3), lambda x, y, z: d.cmp(
+        "MCb": (1, lambda x: d.lt(d.width_of(x), zero)),
+        "MCprime": (3, lambda x, y, z: d.cmp(
             d.rsub(d.add(x, y), z), d.add(x, d.rsub(y, z))) < 0),
     }
-    which = set(which)
-    report = {name: first_witness(tuples, fails)
-              for name, (tuples, fails) in laws.items() if name in which}
+    report = check_laws(d, laws, universe, which, samples, seed)
     ok, w = report.get("minus", (True, None))
     if not ok and not d.eq(d.neg(d.neg(w[0])), w[0]):
         report["minus"] = (False, w[:1])  # the minus is not an involution at x
@@ -918,7 +921,8 @@ class SubDomView(View):
 
     def sample(self, rng, count):
         """Distinct members, the staples first; drawing stops after 50
-        parent samples that add no new member."""
+        parent samples that add no new member. A subset with fewer members
+        than ``count`` returns those it found; one with none raises."""
         seen = set(self._staples)
         out = [s for s in dict.fromkeys(self._staples) if self.pred(s)]
         idle = 0
@@ -930,7 +934,7 @@ class SubDomView(View):
                     if self.pred(x):
                         out.append(x)
             idle += len(out) == before
-        if len(out) < max(2, count // 8):
+        if not out:
             raise ValueError(f"could not sample enough elements of {self.name}")
         return out[:count]
 
@@ -1002,21 +1006,20 @@ class HomCandidate:
 def verify_hom(h: HomCandidate, samples: int = 250, seed: int = 0) -> dict:
     """Order/plus/minus/zero preservation with witnesses; injectivity is
     decided (True/False) on an exhaustive universe only, else None."""
-    rng = random.Random(seed)
-    universe = h.universe if h.universe is not None else h.source.universe(rng, samples)
     s, t = h.source, h.target
-    exhaustive = is_exhaustive(s, universe)
-    return {
-        "order": first_witness(law_tuples(universe, 2, exhaustive, samples, rng),
-                               lambda x, y: s.le(x, y) and t.cmp(h(x), h(y)) > 0),
-        "plus": first_witness(law_tuples(universe, 2, exhaustive, samples, rng),
-                              lambda x, y: not t.eq(h(s.add(x, y)), t.add(h(x), h(y)))),
-        "minus": first_witness(((x,) for x in universe),
-                               lambda x: not t.eq(h(s.neg(x)), t.neg(h(x)))),
-        "zero": first_witness([(s.zero(),)], lambda z: not t.eq(h(z), t.zero())),
-        "injective": (len({h(x) for x in universe}) == len(universe) if exhaustive else None,
-                      None),
+    laws = {
+        "order": (2, lambda x, y: s.le(x, y) and t.cmp(h(x), h(y)) > 0),
+        "plus": (2, lambda x, y: not t.eq(h(s.add(x, y)), t.add(h(x), h(y)))),
+        "minus": (1, lambda x: not t.eq(h(s.neg(x)), t.neg(h(x)))),
+        "zero": ([(s.zero(),)], lambda z: not t.eq(h(z), t.zero())),
     }
+    report = check_laws(s, laws, h.universe, None, samples, seed)
+    # a sampled universe is never exhaustive
+    universe = h.universe if h.universe is not None else s.iter_elements()
+    exhaustive = universe is not None and is_exhaustive(s, universe)
+    report["injective"] = (len({h(x) for x in universe}) == len(universe) if exhaustive else None,
+                           None)
+    return report
 
 
 def hom_kernel(h: HomCandidate, universe: Optional[list] = None,

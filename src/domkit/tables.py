@@ -130,9 +130,6 @@ class FiniteDom(Dom):
     def iter_elements(self):
         return list(range(self.n))
 
-    def fmt(self, x):
-        return str(x)
-
 
 def serialize_table(t: FiniteDom) -> str:
     lines = [str(t.n)]
@@ -164,6 +161,7 @@ def trivial_dom(n: int) -> FiniteDom:
     """Dominance-by-absolute-value addition on the n-chain."""
     if n < 1:
         raise ValueError("need at least one element")
+    _check_size(n)
     top = n - 1
 
     def absval(i: int) -> int:

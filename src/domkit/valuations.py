@@ -6,11 +6,12 @@ subadditivity into equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Callable, Iterable, Optional
 
-from domkit.doms import Dom, first_witness, is_exhaustive, law_tuples
+from domkit.doms import Dom, check_laws, first_witness
 
 
 class Valuation:
@@ -94,33 +95,15 @@ def check_valuation(v: Valuation, which: Iterable[str] = VAL_AXIOMS,
     """Axiom report with witnesses: bottom at zero, symmetry under the
     minus, subadditivity, convexity, strength."""
     d = v.source
-    rng = random.Random(seed)
-    if universe is None:
-        universe = d.universe(rng, samples)
-    which = list(which)
-    report: dict = {}
-    exhaustive = is_exhaustive(d, universe)
-
-    def pairs():
-        return law_tuples(universe, 2, exhaustive, samples, rng)
-
-    if "V1" in which:
-        bottom = v.min_value()
-        report["V1"] = first_witness(((x,) for x in universe),
-                                     lambda x: v.value_cmp(bottom, v(x)) > 0)
-    if "V2" in which:
-        report["V2"] = first_witness(((x,) for x in universe),
-                                     lambda x: v.value_cmp(v(d.neg(x)), v(x)) != 0)
-    if "V3" in which:
-        report["V3"] = first_witness(pairs(), lambda x, y: v.value_cmp(
-            v(d.add(x, y)), _vmax(v, v(x), v(y))) > 0)
-    if "V4" in which:
-        report["V4"] = first_witness(pairs(), lambda x, y: d.le(d.abs_of(x), d.abs_of(y))
-                                     and v.value_cmp(v(x), v(y)) > 0)
-    if "strong" in which:
-        report["strong"] = first_witness(pairs(), lambda x, y: v.value_cmp(
-            v(d.add(x, y)), _vmax(v, v(x), v(y))) != 0)
-    return report
+    bottom = functools.cache(v.min_value)  # evaluated only when V1 is checked
+    laws = {
+        "V1": (1, lambda x: v.value_cmp(bottom(), v(x)) > 0),
+        "V2": (1, lambda x: v.value_cmp(v(d.neg(x)), v(x)) != 0),
+        "V3": (2, lambda x, y: v.value_cmp(v(d.add(x, y)), _vmax(v, v(x), v(y))) > 0),
+        "V4": (2, lambda x, y: d.le(d.abs_of(x), d.abs_of(y)) and v.value_cmp(v(x), v(y)) > 0),
+        "strong": (2, lambda x, y: v.value_cmp(v(d.add(x, y)), _vmax(v, v(x), v(y))) != 0),
+    }
+    return check_laws(d, laws, universe, which, samples, seed)
 
 
 def _vmax(v: Valuation, a, b):

@@ -209,6 +209,21 @@ def test_construct_numbers_are_ascii_digit_runs(capsys, tmp_path):
     assert (code, out) == (4, "") and "at least one" in err
 
 
+def test_construct_refuses_chains_past_the_table_limit(capsys):
+    # a chain is a table, so past 256 elements it is refused before it is
+    # built: no OverflowError or MemoryError traceback on a huge count
+    huge = "100000000000000000000000"
+    for argv in (["trivial", huge], ["dual", f"trivial:{huge}"], ["embed", huge],
+                 ["trivial", "257"], ["embed", "257"], ["trivial", "30000"],
+                 ["embed", "200000"], ["mu", "trivial:3", "trivial:300"]):
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out) == (4, "") and err.startswith("error: ") and "exceeds 256" in err, argv
+    code, out, _ = run(capsys, "construct", "trivial", "256")
+    assert code == 0 and out.startswith("256\n") and len(out.splitlines()) == 257
+    code, out, _ = run(capsys, "construct", "embed", "256")
+    assert code == 0 and out.startswith("target: cuts(") and len(out.splitlines()) == 257
+
+
 def test_constructions_refuse_a_table_without_neutral(capsys, tmp_path):
     # the table is refused when it is loaded, whichever argument it is
     flat = tmp_path / "flat.tbl"

@@ -7,8 +7,8 @@ import pytest
 from domkit import cuts as ct
 from domkit.cuts import FILLED, MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.doms import (
-    CutDom, GroupDom, HomCandidate, TildeDom, check_axioms, classify_type,
-    equiv_class, f_minus, f_plus, hom_kernel, is_convex,
+    ALL_AXIOMS, CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, check_axioms,
+    check_laws, classify_type, equiv_class, f_minus, f_plus, hom_kernel, is_convex,
     multiplicity, sign_of, special_set, verify_hom,
 )
 from domkit.groups import Group, lex_cmp
@@ -309,6 +309,30 @@ def test_subset_sample_has_no_repeats():
     assert len(special_set(d, "M0").sample(random.Random(1), 40)) >= 25
 
 
+def test_small_subsets_sample_what_they_hold():
+    # a subset with fewer members than the sample count still samples, and
+    # the default check_axioms run over it passes every axiom
+    for d, which, count in ((CutDom(Q), "M0", 300), (CutDom(Q), "D", 300),
+                            (CutDom(Q), "H", 300), (CutDom(Q), "E", 300),
+                            (CutDom(Z2), "D", 300), (CutDom(Z2), "H", 300),
+                            (CutDom(Z2), "E", 300), (CutDom(Z), "M0", 100),
+                            (CutDom(Z), "E", 100), (GroupDom(Q), "E", 3),
+                            (TildeDom(Q), "E", 3)):
+        view = special_set(d, which)
+        got = view.sample(random.Random(0), count)
+        assert 0 < len(got) <= count and all(view.contains(x) for x in got), (d.name, which)
+        rep = check_axioms(view, samples=count)
+        assert list(rep) == list(ALL_AXIOMS)
+        assert all(ok for ok, _ in rep.values()), (d.name, which, rep)
+    widths = [w for w in CutDom(Z).width_set() if w != POS_INF]
+    mge = special_set(CutDom(Z), "Mge", widths[-1])
+    assert all(ok for ok, _ in check_axioms(mge).values())
+    assert special_set(GroupDom(Q), "E").sample(random.Random(0), 10) == [Q.zero()]
+    empty = SubDomView(CutDom(Q), lambda x: False, CutDom(Q).zero(), "empty")
+    with pytest.raises(ValueError, match="could not sample"):
+        empty.sample(random.Random(0), 10)
+
+
 def test_d_and_h_sets():
     d = CutDom(Q, "Qr2")
     dd = special_set(d, "D")
@@ -468,6 +492,75 @@ def test_kernel_convexity():
     ker = hom_kernel(h)
     assert ker == [1, 2, 3]
     assert is_convex(h.source, ker, t5.iter_elements())
+
+
+# -- the law runner ------------------------------------------------------------------
+
+
+def test_check_laws_exhaustive_witness_is_the_first_failing_tuple():
+    d = trivial_dom(4)
+    u = d.iter_elements()
+
+    def plain(order, k, fails):
+        for t in itertools.product(order, repeat=k):
+            if fails(*t):
+                return (False, t)
+        return (True, None)
+
+    laws = {"two": (2, lambda x, y: d.add(x, y) == x and x > y),
+            "three": (3, lambda x, y, z: d.add(d.add(x, y), z) == 3 and x > z),
+            "one": (1, lambda x: x == 2), "none": (2, lambda x, y: False)}
+    for universe in (u, [2, 0, 3, 1], None):
+        rep = check_laws(d, laws, universe, None, 5, 0)
+        order = u if universe is None else universe
+        assert rep == {name: plain(order, k, f) for name, (k, f) in laws.items()}, universe
+        assert not rep["two"][0] and not rep["three"][0] and rep["none"] == (True, None)
+
+
+def test_check_laws_samples_tuples_from_the_seeded_universe():
+    d = CutDom(Q)
+    seen = {"pair": [], "single": [], "triple": []}
+
+    def record(name):
+        return lambda *t: seen[name].append(t) or False
+
+    laws = {"first": (2, lambda x, y: True), "pair": (2, record("pair")),
+            "single": (1, record("single")), "triple": (3, record("triple"))}
+    rep = check_laws(d, laws, None, None, 30, 7)
+    # the universe comes first from Random(seed); every law draws lazily
+    # from the same generator, so a law that fails at once draws one tuple
+    rng = random.Random(7)
+    u = d.universe(rng, 30)
+    first = tuple(rng.choice(u) for _ in range(2))
+    assert rep["first"] == (False, first)
+    assert seen["pair"] == [tuple(rng.choice(u) for _ in range(2)) for _ in range(30)]
+    assert seen["single"] == [(x,) for x in u]
+    assert seen["triple"] == [tuple(rng.choice(u) for _ in range(3)) for _ in range(30)]
+    assert all(rep[name] == (True, None) for name in seen)
+    # a universe with a repeated element is sampled even on a finite carrier
+    t3 = trivial_dom(3)
+    count = []
+    check_laws(t3, {"p": (2, lambda x, y: count.append((x, y)) or False)},
+               [0, 1, 2, 2], None, 11, 0)
+    assert len(count) == 11
+
+
+def test_check_laws_which_filters_and_keeps_the_table_order():
+    d = trivial_dom(3)
+    laws = {name: (1, lambda x: False) for name in ("a", "b", "c", "d")}
+    assert list(check_laws(d, laws, None, None, 10, 0)) == ["a", "b", "c", "d"]
+    assert list(check_laws(d, laws, None, ("d", "a", "x"), 10, 0)) == ["a", "d"]
+    assert list(check_laws(d, laws, None, iter(["c", "b"]), 10, 0)) == ["b", "c"]
+    assert check_laws(d, laws, None, (), 10, 0) == {}
+
+
+def test_check_laws_takes_a_list_of_tuples_as_given():
+    d = trivial_dom(3)
+    calls = []
+    given = [(7, 7), (2, 0), (1, 1)]
+    rep = check_laws(d, {"given": (given, lambda x, y: calls.append((x, y)) or x == 2)},
+                     None, None, 10, 0)
+    assert calls == [(7, 7), (2, 0)] and rep == {"given": (False, (2, 0))}
 
 
 # -- duality ----------------------------------------------------------------------------------
