@@ -14,7 +14,8 @@ other ``ValueError`` or ``OSError`` and argparse's usage errors.  An
 expression that starts with ``-``, such as ``-inf``, is read as the
 expression, not as an option.  ``sign(..)`` is read only as the
 outermost operation: its inner part is a plain expression, so a nested
-``sign`` is a parse error.
+``sign`` is a parse error, and so are parentheses nested more than
+``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -72,13 +73,29 @@ def parse_carrier(text: str) -> Dom:
 _BINARY = {"+": "add", "+R": "radd", "-": "rsub", "-L": "lsub"}
 _UNARY = {"neg(": "neg", "width(": "width_of", "abs(": "abs_of", "sign(": None}
 
+# evaluation recurses once per nesting level, so deeper parentheses are
+# refused before it starts
+MAX_NESTING = 256
+
 
 def eval_expr(d: Dom, text: str):
     """Evaluate; returns ('sign', s) or ('val', element)."""
     s = text.strip()
+    _check_nesting(s)
     if s.startswith("sign(") and s.endswith(")") and _balanced(s[5:-1]):
         return ("sign", sign_of(d, _eval(d, s[5:-1])))
     return ("val", _eval(d, s))
+
+
+def _check_nesting(s: str) -> None:
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+        elif ch == ")":
+            depth -= 1
 
 
 def _balanced(s: str) -> bool:
@@ -228,7 +245,7 @@ def _cmd_construct(args) -> int:
         InfinityExtension, MuProduct, collapse, cuts_of_dom, dual, embed_finite,
         quotient_equiv, split_at_width, to_table,
     )
-    from domkit.tables import serialize_table, trivial_dom
+    from domkit.tables import _check_size, serialize_table, trivial_dom
 
     def embed(n):
         h = embed_finite(n)
@@ -257,7 +274,10 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"construct {args.kind} takes {arity} argument"
                          f"{'s' if arity > 1 else ''}, got {len(args.args)}")
     out = maker(*args.args)
-    sys.stdout.write(out if isinstance(out, str) else serialize_table(out))
+    if not isinstance(out, str):
+        _check_size(out.n)  # a construction may grow its table past the limit
+        out = serialize_table(out)
+    sys.stdout.write(out)
     return 0
 
 

@@ -34,6 +34,18 @@ without the closed-form side-combination tables used by ``cuts.add``:
   it is compared with the candidate before any other error is raised,
   so the first error is the one an element-by-element check would
   report.
+* a successful walk of the built-in chain reads only the group, b, the
+  length of a's prefix and the chain length; a and the candidate are
+  read only on failure.  The four oracle calls of one engine pair sum
+  (a, b), (-a, -b), (-a, b) and (a, -b), and -a keeps a's prefix
+  length, so they walk only the chains of b and -b.  The last
+  ``WALK_MEMO`` (four) successful walks are kept with their two ends,
+  and a call that matches one (the same group object, prefix length and
+  chain length, and an equal b) runs only the checks that read a and the
+  candidate, in the same order.  The same check on the same inputs gives
+  the same result, so no check is skipped.  A walk that raises, and a
+  caller's sampler, are never remembered.  Four entries cover one pair;
+  they are too few for repeated pairs or pool elements to hit.
 * the engine calls that remain are ``member_below`` in the membership
   probes, ``make_node`` for the candidate and the probe, one
   ``shift_by`` per walk, and ``compare`` of that shift with the
@@ -50,6 +62,7 @@ is an elementary coordinate flip.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from domkit.groups import Group, lex_cmp
@@ -139,15 +152,39 @@ def oracle_sum(g: Group, a: Cut, b: Cut, sampler=None) -> Cut:
     return cand
 
 
+# the last successful walks of the built-in chain, newest first, as
+# (g, na, chain_len, b, gamma_n, gamma_2n); see the module docstring
+WALK_MEMO = 4
+_walks: deque = deque(maxlen=WALK_MEMO)
+
+
 def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> None:
-    chain = sampler(g, b, 2 * chain_len)
-    # the built-in chain's elements are group members by construction
-    if sampler is not ascending_chain and not all(map(g.contains, chain)):
-        raise OracleError("sampler produced an element outside the group")
-    gamma = _walk_chain(g, a, b, cand, chain[:chain_len], None)
-    _check_least(g, cand, _checked_shift(g, a, cand, gamma), chain_len)
-    gamma = _walk_chain(g, a, b, cand, chain[chain_len:], gamma)
-    _check_least(g, cand, _checked_shift(g, a, cand, gamma), 2 * chain_len)
+    builtin = sampler is ascending_chain
+    na = len(a.prefix)
+    ends = _recall(g, na, chain_len, b) if builtin else None
+    if ends is None:
+        chain = sampler(g, b, 2 * chain_len)
+        # the built-in chain's elements are group members by construction
+        if not builtin and not all(map(g.contains, chain)):
+            raise OracleError("sampler produced an element outside the group")
+        first = _walk_chain(g, a, b, cand, chain[:chain_len], None)
+        _check_least(g, cand, _checked_shift(g, a, cand, first), chain_len)
+        last = _walk_chain(g, a, b, cand, chain[chain_len:], first)
+        if builtin:
+            _walks.appendleft((g, na, chain_len, b, first, last))
+    else:
+        first, last = ends
+        _check_least(g, cand, _checked_shift(g, a, cand, first), chain_len)
+    _check_least(g, cand, _checked_shift(g, a, cand, last), 2 * chain_len)
+
+
+def _recall(g: Group, na: int, chain_len: int, b: Cut) -> tuple | None:
+    """The two walk ends of an earlier successful walk of b's built-in
+    chain for the same group, prefix length and chain length."""
+    for mg, mna, mlen, mb, first, last in _walks:
+        if mg is g and mna == na and mlen == chain_len and mb == b:
+            return first, last
+    return None
 
 
 def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],

@@ -64,6 +64,22 @@ def test_eval_round_trip(capsys):
         assert code2 == 0 and out2 == out
 
 
+def _nested(depth, inner):
+    return "neg(" * depth + inner + ")" * depth
+
+
+def test_eval_nesting_limit(capsys):
+    # parentheses nested up to the limit evaluate; one level more is a
+    # parse error, found before evaluation recurses
+    for carrier, inner, want in (("Q", "1", "1"), ("tilde(Q)", "0", "g(0)")):
+        code, out, _ = run(capsys, "eval", "--carrier", carrier, _nested(256, inner))
+        assert (code, out) == (0, want + "\n"), carrier
+        code, out, err = run(capsys, "eval", "--carrier", carrier, _nested(257, inner))
+        assert (code, out) == (2, "") and "nested deeper than 256" in err, carrier
+    code, out, _ = run(capsys, "eval", "--carrier", "cuts(Q)", _nested(255, "cut(0)+"))
+    assert (code, out) == (0, "cut(0)-\n")
+
+
 def test_eval_error_codes(capsys):
     code, _, err = run(capsys, "eval", "--carrier", "cuts(Q)", "cut(")
     assert code == 2 and "parse error" in err
@@ -224,6 +240,14 @@ def test_construct_refuses_chains_past_the_table_limit(capsys):
     assert code == 0 and out.startswith("target: cuts(") and len(out.splitlines()) == 257
 
 
+def test_construct_refuses_a_result_past_the_table_limit(capsys):
+    # infinity adds two elements to its argument: the 257-element result
+    # is refused, not printed as a table that check-table then refuses
+    code, out, err = run(capsys, "construct", "infinity", "trivial:255")
+    assert (code, out) == (4, "") and err == \
+        "error: table size 257 exceeds 256: entries are held in bytes\n"
+
+
 def test_constructions_refuse_a_table_without_neutral(capsys, tmp_path):
     # the table is refused when it is loaded, whichever argument it is
     flat = tmp_path / "flat.tbl"
@@ -368,6 +392,9 @@ EXIT_CONTRACT = [
     (["valuation", "bogus", "--carrier", "cuts(Q)"], 4, "error: unknown valuation 'bogus'"),
     # an error while printing is mapped too, not left as a traceback
     (["eval", "--carrier", "cuts(Q)", f"cut({NINES})+ + cut({NINES})+"], 4, "error: "),
+    # nesting past the limit is refused, not left to end in a RecursionError
+    (["eval", "--carrier", "Q", _nested(10_000, "0")], 2, "parse error: "),
+    (["eval", "--carrier", "cuts(Q)", "(" * 10_000], 2, "parse error: "),
 ]
 
 

@@ -14,6 +14,8 @@ from domkit.oracle import (
     OracleError, _verify, ascending_chain, oracle_diff, oracle_radd, oracle_sum,
 )
 
+import support
+
 Q = Group.Q()
 Z = Group.Z()
 Z2 = Group.Zloc(2)
@@ -147,6 +149,12 @@ def test_walk_makes_no_engine_call_per_element(monkeypatch):
         seen.append(dict(counts))
     assert seen[0] == seen[1] == seen[2], seen
     assert seen[0]["shift_by"] == 2 and "member_below" not in seen[0]
+    # a call that finds its walk remembered still runs every check that
+    # reads a and the candidate: the same engine calls
+    assert any(e[2] == 8 and e[3] == b for e in oracle._walks)
+    counts.clear()
+    _verify(QQ, a, b, cand, 8, ascending_chain)
+    assert dict(counts) == seen[1]
 
 
 def test_builtin_chain_prefix_invariant():
@@ -354,3 +362,89 @@ def test_neg_inf_candidate_with_all_shifts_at_neg_inf():
     # a finite a has finite shifts, all above the candidate -inf
     with pytest.raises(OracleError, match="a shifted cut exceeds"):
         _verify(Q, parse_cut(Q, "cut(0)+"), b, ct.NEG_INF, 8, ascending_chain)
+
+
+# -- the walk memo ----------------------------------------------------------------
+
+
+def _four_oracle_results(g, a, b, cold):
+    calls = (lambda: oracle_sum(g, a, b), lambda: oracle_radd(g, a, b),
+             lambda: oracle_diff(g, "right", a, b), lambda: oracle_diff(g, "left", a, b))
+    out = []
+    for call in calls:
+        if cold:
+            oracle._walks.clear()
+        out.append(call())
+    return out
+
+
+def test_memo_gives_what_a_cold_oracle_gives():
+    # criterion 5's seed, pools and pair draws on the four carriers; the
+    # first quarter of each carrier's pairs is checked, with the memo
+    # cleared before every call and warm
+    rng = random.Random(202)
+    for name, d in support.standard_cut_carriers().items():
+        g = d.group
+        pool = d.sample(rng, 400)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(10_000)]
+        for a, b in pairs[:2_500]:
+            warm = _four_oracle_results(g, a, b, cold=False)
+            assert _four_oracle_results(g, a, b, cold=True) == warm, (name, d.fmt(a), d.fmt(b))
+
+
+def test_memo_stays_at_its_constant_size(monkeypatch):
+    # an oracle-verify round: 4000 pairs from 256-element pools, carriers
+    # in turn; a pair with finite operands walks b's and -b's chain once
+    # each, two halves per chain, where four calls once walked eight
+    walks = Counter()
+
+    def counted(*args, _fn=oracle._walk_chain):
+        walks["n"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(oracle, "_walk_chain", counted)
+    rng = random.Random(51)
+    carriers = [(d, d.sample(rng, 256)) for d in (CutDom(Q), CutDom(Z), CutDom(Z2),
+                                                 CutDom(QQ), R2)]
+    finite = 0
+    for i in range(4_000):
+        d, pool = carriers[i % len(carriers)]
+        a, b = rng.choice(pool), rng.choice(pool)
+        _four_oracle_results(d.group, a, b, cold=False)
+        finite += a.kind == b.kind == "n"
+        assert len(oracle._walks) <= oracle.WALK_MEMO
+    assert oracle.WALK_MEMO <= 4
+    assert 0 < walks["n"] <= 4 * finite
+
+
+def test_a_callers_sampler_never_reaches_the_memo():
+    a, b = parse_cut(Q, "cut(0)-"), parse_cut(Q, "cut(1)-")
+
+    def escaped(g, cut, n):
+        return [(F(5),)] * n
+
+    oracle_sum(Q, a, b)
+    held = list(oracle._walks)
+    for _ in range(2):
+        with pytest.raises(OracleError, match="sampler produced an element not below the cut"):
+            oracle_sum(Q, a, b, sampler=escaped)
+        assert list(oracle._walks) == held
+
+
+def test_a_remembered_walk_still_checks_the_candidate():
+    a = parse_cut(Q, "cut(1)+")
+    b = parse_cut(Q, "cut(1)+")
+    oracle._walks.clear()
+    assert oracle_sum(Q, a, b) == parse_cut(Q, "cut(2)+")
+    assert len(oracle._walks) == 1 and oracle._walks[0][3] == b
+    with pytest.raises(OracleError, match="a shifted cut exceeds the candidate supremum"):
+        _verify(Q, a, b, parse_cut(Q, "cut(0)+"), oracle.CHAIN_LEN, ascending_chain)
+    with pytest.raises(OracleError, match="not approached"):
+        _verify(Q, a, b, parse_cut(Q, "cut(5)+"), oracle.CHAIN_LEN, ascending_chain)
+    # the same b under an a with a shorter prefix is walked afresh
+    om = parse_cut(QQ, "edge(1)+0")
+    b = parse_cut(QQ, "cut(0,0)+")
+    oracle_sum(QQ, parse_cut(QQ, "cut(1,1)+"), b)
+    assert len(oracle._walks) == 2
+    assert oracle_sum(QQ, om, b) == om
+    assert [e[1] for e in oracle._walks][:2] == [1, 2]
