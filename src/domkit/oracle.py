@@ -30,10 +30,13 @@ without the closed-form side-combination tables used by ``cuts.add``:
   construction, a caller's by the membership check above.
   The shifts so far then ascend, so the last shift alone decides both
   "some shift exceeds the candidate" and "some shift crosses the probe":
-  it is the one shift built as a cut (``shift_by``), once per walk, and
-  it is compared with the candidate before any other error is raised,
-  so the first error is the one an element-by-element check would
-  report.
+  it is the one shift built as a cut, once per walk, and it is compared
+  with the candidate before any other error is raised, so the first
+  error is the one an element-by-element check would report.  Since
+  translation keeps a's level and side, that shift is built from
+  coordinates: a's level, the quotient sum of gamma's projection and
+  a's prefix, and a's side (the quotient sum still raises where a
+  factor set leaves the fiber).
 * a successful walk of the built-in chain reads only the group, b, the
   length of a's prefix and the chain length; a and the candidate are
   read only on failure.  The four oracle calls of one engine pair sum
@@ -47,31 +50,41 @@ without the closed-form side-combination tables used by ``cuts.add``:
   caller's sampler, are never remembered.  Four entries cover one pair;
   they are too few for repeated pairs or pool elements to hit.
 * the engine calls that remain are ``member_below`` in the membership
-  probes, ``make_node`` for the candidate and the probe, one
-  ``shift_by`` per walk, and ``compare`` of that shift with the
-  candidate and the probe.
-* the probe below a ``-`` or ``fill`` candidate sits exactly
-  base^-(n//2+1) below its anchor, where n is the chain length and the
-  base is the component's approximation base; the chain gets within
-  base^-n of the anchor.  A ``-inf`` candidate needs no probe: the
-  candidate check has already put every shift at ``-inf``.
+  probes, ``make_node`` for the candidate, and ``compare`` of each walk
+  end's shift with the candidate and the probe, and of the probe with
+  the candidate.  The walk-end shifts and the probes are built from
+  coordinates, already canonical, as ``make_node`` would build them.
+* the probe below a ``+`` candidate is the lower edge of its anchor,
+  ``(p, -)`` over a dense atom and the folded ``(p[:-1] + (t - 1,), +)``
+  over a discrete one; it is the same for both chain lengths.  The probe
+  below a ``-`` or ``fill`` candidate (over a dense atom, as canonical
+  cuts are) sits exactly base^-(n//2+1) below its anchor t, where n is
+  the chain length and the base is the component's approximation base;
+  the chain gets within base^-n of the anchor.  Its side is ``+`` below
+  a ``-`` candidate and ``fill`` below a ``fill`` one: a member minus a
+  member is a member, a non-member minus a member is not.  The probe of
+  ``+inf`` is ``(3^(n//2),)`` at the top level, side ``+``.  A ``-inf``
+  candidate needs no probe: the candidate check has already put every
+  shift at ``-inf``.
 
 Right sums and both differences reduce to this through the minus, which
-is an elementary coordinate flip.
+is an elementary coordinate flip: a +R b = -((-a) + (-b)),
+a -R b = -((-a) + b) and a -L b = a + (-b).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 from domkit.groups import Group, lex_cmp
 from domkit import cuts as ct
 from domkit.cuts import (
     Cut, FILLED, MINUS, NEG_INF, PLUS, POS_INF,
-    approach_below, compare, make_node, member_below, shift_by,
+    approach_below, compare, make_node, member_below,
 )
-from domkit.scalars import Sqrt2, canon, scalar_floor
+from domkit.scalars import Sqrt2, canon, scalar_add, scalar_floor
 
 
 CHAIN_LEN = 8
@@ -161,6 +174,7 @@ _walks: deque = deque(maxlen=WALK_MEMO)
 def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> None:
     builtin = sampler is ascending_chain
     na = len(a.prefix)
+    near, far = _probes(g, cand, chain_len)
     ends = _recall(g, na, chain_len, b) if builtin else None
     if ends is None:
         chain = sampler(g, b, 2 * chain_len)
@@ -168,14 +182,14 @@ def _verify(g: Group, a: Cut, b: Cut, cand: Cut, chain_len: int, sampler) -> Non
         if not builtin and not all(map(g.contains, chain)):
             raise OracleError("sampler produced an element outside the group")
         first = _walk_chain(g, a, b, cand, chain[:chain_len], None)
-        _check_least(g, cand, _checked_shift(g, a, cand, first), chain_len)
+        _check_least(g, cand, _checked_shift(g, a, cand, first), near)
         last = _walk_chain(g, a, b, cand, chain[chain_len:], first)
         if builtin:
             _walks.appendleft((g, na, chain_len, b, first, last))
     else:
         first, last = ends
-        _check_least(g, cand, _checked_shift(g, a, cand, first), chain_len)
-    _check_least(g, cand, _checked_shift(g, a, cand, last), 2 * chain_len)
+        _check_least(g, cand, _checked_shift(g, a, cand, first), near)
+    _check_least(g, cand, _checked_shift(g, a, cand, last), far)
 
 
 def _recall(g: Group, na: int, chain_len: int, b: Cut) -> tuple | None:
@@ -213,9 +227,16 @@ def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],
 
 def _checked_shift(g: Group, a: Cut, cand: Cut, gamma: tuple | None) -> Cut | None:
     """The shift of ``a`` by the last element walked, checked to stay
-    below the candidate.  The shifts ascend, so it is the largest."""
-    last = None if gamma is None else shift_by(g, gamma, a)
-    if last is not None and compare(g, last, cand) > 0:
+    below the candidate.  The shifts ascend, so it is the largest.  It
+    keeps a's level and side (see the module docstring), so it is built
+    from coordinates; an infinite ``a`` is its own shift."""
+    if gamma is None:
+        return None
+    last = a
+    if a.kind == "n":
+        q = g.quotient(a.level)
+        last = Cut("n", a.level, q.add(gamma[:len(a.prefix)], a.prefix), a.side)
+    if compare(g, last, cand) > 0:
         raise OracleError("a shifted cut exceeds the candidate supremum")
     return last
 
@@ -225,28 +246,51 @@ def _fail(g: Group, a: Cut, cand: Cut, prev: tuple | None, message: str) -> None
     raise OracleError(message)
 
 
-def _check_least(g: Group, cand: Cut, last: Cut | None, n: int) -> None:
-    """The sampled chain must cross a representative cut strictly below
-    the candidate; otherwise the candidate is not the least upper bound.
+def _probes(g: Group, cand: Cut, n: int) -> tuple:
+    """The canonical cuts strictly below a finite candidate that the
+    chains of n and 2n elements must cross, or for +inf the cuts they
+    must pass; a ``-inf`` candidate needs none."""
+    if cand.kind == "lo":
+        return None, None
+    if cand.kind == "hi":
+        top = g.num_atoms - 1
+        return Cut("n", top, (3 ** (n // 2),), PLUS), Cut("n", top, (3 ** n,), PLUS)
+    k, p = cand.level, cand.prefix
+    atom = g.atoms[len(p) - 1]
+    if cand.side == PLUS:
+        # the lower edge of the anchor, folded over a discrete atom
+        if atom.discrete:
+            probe = Cut("n", k, p[:-1] + (p[-1] - 1,), PLUS)
+        else:
+            probe = Cut("n", k, p, MINUS)
+        return probe, probe
+    # a - or fill candidate lies over a dense atom.  Its probe is not a
+    # grid point below the anchor: one can sit closer to an anchor off the
+    # grid than the chain ever gets.  A member minus a member is a member,
+    # and a non-member minus a member is not
+    side = PLUS if cand.side == MINUS else FILLED
+    base = atom.dense_denominator()
+    return tuple(Cut("n", k, p[:-1] + (scalar_add(p[-1], _step(base, e)),), side)
+                 for e in (n // 2 + 1, n + 1))
+
+
+@lru_cache(maxsize=16)
+def _step(base: int, e: int) -> Fraction:
+    return Fraction(-1, base ** e)
+
+
+def _check_least(g: Group, cand: Cut, last: Cut | None, probe: Cut | None) -> None:
+    """The sampled chain must cross ``probe``, a cut strictly below the
+    candidate; otherwise the candidate is not the least upper bound.
     The shifts ascend, so the chain crosses it iff its last shift does."""
     if cand.kind == "lo":
         return  # _checked_shift has put every shift, if any, at -inf
     if last is None:
         raise OracleError("empty chain can only have supremum -inf")
     if cand.kind == "hi":
-        probe = make_node(g, g.num_atoms - 1, (3 ** (n // 2),), PLUS)
         if compare(g, last, probe) <= 0:
             raise OracleError("chain does not grow towards +inf")
         return
-    k = cand.level
-    if cand.side == PLUS:
-        probe = make_node(g, k, cand.prefix, MINUS)
-    else:
-        # not a grid point below the anchor: one can sit closer to an
-        # anchor off the grid than the chain ever gets
-        atom = g.atoms[g.num_atoms - k - 1]
-        v = cand.prefix[-1] - Fraction(1, atom.dense_denominator() ** (n // 2 + 1))
-        probe = make_node(g, k, cand.prefix[:-1] + (v,), PLUS if atom.contains(v) else FILLED)
     if compare(g, probe, cand) < 0 and compare(g, last, probe) <= 0:
         raise OracleError("candidate is not approached by the sampled chain")
 
@@ -258,7 +302,8 @@ def oracle_radd(g: Group, a: Cut, b: Cut) -> Cut:
 
 def oracle_diff(g: Group, mode: str, a: Cut, b: Cut) -> Cut:
     if mode == "right":
-        return oracle_radd(g, a, ct.neg(g, b))
+        # a -R b = a +R (-b) = -((-a) + b)
+        return ct.neg(g, oracle_sum(g, ct.neg(g, a), b))
     if mode == "left":
         return oracle_sum(g, a, ct.neg(g, b))
     raise ValueError(f"unknown difference mode {mode!r}")

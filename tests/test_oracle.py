@@ -132,29 +132,85 @@ def test_shifts_compare_as_their_projections():
 
 
 def test_walk_makes_no_engine_call_per_element(monkeypatch):
-    # the engine calls of a verification do not grow with the chain: one
-    # shift_by per walk, and no member_below at all
+    # the engine calls of a verification do not grow with the chain, and
+    # the walk ends are checked against cuts built from coordinates: the
+    # only engine call left is compare, three times per walk end (the
+    # shift with the candidate, the probe with the candidate, the shift
+    # with the probe).  Every binding of the four functions is counted,
+    # in cuts and in the oracle, so no route to them is missed
     counts = Counter()
     for name in ("member_below", "shift_by", "compare", "make_node"):
-        def counted(*args, _fn=getattr(oracle, name), _name=name):
+        def counted(*args, _fn=getattr(ct, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(oracle, name, counted)
-    a, b = parse_cut(QQ, "cut(1,1/3)-"), parse_cut(QQ, "edge(1)+2")
-    cand = ct.add(QQ, a, b)
-    seen = []
-    for n in (4, 8, 32):
+        monkeypatch.setattr(ct, name, counted)
+        if hasattr(oracle, name):
+            monkeypatch.setattr(oracle, name, counted)
+    for g, a, b in ((QQ, parse_cut(QQ, "cut(1,1/3)-"), parse_cut(QQ, "edge(1)+2")),
+                    (Q, parse_cut(Q, "cut(0)-"), parse_cut(Q, "cut(1/3)-")),
+                    (Z2, parse_cut(Z2, "cut(0)+"), parse_cut(Z2, "fill(1/2)"))):
+        cand = ct.add(g, a, b)
+        seen = []
+        for n in (4, 8, 32):
+            counts.clear()
+            _verify(g, a, b, cand, n, ascending_chain)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == seen[2], seen
+        assert seen[0] == {"compare": 6}, (cand, seen[0])
+        # a call that finds its walk remembered still runs every check that
+        # reads a and the candidate: the same engine calls
+        assert any(e[2] == 8 and e[3] == b for e in oracle._walks)
         counts.clear()
-        _verify(QQ, a, b, cand, n, ascending_chain)
-        seen.append(dict(counts))
-    assert seen[0] == seen[1] == seen[2], seen
-    assert seen[0]["shift_by"] == 2 and "member_below" not in seen[0]
-    # a call that finds its walk remembered still runs every check that
-    # reads a and the candidate: the same engine calls
-    assert any(e[2] == 8 and e[3] == b for e in oracle._walks)
-    counts.clear()
-    _verify(QQ, a, b, cand, 8, ascending_chain)
-    assert dict(counts) == seen[1]
+        _verify(g, a, b, cand, 8, ascending_chain)
+        assert dict(counts) == seen[1]
+
+
+def _probe_by_make_node(g, cand, n):
+    """The probe of the n-element chain as make_node builds it."""
+    if cand.kind == "hi":
+        return make_node(g, g.num_atoms - 1, (3 ** (n // 2),), PLUS)
+    k = cand.level
+    if cand.side == PLUS:
+        return make_node(g, k, cand.prefix, MINUS)
+    atom = g.atoms[g.num_atoms - k - 1]
+    v = cand.prefix[-1] - F(1, atom.dense_denominator() ** (n // 2 + 1))
+    return make_node(g, k, cand.prefix[:-1] + (v,), PLUS if atom.contains(v) else FILLED)
+
+
+def _same_cut(x, y):
+    """Equal, and with coordinates of the same scalar types."""
+    return x == y and tuple(map(type, x.prefix)) == tuple(map(type, y.prefix))
+
+
+def test_walk_end_cuts_built_from_coordinates_are_the_engines():
+    # the oracle builds each walk end's shift and each probe in place; on
+    # every walk end of seeded pairs they are the cuts shift_by and
+    # make_node would build, coordinate types included
+    rng = random.Random(27)
+    n = oracle.CHAIN_LEN
+    kinds = Counter()
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ, XQ):
+        g = d.group
+        pool = d.sample(rng, 60)
+        for _ in range(60):
+            a, b = rng.choice(pool), rng.choice(pool)
+            chain = ascending_chain(g, b, 2 * n)
+            for gamma in chain[n - 1::n]:
+                # the candidate +inf is never exceeded: the shift is returned
+                built = oracle._checked_shift(g, a, ct.POS_INF, gamma)
+                assert _same_cut(built, ct.shift_by(g, gamma, a)), (d.fmt(a), gamma)
+            s = d.add(a, b)
+            for cand in [s] + _wrong_candidates(g, s) + [ct.POS_INF]:
+                probes = oracle._probes(g, cand, n)
+                if cand.kind == "lo":
+                    assert probes == (None, None)
+                    continue
+                kinds[cand.kind, cand.side if cand.kind == "n" else None] += 1
+                for probe, m in zip(probes, (n, 2 * n)):
+                    want = _probe_by_make_node(g, cand, m)
+                    assert _same_cut(probe, want), (d.fmt(cand), m)
+    # every kind of candidate the probes distinguish was met
+    assert set(kinds) == {("hi", None), ("n", PLUS), ("n", MINUS), ("n", FILLED)}
 
 
 def test_builtin_chain_prefix_invariant():
@@ -216,18 +272,11 @@ def _reference_least(g, cand, shifts, n):
         if cand.kind != "lo":
             raise OracleError("empty chain can only have supremum -inf")
         return
+    probe = _probe_by_make_node(g, cand, n)
     if cand.kind == "hi":
-        probe = make_node(g, g.num_atoms - 1, (3 ** (n // 2),), PLUS)
         if all(ct.compare(g, s, probe) <= 0 for s in shifts):
             raise OracleError("chain does not grow towards +inf")
         return
-    k = cand.level
-    if cand.side == PLUS:
-        probe = make_node(g, k, cand.prefix, MINUS)
-    else:
-        atom = g.atoms[g.num_atoms - k - 1]
-        v = cand.prefix[-1] - F(1, atom.dense_denominator() ** (n // 2 + 1))
-        probe = make_node(g, k, cand.prefix[:-1] + (v,), PLUS if atom.contains(v) else FILLED)
     if ct.compare(g, probe, cand) < 0 and all(ct.compare(g, s, probe) <= 0 for s in shifts):
         raise OracleError("candidate is not approached by the sampled chain")
 
@@ -303,6 +352,23 @@ def test_oracle_equivalence_on_cuts_q_r2():
         assert R2.radd(a, b) == oracle_radd(Q, a, b), (R2.fmt(a), R2.fmt(b))
         assert R2.rsub(a, b) == oracle_diff(Q, "right", a, b), (R2.fmt(a), R2.fmt(b))
         assert R2.lsub(a, b) == oracle_diff(Q, "left", a, b), (R2.fmt(a), R2.fmt(b))
+
+
+@pytest.mark.parametrize("d", [XZ, XQ, CutDom(Group.lex(Z, Q, Group.Zloc(3)))],
+                         ids=["XZ", "XQ", "lex(Z,Q,Zloc(3))"])
+def test_oracle_equivalence_on_crossed_and_mixed_products(d):
+    # the criterion-5 loop on two crossed products, where the twist enters
+    # each shift, and on a three-atom product of a discrete, a dense and a
+    # local atom
+    rng = random.Random(202)
+    g = d.group
+    pool = d.sample(rng, 400)
+    for _ in range(1000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert d.add(a, b) == oracle_sum(g, a, b), (d.fmt(a), d.fmt(b))
+        assert d.radd(a, b) == oracle_radd(g, a, b), (d.fmt(a), d.fmt(b))
+        assert d.rsub(a, b) == oracle_diff(g, "right", a, b), (d.fmt(a), d.fmt(b))
+        assert d.lsub(a, b) == oracle_diff(g, "left", a, b), (d.fmt(a), d.fmt(b))
 
 
 def test_oracle_detects_non_cofinal_sampler():
