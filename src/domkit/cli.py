@@ -12,10 +12,11 @@ Commands raise; ``main`` maps each error kind to its exit code once:
 (an unreadable table file included), 3 ``CarrierTypeError``, 4 any
 other ``ValueError`` or ``OSError`` and argparse's usage errors.  An
 expression that starts with ``-``, such as ``-inf``, is read as the
-expression, not as an option.  ``sign(..)`` is read only as the
-outermost operation: its inner part is a plain expression, so a nested
-``sign`` is a parse error, and so are parentheses nested more than
-``MAX_NESTING`` deep.
+expression, not as an option.  An expression is parsed in one scan,
+then evaluated: operators apply left to right with no precedence,
+``sign(..)`` only as the outermost operation, and any syntax error, a
+nested ``sign`` or nesting past ``MAX_NESTING`` included, is a parse
+error reported before any literal is read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from domkit.doms import (
     M_AXIOMS, CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set,
 )
-from domkit.groups import parse_group, split_top
+from domkit.groups import parse_group
 from domkit.scalars import parse_int
 
 
@@ -69,76 +70,77 @@ def parse_carrier(text: str) -> Dom:
 
 
 # each operator, and each unary head, with the carrier method it calls;
-# sign(..) has none, since it is read only as the outermost operation
+# sign(..) calls sign_of, and only as the outermost operation
 _BINARY = {"+": "add", "+R": "radd", "-": "rsub", "-L": "lsub"}
-_UNARY = {"neg(": "neg", "width(": "width_of", "abs(": "abs_of", "sign(": None}
-
-# evaluation recurses once per nesting level, so deeper parentheses are
-# refused before it starts
+_UNARY = {"neg(": "neg", "width(": "width_of", "abs(": "abs_of", "sign(": "sign"}
+# a bound on the parentheses open at once, those inside literals included
 MAX_NESTING = 256
 
 
-def eval_expr(d: Dom, text: str):
-    """Evaluate; returns ('sign', s) or ('val', element)."""
-    s = text.strip()
-    _check_nesting(s)
-    if s.startswith("sign(") and s.endswith(")") and _balanced(s[5:-1]):
-        return ("sign", sign_of(d, _eval(d, s[5:-1])))
-    return ("val", _eval(d, s))
-
-
-def _check_nesting(s: str) -> None:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-            if depth > MAX_NESTING:
+def parse_expr(text: str) -> list:
+    """The steps of ``text`` in postfix order, from one left-to-right scan:
+    each is a literal token or a (carrier method, arity) pair.  Operators
+    apply left to right; a literal or an operator runs to a space or to a
+    ``)`` outside its own parentheses."""
+    s, i, steps, opened = text.strip(), 0, [], []
+    op, due = None, True  # the operator waiting on the next operand; whether one is due
+    while i < len(s) or due or opened:  # the text ends only after a whole operand
+        while i < len(s) and s[i].isspace():
+            i += 1
+        head = next((h for h in _UNARY if s.startswith(h, i)), None) if due else None
+        if head:
+            if len(opened) == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
-        elif ch == ")":
-            depth -= 1
+            opened.append(((_UNARY[head], 1), op))  # with the operator waiting on it
+            op, i = None, i + len(head)
+            continue
+        if i == len(s) or s[i] == ")":
+            if due:
+                raise ParseError(f"dangling operator in {text!r}" if op else "empty expression")
+            if i == len(s) or not opened:
+                raise ParseError(f"unbalanced parentheses in {text!r}")
+            step, op = opened.pop()
+            i += 1
+            if i < len(s) and not (s[i].isspace() or s[i] == ")"):
+                raise ParseError(f"no space after ')' in {text!r}")
+        else:
+            start, inner = i, 0
+            while i < len(s) and (inner or not (s[i].isspace() or s[i] == ")")):
+                inner += (s[i] == "(") - (s[i] == ")")
+                if len(opened) + inner > MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+                i += 1
+            step = s[start:i]
+            if not due:
+                if step not in _BINARY:
+                    raise ParseError(f"unknown operator {step!r}")
+                op, due = (_BINARY[step], 2), True
+                continue
+        steps += [step, op] if op else [step]
+        op, due = None, False
+    if ("sign", 1) in steps[:-1]:
+        raise ParseError("sign(..) may only be the outermost operation")
+    return steps
 
 
-def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
-
-
-def _eval(d: Dom, text: str):
-    parts = [p for p in split_top(text, str.isspace) if p]
-    if not parts:
-        raise ParseError("empty expression")
-    if len(parts) % 2 == 0:
-        raise ParseError(f"dangling operator in {text!r}")
-    val = _atom(d, parts[0])
-    for i in range(1, len(parts), 2):
-        op, rhs_text = parts[i], parts[i + 1]
-        rhs = _atom(d, rhs_text)
-        if op not in _BINARY:
-            raise ParseError(f"unknown operator {op!r}")
-        val = getattr(d, _BINARY[op])(val, rhs)
-    return val
-
-
-def _atom(d: Dom, tok: str):
-    for head, method in _UNARY.items():
-        if tok.startswith(head) and tok.endswith(")") and _balanced(tok[len(head):-1]):
-            inner = _eval(d, tok[len(head):-1])
-            if method is None:
-                raise ParseError("sign(..) may only be the outermost operation")
-            return getattr(d, method)(inner)
-    try:
-        return d.parse_literal(tok)
-    except TypeError as exc:
-        raise CarrierTypeError(str(exc)) from exc
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+def eval_expr(d: Dom, text: str):
+    """Evaluate; returns ('sign', s) or ('val', element).  No literal is
+    read before the whole text has parsed; one that does not parse is a
+    ParseError, and any other ValueError or TypeError a CarrierTypeError."""
+    vals = []
+    for step in parse_expr(text):
+        try:
+            if isinstance(step, str):
+                vals.append(d.parse_literal(step))
+            elif step == ("sign", 1):  # the last step, as parse_expr checks
+                return ("sign", sign_of(d, vals.pop()))
+            else:
+                name, arity = step
+                vals[-arity:] = [getattr(d, name)(*vals[-arity:])]
+        except (ValueError, TypeError) as exc:
+            malformed = isinstance(step, str) and not isinstance(exc, TypeError)
+            raise (ParseError if malformed else CarrierTypeError)(str(exc)) from exc
+    return ("val", vals.pop())
 
 
 def format_value(d: Dom, kind: str, v) -> str:
@@ -152,13 +154,7 @@ def format_value(d: Dom, kind: str, v) -> str:
 
 def _cmd_eval(args) -> int:
     d = parse_carrier(args.carrier)
-    try:
-        kind, v = eval_expr(d, args.expr)
-    except ParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise CarrierTypeError(str(exc)) from exc
-    print(format_value(d, kind, v))
+    print(format_value(d, *eval_expr(d, args.expr)))
     return 0
 
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import domkit
-from domkit.cli import AXIOM_LABELS, eval_expr, format_value, main, parse_carrier
+from domkit.cli import AXIOM_LABELS, eval_expr, format_value, main, parse_carrier, parse_expr
+from domkit.doms import sign_of
 from domkit.tables import parse_table, serialize_table, validate
 
 
@@ -90,8 +92,10 @@ def test_eval_error_codes(capsys):
     code, _, err = run(capsys, "eval", "--carrier", "Z", "1/2")
     assert code == 3
     # the inner part of sign(..) is a plain expression, in which sign(..)
-    # is refused: on a cut carrier and on a group alike
-    for carrier, expr in (("cuts(Q)", "sign(sign(cut(0)+))"), ("Q", "sign(sign(1))")):
+    # is refused: on a cut carrier and on a group alike, and before a
+    # literal inside it is read
+    for carrier, expr in (("cuts(Q)", "sign(sign(cut(0)+))"), ("Q", "sign(sign(1))"),
+                          ("cuts(Q)", "neg(sign(5))"), ("Q", "sign(1) + 1")):
         code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
         assert (code, out) == (2, ""), (carrier, expr)
         assert "may only be the outermost operation" in err
@@ -395,6 +399,9 @@ EXIT_CONTRACT = [
     # nesting past the limit is refused, not left to end in a RecursionError
     (["eval", "--carrier", "Q", _nested(10_000, "0")], 2, "parse error: "),
     (["eval", "--carrier", "cuts(Q)", "(" * 10_000], 2, "parse error: "),
+    # a syntax error anywhere is found before any literal is read
+    (["eval", "--carrier", "cuts(Q)", "3/4 + neg("], 2, "parse error: "),
+    (["eval", "--carrier", "cuts(Q)", "5 * cut(0)+"], 2, "parse error: "),
 ]
 
 
@@ -523,6 +530,76 @@ def test_eval_fuzz_exit_codes_and_round_trip(case):
     assert (out == "") == (code != 0), (carrier, expr, out, err)
     if code == 0 and eval_expr(parse_carrier(carrier), expr)[0] == "val":
         assert _eval_in_process(carrier, out.strip()) == (0, out, ""), (carrier, expr, out)
+
+
+# -- the expression parser against terms drawn as data ------------------------------
+
+TERM_CARRIERS = ["Q", "Zloc(3)", "lex(Q,Q)", "Qr2", "cuts(Q)", "cuts(Z)", "cuts(Zloc(2))",
+                 "cuts(lex(Q,Q))", "cuts(Q,r2)", "tilde(Q)", "tilde(Z)"]
+# the text of each carrier method, written out here rather than read from cli
+_OPS = {"add": "+", "radd": "+R", "rsub": "-", "lsub": "-L"}
+_HEADS = {"neg": "neg", "width_of": "width", "abs_of": "abs", "sign": "sign"}
+_GAPS = st.sampled_from(["", " ", "  ", "\t"])
+_SEPS = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+@functools.lru_cache(maxsize=None)
+def _terms_for(carrier):
+    """Terms as nested tuples: a literal token, (unary method, term) or
+    (binary method, term, operand).  An operand, the right side of a binary
+    term, is a literal or a unary term, since operators apply left to right
+    and the grammar has no bare parentheses."""
+    d = parse_carrier(carrier)
+    leaves = st.sampled_from(sorted({d.fmt(x) for x in d.universe(random.Random(0), 8)}))
+    unary = st.sampled_from(["neg", "width_of", "abs_of"])
+
+    def extend(inner):
+        return st.one_of(st.tuples(unary, inner),
+                         st.tuples(st.sampled_from(sorted(_OPS)), inner,
+                                   st.one_of(leaves, st.tuples(unary, inner))))
+    term = st.recursive(leaves, extend, max_leaves=6)
+    return st.one_of(term, st.tuples(st.just("sign"), term))  # sign(..) only outermost
+
+
+@st.composite
+def _rendered_terms(draw):
+    """A carrier, a term over it, and the term's text with random spaces."""
+    carrier = draw(st.sampled_from(TERM_CARRIERS))
+    term = draw(_terms_for(carrier))
+
+    def render(t):
+        if isinstance(t, str):
+            return t
+        if len(t) == 2:
+            return f"{_HEADS[t[0]]}({draw(_GAPS)}{render(t[1])}{draw(_GAPS)})"
+        return f"{render(t[1])}{draw(_SEPS)}{_OPS[t[0]]}{draw(_SEPS)}{render(t[2])}"
+    return carrier, term, draw(_GAPS) + render(term) + draw(_GAPS)
+
+
+def _post_order(t):
+    if isinstance(t, str):
+        return [t]
+    return [step for sub in t[1:] for step in _post_order(sub)] + [(t[0], len(t) - 1)]
+
+
+def _value(d, t):
+    """The term's value from the carrier's own methods, sign_of for sign."""
+    if isinstance(t, str):
+        return d.parse_literal(t)
+    args = [_value(d, sub) for sub in t[1:]]
+    return sign_of(d, *args) if t[0] == "sign" else getattr(d, t[0])(*args)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rendered_terms())
+def test_parse_and_eval_agree_with_a_drawn_term(case):
+    # the parse of a term's text is the term's post-order, and the text
+    # evaluates to what the carrier's methods give on the term itself
+    carrier, term, text = case
+    d = parse_carrier(carrier)
+    assert parse_expr(text) == _post_order(term), text
+    kind = "sign" if isinstance(term, tuple) and term[0] == "sign" else "val"
+    assert eval_expr(d, text) == (kind, _value(d, term)), text
 
 
 # -- fuzzing check-table and enumerate ---------------------------------------------
