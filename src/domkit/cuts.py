@@ -392,12 +392,12 @@ def parse_cut(g: Group, text: str) -> Cut:
         return NEG_INF
     if s == "+inf":
         return POS_INF
-    if s.startswith("cut(") and s[-1] in "+-":
+    if s.startswith("cut(") and s[-2:] in (")+", ")-"):
         side = PLUS if s[-1] == "+" else MINUS
         return make_node(g, 0, parse_coords(s[4:-2]), side)
     if s.startswith("fill(") and s.endswith(")"):
         return make_node(g, 0, parse_coords(s[5:-1]), FILLED)
-    if s.startswith("edge("):
+    if s.startswith("edge(") and ")" in s:
         close = s.index(")")
         k = parse_int(s[5:close].strip())
         rest = s[close + 1:]

@@ -191,45 +191,26 @@ class FactorSet:
         return f"FactorSet({self.name})"
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def _poly_pow(p: dict, n: int, nvars: int) -> dict:
-    out = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_subst(poly: dict, sub_x: dict, sub_y: dict, nvars: int) -> dict:
-    """Expand poly(x, y) after substituting tri-variate arguments."""
-    out: dict = {}
-    for (i, j), c in poly.items():
-        term = _poly_mul(_poly_pow(sub_x, i, nvars), _poly_pow(sub_y, j, nvars))
-        for m, cc in term.items():
-            out[m] = out.get(m, Fraction(0)) + c * cc
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet) -> list[tuple[str, tuple]]:
     """Check symmetry, normalization, the cocycle law and that the values
     lie in the fiber; returns the (law, witness) failures, empty when f
     is valid.
 
-    A polynomial is decided exactly. Its laws are expanded symbolically.
-    With B the leading atom of the base and A that of the fiber, a
-    non-zero valid polynomial lies in the fiber everywhere exactly when
-    B is a subgroup of A and its values on the box 0..deg x 0..deg do:
-    its coefficients in the binomial basis C(x,i)*C(y,j) are integer
-    combinations of those values, and B's elements map to B under each
-    C(x,i). A non-zero polynomial over a base without a rational leading
-    atom (Qr2 has no product), or into a trivial fiber, raises ValueError.
+    A polynomial is decided exactly on one box. With D its largest
+    exponent (0 for the zero polynomial), every law is an identity of
+    degree at most D in each variable: symmetry f(x,y) = f(y,x),
+    normalization f(x,0) = f(0,x) = 0 and the cocycle law f(y,z) +
+    f(x,y+z) = f(x,y) + f(x+y,z), the associativity of the twisted sum.
+    Such an identity holds everywhere when it holds on {0..D}^k, so each
+    failing law is reported at its first failing point of that box, in
+    ``itertools.product`` order. With B the leading atom of the base and
+    A that of the fiber, a non-zero valid polynomial lies in the fiber
+    everywhere exactly when B is a subgroup of A and its values on
+    {0..D}^2 do: its coefficients in the binomial basis C(x,i)*C(y,j)
+    are integer combinations of those values, and B's elements map to B
+    under each C(x,i). A non-zero polynomial over a base without a
+    rational leading atom (Qr2 has no product), or into a trivial fiber,
+    raises ValueError.
 
     A coboundary satisfies the laws once s(0) = 0; whether its values
     lie in the fiber is checked at each sum of the crossed group.
@@ -237,30 +218,19 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet) -> list[tup
     if f.section is not None:
         z = base.zero()
         return [] if f.section(z) == fiber.zero() else [("normalization", (z,))]
+    box = range(max((max(m) for m in f.poly), default=0) + 1)
+    # v[c][d] = f(c, d) for c, d in 0..2D, which covers the sums x+y, y+z
+    wide = range(2 * len(box) - 1)
+    v = [[f((c,), (d,))[0] for d in wide] for c in wide]
+    laws = (("symmetry", 2, lambda x, y: v[x][y] != v[y][x]),
+            ("normalization", 1, lambda x: v[x][0] != 0 or v[0][x] != 0),
+            ("cocycle", 3, lambda x, y, z: v[y][z] + v[x][y + z] != v[x][y] + v[x + y][z]))
     failures: list[tuple[str, tuple]] = []
-    coeffs = f.poly
-    for (i, j), c in coeffs.items():
-        if coeffs.get((j, i), 0) != c:
-            failures.append(("symmetry", ((i, j),)))
-        if i == 0 or j == 0:
-            failures.append(("normalization", ((i, j),)))
-    # cocycle: f(y,z) + f(x, y+z) - f(x,y) - f(x+y, z) == 0, expanded
-    # over variables (x, y, z); this is the associativity condition
-    # of the twisted sum
-    x = {(1, 0, 0): Fraction(1)}
-    y = {(0, 1, 0): Fraction(1)}
-    z = {(0, 0, 1): Fraction(1)}
-    yz = {(0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
-    xy = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}
-    acc: dict = {}
-    for sign, (u, v) in ((1, (y, z)), (1, (x, yz)), (-1, (x, y)), (-1, (xy, z))):
-        t = _poly_subst(coeffs, u, v, 3)
-        for m, c in t.items():
-            acc[m] = acc.get(m, Fraction(0)) + sign * c
-    bad = {m: c for m, c in acc.items() if c != 0}
-    if bad:
-        failures.append(("cocycle", (sorted(bad)[0],)))
-    if failures or not coeffs:
+    for law, k, fails in laws:
+        w = next((p for p in itertools.product(box, repeat=k) if fails(*p)), None)
+        if w is not None:
+            failures.append((law, tuple((c,) for c in w)))
+    if failures or not f.poly:
         return failures
     if not base.atoms or not fiber.atoms or base.atoms[0].kind == "Qr2":
         raise ValueError(f"factor set {f.name} needs a fiber and a base led by Z, Zloc or Q "
@@ -268,9 +238,8 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet) -> list[tup
     b, a = base.atoms[0], fiber.atoms[0]
     if not b.is_subgroup_of(a):
         return [("fiber", (f"{b.format()} is not a subgroup of {a.format()}",))]
-    deg = max(i for i, _ in coeffs)
-    for c, d in itertools.product(range(deg + 1), repeat=2):
-        if not a.contains(f((c,), (d,))[0]):
+    for c, d in itertools.product(box, repeat=2):
+        if not a.contains(v[c][d]):
             return [("fiber", ((c,), (d,)))]
     return []
 

@@ -175,14 +175,6 @@ def is_rational(x: Scalar) -> bool:
     return not isinstance(x, Sqrt2) or x.b == 0
 
 
-def as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Sqrt2):
-        if x.b != 0:
-            raise ValueError(f"{x} is irrational")
-        return x.a
-    return Fraction(x)
-
-
 def scalar_add(x: Scalar, y: Scalar) -> Scalar:
     """The canonical sum x + y."""
     tx, ty = type(x), type(y)
@@ -242,7 +234,7 @@ def scalar_floor(x: Scalar) -> int:
 
 def format_scalar(x: Scalar) -> str:
     if not isinstance(x, Sqrt2) or x.b == 0:
-        return str(as_fraction(x))
+        return str(x.a if isinstance(x, Sqrt2) else Fraction(x))
     a, b = x.a, x.b
     if b == 1:
         bs = "r2"

@@ -120,6 +120,11 @@ def test_eval_error_codes(capsys):
         code, out, err = run(capsys, "eval", "--carrier", "cuts(lex(Q,Q))", expr)
         assert (code, out) == (2, ""), expr
         assert "is not an integer" in err, expr
+    # a cut(..) literal needs its ")" before the side, and edge( its ")"
+    for expr in ("cut(5/22-", "cut(0(+", "cut(15-", "edge(1"):
+        code, out, err = run(capsys, "eval", "--carrier", "cuts(Q)", expr)
+        assert (code, out) == (2, ""), expr
+        assert f"parse error: cannot parse cut '{expr}'" in err, expr
 
 
 def test_readme_examples(capsys):

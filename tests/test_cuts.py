@@ -334,6 +334,9 @@ def test_shift_examples():
 def test_projection_examples():
     assert project_cut(QQ, OMEGA, 1) == zero_cut(Q)
     assert project_cut(QQ, OMEGA, 0) == OMEGA
+    # an infinite cut is its own image at every level
+    for k in (0, 1, 2):
+        assert project_cut(QQ, NEG_INF, k) is NEG_INF and project_cut(QQ, POS_INF, k) is POS_INF
     with pytest.raises(ValueError):
         project_cut(QQ, zero_cut(QQ), 1)
 

@@ -298,6 +298,17 @@ def test_m0_and_slices():
         special_set(d, "Mge", cc(QQ, "cut((1,0))+"))
 
 
+def test_subset_minimal_positive():
+    # an infinite carrier's subset takes the first of the parent's least
+    # positives it holds: CutDom(Z) knows only its least, cut(1)+
+    d = CutDom(Z)
+    assert d.fmt(special_set(d, "M0").minimal_positive()) == "cut(1)+"
+    # a finite carrier's subset searches its own elements above its zero
+    t = trivial_dom(5)
+    assert SubDomView(t, lambda x: x != 3, t.zero(), "no 3").minimal_positive() == 4
+    assert special_set(trivial_dom(4), "M0").minimal_positive() is None
+
+
 def test_subset_sample_has_no_repeats():
     # the parent's staples lead every parent sample; the view keeps each once
     d = CutDom(Q)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -294,6 +295,51 @@ def _shifted_binomial_half():
         # multiply by (x + 6 - k)
         coeffs = [a * (6 - k) + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return dict(enumerate(coeffs))
+
+
+def test_factor_set_laws_fail_at_the_edge_of_the_box():
+    # x^2 y^2 has cocycle defect 2xyz(x - z), zero on {0,1}^3, so its
+    # first failing point needs the box's last value 2; x^2 y - x y^2 is
+    # antisymmetric but equal to its swap on {0,1}^2
+    bad2 = FactorSet({(2, 2): 1}, name="x2y2")
+    assert validate_factor_set(Z, Z, bad2) == [("cocycle", ((1,), (1,), (2,)))]
+    skew = FactorSet({(2, 1): 1, (1, 2): -1})
+    assert validate_factor_set(Z, Z, skew)[0] == ("symmetry", ((1,), (2,)))
+
+
+def _law_fails(poly: dict) -> dict:
+    """Each factor-set law as a test of a point, f evaluated from poly."""
+    @functools.cache
+    def f(x, y):
+        return sum(F(c) * x ** i * y ** j for (i, j), c in poly.items())
+    return {"symmetry": lambda x, y: f(x, y) != f(y, x),
+            "normalization": lambda x: f(x, 0) != 0 or f(0, x) != 0,
+            "cocycle": lambda x, y, z: f(y, z) + f(x, y + z) != f(x, y) + f(x + y, z)}
+
+
+def test_factor_set_box_agrees_with_a_wider_search():
+    # seeded polynomials of degree <= 3 in each variable, coboundaries,
+    # perturbed coboundaries and arbitrary ones: the failing laws are
+    # those that fail somewhere on {-2..D+2}^k, and each witness fails
+    # its law when f is evaluated directly
+    rng = random.Random(29)
+    failing_seen = set()
+    for _ in range(150):
+        poly = _coboundary({n: F(rng.randint(-3, 3), rng.randint(1, 4)) for n in range(1, 4)})
+        if rng.random() < 0.7:
+            m = (rng.randint(0, 3), rng.randint(0, 3))
+            poly[m] = poly.get(m, 0) + rng.choice((-1, 1, F(1, 2)))
+        fails = _law_fails(poly)
+        d = max((max(m) for m, c in poly.items() if c), default=0)
+        wide = range(-2, d + 3)
+        expected = [law for law, k in (("symmetry", 2), ("normalization", 1), ("cocycle", 3))
+                    if any(fails[law](*p) for p in itertools.product(wide, repeat=k))]
+        got = validate_factor_set(Z, Q, FactorSet(poly))
+        assert [law for law, _ in got] == expected, poly
+        for law, witness in got:
+            assert fails[law](*(c for c, in witness)), (poly, law, witness)
+        failing_seen.update(expected)
+    assert failing_seen == {"symmetry", "normalization", "cocycle"}
 
 
 XY = {(1, 1): 1}

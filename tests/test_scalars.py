@@ -83,7 +83,17 @@ scalars = st.one_of(rationals, st.builds(Sqrt2, rationals, rationals))
 @given(scalars, scalars)
 def test_scalar_cmp_matches_operators(x, y):
     for u, v in ((x, y), (y, x), (x, x), (-x, x), (x, -y)):
-        assert scalar_cmp(u, v) == (u > v) - (u < v)
+        c = scalar_cmp(u, v)
+        assert c == (u > v) - (u < v)
+        assert (u <= v, u >= v) == (c <= 0, c >= 0)
+
+
+@given(rationals, rationals)
+def test_rational_minus_sqrt2(a, x):
+    # a rational on the left of a Sqrt2 goes through Sqrt2.__rsub__
+    d = a - Sqrt2(x, 1)
+    assert isinstance(d, Sqrt2) and d == Sqrt2(a - x, -1)
+    assert scalar_cmp(d, 0) == scalar_cmp(a, Sqrt2(x, 1))
 
 
 @given(rationals)
