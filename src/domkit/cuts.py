@@ -32,10 +32,8 @@ anchors where it is needed (``doms.CutDom.lambda_map``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from domkit.groups import Group, lex_cmp, parse_coords
-from domkit.scalars import Scalar, canon, format_scalar, parse_int, scalar_floor
+from domkit.scalars import Scalar, canon, format_scalar, parse_int, ratio, scalar_floor
 
 MINUS, FILLED, PLUS = -1, 0, 1
 _SIDE_TEXT = {MINUS: "-", FILLED: "fill", PLUS: "+"}
@@ -365,7 +363,7 @@ def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
     """Component member strictly below ``target``, within base^-(n+1) of it."""
     d = g.atoms[atom_index].dense_denominator() ** (n + 1)
     ceil_td = -scalar_floor(-(target * d))
-    return canon(Fraction(ceil_td - 1, d))
+    return ratio(ceil_td - 1, d)
 
 
 # -- text form --------------------------------------------------------------

@@ -17,7 +17,6 @@ group).
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,6 +29,7 @@ from domkit.scalars import (
     parse_scalar,
     scalar_add,
     scalar_cmp,
+    scalar_neg,
 )
 
 ATOM_KINDS = ("Z", "Q", "Zloc", "Qr2")
@@ -95,13 +95,14 @@ class Atom:
         if isinstance(x, Sqrt2):
             if x.b != 0:
                 return False
-            f = x.a
-        else:
-            f = x if isinstance(x, Fraction) else Fraction(x)
+            x = x.a
+            if type(x) is int:
+                return True
+        d = (x if isinstance(x, Fraction) else Fraction(x))._denominator
         if self.kind == "Z":
-            return f.denominator == 1
+            return d == 1
         if self.kind == "Zloc":
-            return f.denominator % self.p != 0
+            return d % self.p != 0
         return True  # Q
 
     def is_subgroup_of(self, other: "Atom") -> bool:
@@ -391,11 +392,11 @@ class Group:
     def neg(self, x: tuple) -> tuple:
         if self.base is not None:
             c, a = self._split(x)
-            nc = tuple(map(canon, map(operator.neg, c)))
+            nc = tuple(map(scalar_neg, c))
             tw = self._twist(c, nc)
-            na = tuple(canon(-u - w) for u, w in zip(a, tw))
+            na = tuple(scalar_neg(scalar_add(u, w)) for u, w in zip(a, tw))
             return nc + na
-        return tuple(map(canon, map(operator.neg, x)))
+        return tuple(map(scalar_neg, x))
 
     def sub(self, x: tuple, y: tuple) -> tuple:
         return self.add(x, self.neg(y))

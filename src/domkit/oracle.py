@@ -84,7 +84,7 @@ from domkit.cuts import (
     Cut, FILLED, MINUS, NEG_INF, PLUS, POS_INF,
     approach_below, compare, make_node, member_below,
 )
-from domkit.scalars import Sqrt2, canon, scalar_add, scalar_floor
+from domkit.scalars import Sqrt2, ratio, scalar_add, scalar_floor
 
 
 CHAIN_LEN = 8
@@ -119,7 +119,7 @@ def ascending_chain(g: Group, cut: Cut, n: int) -> list[tuple]:
     d = 1
     for i in range(n):
         d *= base
-        out.append(head + (canon(Fraction(-(-num * d // den) - 1, d)),) + (i,) * k)
+        out.append(head + (ratio(-(-num * d // den) - 1, d),) + (i,) * k)
     return out
 
 

@@ -16,13 +16,33 @@ machine-word arithmetic.  The invariant is a matter of speed only: a
 stray ``Fraction(3)`` still equals ``3`` and hashes like it, so every
 answer and every structural cut equality is the same either way.
 
-``scalar_add`` and ``scalar_cmp`` are the kernels under group sums and
-the lexicographic order.  Canonical in, canonical out: they take any
-form, and every sum comes back through ``canon``'s forms.  Each reads
-its operands' ``type()`` once instead of going through the operators'
-generic coercions: int with int is plain machine arithmetic, a rational
-pair is one cross-multiplication over ``numerator``/``denominator``, and
-only a ``Sqrt2`` operand takes its own operators.
+``scalar_add``, ``scalar_neg``, ``scalar_cmp`` and ``scalar_floor`` are
+the kernels under group sums, negation, the lexicographic order and the
+folding of discrete anchors.  Canonical in, canonical out: they take any
+form of the three kinds, and every sum and negation comes back in
+``canon``'s forms.  Each reads its operands' ``type()`` once and works
+in integers instead of going through the operators' generic coercions.
+int with int is plain machine arithmetic.  A rational is read as its
+integer pair (n, d) with d > 0 and gcd(n, d) = 1; a sum of two is one
+cross-multiplication and one ``gcd``, and a compare is one
+cross-multiplication.  A ``Sqrt2`` operand is read as an integer triple
+(A, B, D), the value (A + B*sqrt2)/D with D > 0.  Two values compare by
+the sign of P + R*sqrt2 with P = A*D' - A'*D and R = B*D' - B'*D, which
+the signs of P and R decide, and P^2 against 2*R^2 when they differ.  A
+sum with a ``Sqrt2`` operand adds the rational and the sqrt2 parts as
+integer pairs, and comes back as ``int`` or ``Fraction`` when the sqrt2
+part cancels.  ``Sqrt2``'s own operators are the generic path, and the
+kernel tests compare against them.
+
+The integer pair of a ``Fraction`` is read from its two slots
+``_numerator`` and ``_denominator``, not through the ``numerator`` and
+``denominator`` properties.  ``ratio`` builds a reduced ``Fraction`` the
+way CPython's own ``Fraction._from_coprime_ints`` does (3.12 and later):
+``object.__new__(Fraction)`` and the two slot writes, after one ``gcd``,
+with no ``Fraction.__new__`` parsing and normalizing again.  Both rely on
+that slot layout of ``fractions.Fraction``, which the tests pin on every
+Python the project supports; outside this module only
+``groups.Atom.contains`` reads a slot.
 
 ``parse_scalar`` reads ``a``, ``br2``, ``a+br2`` and ``a-br2``, where
 ``a`` and ``b`` are ``n`` or ``n/d`` in ASCII digits (``n`` may carry a
@@ -45,7 +65,24 @@ def _rational(x) -> "int | Fraction":
         return x
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+    return x._numerator if x._denominator == 1 else x
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The ``Fraction`` n/d of a pair in lowest terms with d > 1, built
+    without ``Fraction.__new__``."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def ratio(n: int, d: int) -> "int | Fraction":
+    """The canonical scalar n/d of two ints with d > 0."""
+    g = gcd(n, d)
+    if g == d:
+        return n // d
+    return _fraction(n // g, d // g)
 
 
 class Sqrt2:
@@ -165,7 +202,7 @@ def canon(x) -> Scalar:
     if type(x) is int:
         return x
     if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
+        return x._numerator if x._denominator == 1 else x
     if isinstance(x, Sqrt2):
         return x if x.b != 0 else x.a
     return _rational(x)
@@ -186,50 +223,91 @@ def scalar_add(x: Scalar, y: Scalar) -> Scalar:
     elif ty is int and not y:
         return canon(x)
     if tx is Sqrt2 or ty is Sqrt2:
-        return canon(x + y)
-    # int or Fraction, denominators positive: one cross-multiplication
-    xd, yd = x.denominator, y.denominator
-    n = x.numerator * yd + y.numerator * xd
-    d = xd * yd
-    g = gcd(n, d)
-    if g == d:
-        return n // d
-    return Fraction(n // g, d // g)
+        xa, xb = (x.a, x.b) if tx is Sqrt2 else (x, 0)
+        ya, yb = (y.a, y.b) if ty is Sqrt2 else (y, 0)
+        return _normalize(scalar_add(xa, ya), scalar_add(xb, yb))
+    # int or Fraction: n/d + m/e with d, e > 0 and n/d in lowest terms
+    # makes (n*e + m*d)/(d*e); an int operand keeps the other's
+    # denominator, and the sum is then already in lowest terms
+    if tx is int:
+        d = y._denominator
+        return x + y._numerator if d == 1 else _fraction(x * d + y._numerator, d)
+    if ty is int:
+        d = x._denominator
+        return y + x._numerator if d == 1 else _fraction(y * d + x._numerator, d)
+    d, e = x._denominator, y._denominator
+    return ratio(x._numerator * e + y._numerator * d, d * e)
+
+
+def scalar_neg(x: Scalar) -> Scalar:
+    """The canonical negation -x."""
+    t = type(x)
+    if t is int:
+        return -x
+    if t is Sqrt2:
+        return _normalize(scalar_neg(x.a), scalar_neg(x.b))
+    n, d = x._numerator, x._denominator
+    return -n if d == 1 else _fraction(-n, d)
+
+
+def _triple(x: Scalar) -> tuple[int, int, int]:
+    """Integers (A, B, D) with x = (A + B*sqrt2)/D and D > 0."""
+    t = type(x)
+    if t is int:
+        return x, 0, 1
+    if t is not Sqrt2:
+        return x._numerator, 0, x._denominator
+    a, b = x.a, x.b
+    an, ad = (a, 1) if type(a) is int else (a._numerator, a._denominator)
+    bn, bd = (b, 1) if type(b) is int else (b._numerator, b._denominator)
+    return an * bd, bn * ad, ad * bd
+
+
+def _sign(p: int, r: int) -> int:
+    """The sign of p + r*sqrt2 for integers p and r."""
+    if r == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (r > 0):
+        return 1 if r > 0 else -1
+    # opposite signs: compare p^2 against 2 r^2 (sqrt 2 is irrational, so
+    # the two are never equal)
+    if p > 0:
+        return 1 if p * p > 2 * r * r else -1
+    return 1 if 2 * r * r > p * p else -1
 
 
 def scalar_cmp(x: Scalar, y: Scalar) -> int:
     tx, ty = type(x), type(y)
     if tx is int and ty is int:
         return (x > y) - (x < y)
-    if tx is not Sqrt2 and ty is not Sqrt2:
-        # int or Fraction, denominators positive: one cross-multiplication
-        d = x.numerator * y.denominator - y.numerator * x.denominator
-        return (d > 0) - (d < 0)
-    if x == y:
-        return 0
-    return -1 if x < y else 1
+    if tx is Sqrt2 or ty is Sqrt2:
+        a, b, d = _triple(x)
+        c, e, f = _triple(y)
+        return _sign(a * f - c * d, b * f - e * d)
+    # int or Fraction, denominators positive: one cross-multiplication
+    if tx is int:
+        d = x * y._denominator - y._numerator
+    elif ty is int:
+        d = x._numerator - y * x._denominator
+    else:
+        d = x._numerator * y._denominator - y._numerator * x._denominator
+    return (d > 0) - (d < 0)
 
 
 def scalar_floor(x: Scalar) -> int:
     """Exact floor, also for irrational a + b*sqrt2 values."""
     if type(x) is int:
         return x
-    if not isinstance(x, Sqrt2):
-        return x.numerator // x.denominator
-    if x.b == 0:
-        return x.a.numerator // x.a.denominator
-    # x = (A/B) + (C/D) sqrt2 = (AD + CB*sqrt2) / (BD) with BD > 0.
-    a_num, a_den = x.a.numerator, x.a.denominator
-    b_num, b_den = x.b.numerator, x.b.denominator
-    u = a_num * b_den
-    t = b_num * a_den
-    m = a_den * b_den
-    # floor(t*sqrt2): t*sqrt2 = sign(t) * sqrt(2 t^2), irrational since t != 0
-    s = isqrt(2 * t * t)
-    ft = s if t > 0 else -s - 1
-    # t*sqrt2 has fractional part strictly inside (0, 1), so
-    # floor((u + t*sqrt2)/m) = (u + floor(t*sqrt2)) // m.
-    return (u + ft) // m
+    if type(x) is not Sqrt2:
+        return x._numerator // x._denominator
+    a, b, d = _triple(x)
+    if b == 0:
+        return a // d
+    # floor(b*sqrt2): b*sqrt2 = sign(b) * sqrt(2 b^2), irrational since
+    # b != 0, so its fractional part lies strictly inside (0, 1) and
+    # floor((a + b*sqrt2)/d) = (a + floor(b*sqrt2)) // d.
+    s = isqrt(2 * b * b)
+    return (a + (s if b > 0 else -s - 1)) // d
 
 
 def format_scalar(x: Scalar) -> str:

@@ -313,6 +313,14 @@ def test_discrete_canonical_form():
     assert lo.side == PLUS and lo.prefix == (F(2),)
 
 
+def test_repr():
+    assert repr(NEG_INF) == "Cut(-inf)"
+    assert repr(POS_INF) == "Cut(+inf)"
+    assert repr(cc(Q, "cut(1/2)-")) == "Cut(level=0, prefix=(Fraction(1, 2),), side=-1)"
+    assert repr(cc(Group.lex(Z, Q), "edge(1)+3")) == "Cut(level=1, prefix=(3,), side=1)"
+    assert repr(cc(QR2, "cut(1+r2)+")) == "Cut(level=0, prefix=(Sqrt2(1, 1),), side=1)"
+
+
 # -- shifts ---------------------------------------------------------------------------
 
 

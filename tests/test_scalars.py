@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from domkit.groups import Atom, lex_cmp
 from domkit.scalars import (
-    Sqrt2, canon, format_scalar, parse_scalar, scalar_add, scalar_cmp, scalar_floor,
+    Sqrt2, _fraction, canon, format_scalar, parse_scalar, ratio, scalar_add, scalar_cmp,
+    scalar_floor, scalar_neg,
 )
 from support import is_canonical
 
@@ -153,6 +156,89 @@ def test_scalar_kernels_agree_with_operators(x, y):
         assert s == canon(u + v) and type(s) is type(canon(u + v)), (u, v, s)
         assert is_canonical(s), (u, v, s)
         assert scalar_cmp(u, v) == (u > v) - (u < v), (u, v)
+        n = scalar_neg(u)
+        assert n == canon(-u) and type(n) is type(canon(-u)), (u, n)
+        assert is_canonical(n), (u, n)
+
+
+def test_fraction_builder_is_a_fraction():
+    rng = random.Random(30)
+    pairs = [(1, 2), (-1, 2), (0, 1), (5, 1), (-3, 7)]
+    for _ in range(2000):
+        bits = rng.choice((4, 30, 64, 200))
+        pairs.append((rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)))
+    built = 0
+    for n, d in pairs:
+        want = F(n, d)
+        r = ratio(n, d)
+        assert r == want and type(r) is type(canon(want)), (n, d)
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        if d == 1:
+            continue
+        f = _fraction(n, d)
+        assert type(f) is F
+        assert f == want and hash(f) == hash(want) and str(f) == str(want)
+        assert (f.numerator, f.denominator) == (n, d)
+        back = pickle.loads(pickle.dumps(f))
+        assert type(back) is F and back == want and hash(back) == hash(want)
+        assert canon(f) is f
+        assert f + 1 == want + 1 and -f == -want
+        built += 1
+    assert built > 1500
+
+
+def _pell_pairs():
+    """p/q with p^2 - 2q^2 = +-1, the closest approximations of sqrt2,
+    from 3/2 up to about 10^40."""
+    p, q = 3, 2
+    while p < 10**40:
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+def _cmp_reference(x, y) -> int:
+    """sign(x - y) through isqrt: x - y = (A + B*sqrt2)/m with m > 0 and
+    isqrt(2 B^2) < |B|*sqrt2 < isqrt(2 B^2) + 1 when B != 0."""
+    xa, xb = (x.a, x.b) if isinstance(x, Sqrt2) else (x, 0)
+    ya, yb = (y.a, y.b) if isinstance(y, Sqrt2) else (y, 0)
+    a, b = F(xa) - F(ya), F(xb) - F(yb)
+    m = a.denominator * b.denominator
+    big_a, big_b = int(a * m), int(b * m)
+    if big_b == 0:
+        return (big_a > 0) - (big_a < 0)
+    s = math.isqrt(2 * big_b * big_b)
+    if big_b > 0:
+        return 1 if big_a + s >= 0 else -1
+    return 1 if big_a - s - 1 >= 0 else -1
+
+
+def test_sqrt2_compare_on_pell_near_ties():
+    cases = 0
+    for p, q in _pell_pairs():
+        e = p * p - 2 * q * q  # 1: p/q is above sqrt2, -1: below
+        assert e in (1, -1)
+        for k in (1, -1, 3, -7, F(5, 11), F(-2, 9), 10**20):
+            t = F(p, q) * k
+            want = e if k > 0 else -e  # the sign of k(p/q - sqrt2)
+            c = F(7, 3)
+            for x, y, w in (
+                (t, Sqrt2(0, k), want),
+                (Sqrt2(t, -k), 0, want),
+                (Sqrt2(0, -k), -t, want),
+                (Sqrt2(t, 0), Sqrt2(0, k), want),  # b = 0 is non-canonical
+                (Sqrt2(t, k), Sqrt2(0, 2 * k), want),
+                (Sqrt2(c, k), c + t, -want),
+            ):
+                assert scalar_cmp(x, y) == w == -scalar_cmp(y, x), (p, q, k, x, y)
+                r = x if isinstance(x, Sqrt2) else Sqrt2(x)
+                assert r._cmp(y) == w and _cmp_reference(x, y) == w, (x, y)
+                cases += 1
+        # floor(q*sqrt2) is p - 1 above the tie and p below it
+        assert scalar_floor(Sqrt2(0, q)) == p - (e > 0)
+        assert scalar_floor(Sqrt2(-p, q)) == -(e > 0)
+        assert scalar_floor(Sqrt2(0, -q)) == -p - (e < 0)
+    assert cases > 2000
 
 
 @st.composite
