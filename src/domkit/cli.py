@@ -17,6 +17,13 @@ then evaluated: operators apply left to right with no precedence,
 ``sign(..)`` only as the outermost operation, and any syntax error, a
 nested ``sign`` or nesting past ``MAX_NESTING`` included, is a parse
 error reported before any literal is read.
+
+A carrier descriptor, read in one scan with spaces dropped, is G, ``cuts(G)``,
+``cuts(G,r2)``, ``tilde(G)`` or ``tilde(G,r2)``: G is ``Z``, ``Q``, ``Qr2``,
+``triv``, ``Zloc(p)`` (p a prime in ASCII digits) or ``lex(G,..,G)`` of one
+atom or more, other whitespace only around a G.  In every text ``dom`` reads,
+more than ``MAX_NESTING`` open parentheses are a parse error.  A literal that
+does not scan is a parse error, one naming no element of the carrier a type error.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 
 from domkit.doms import (
     M_AXIOMS, CutDom, Dom, GroupDom, TildeDom, classify_type, sign_of, special_set,
 )
-from domkit.groups import parse_group
+from domkit.groups import Atom, Group
 from domkit.scalars import parse_int
 
 
@@ -52,18 +60,41 @@ AXIOM_LABELS = [
 
 
 def parse_carrier(text: str) -> Dom:
+    """The carrier ``text`` names, from one scan of its tokens.  Products
+    flatten, so the atoms form one list; a stack holds, for each open
+    ``lex(``, the number of atoms read before it."""
     s = text.strip().replace(" ", "")
-    try:
-        for head, maker in (("cuts(", CutDom), ("tilde(", TildeDom)):
-            if s.startswith(head) and s.endswith(")"):
-                inner = s[len(head):-1]
-                field = "Q"
-                if inner.endswith(",r2"):
-                    inner, field = inner[:-3], "Qr2"
-                return maker(parse_group(inner), field)
-        return GroupDom(parse_group(s))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    outer = re.fullmatch(r"(cuts|tilde)\((.*?)(,r2)?\)", s, re.S)
+    atoms, opened, due = [], [], True  # due: whether a group is due next
+    # a token after the whitespace around a group, or any character, refused
+    for m in re.finditer(r"\s*(?:(lex\(|Zloc\(([^()]*)\))|(Qr2|Q|Z|triv)|([,)])|.)",
+                         outer[2].strip() if outer else s, re.S):
+        head, p, atom, sep = m.groups()
+        if due and head:
+            if len(opened) + bool(outer) == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            if p is None:
+                opened.append(len(atoms))
+                continue
+            try:
+                atoms.append(Atom("Zloc", parse_int(p)))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        elif due and atom:
+            atoms += [Atom(atom)] if atom != "triv" else []
+        elif not due and opened and sep:
+            if sep == ")" and opened.pop() == len(atoms):
+                raise ParseError("lex product needs at least one atom")
+        else:
+            break
+        due = sep == ","  # after a group or a ")", a group is due only after a ","
+    else:
+        if not (due or opened):
+            group = Group(tuple(atoms))
+            if not outer:
+                return GroupDom(group)
+            return (CutDom if outer[1] == "cuts" else TildeDom)(group, "Qr2" if outer[3] else "Q")
+    raise ParseError(f"cannot parse carrier {text!r}")
 
 
 # -- expression evaluation -----------------------------------------------------

@@ -36,7 +36,6 @@ from domkit.groups import Group, lex_cmp, parse_coords
 from domkit.scalars import Scalar, canon, format_scalar, parse_int, ratio, scalar_floor
 
 MINUS, FILLED, PLUS = -1, 0, 1
-_SIDE_TEXT = {MINUS: "-", FILLED: "fill", PLUS: "+"}
 
 SIGN_INF = "inf"
 SIGN_SPADE = "spade"
@@ -384,27 +383,33 @@ def format_cut(g: Group, cut: Cut) -> str:
     return f"edge({cut.level})" + ("+" if cut.side == PLUS else "-") + body
 
 
-def parse_cut(g: Group, text: str) -> Cut:
+def is_cut_literal(text: str) -> bool:
+    """Whether ``text`` has a cut head, well formed or not."""
+    return text in ("-inf", "+inf") or text.startswith(("cut(", "fill(", "edge("))
+
+
+def parse_cut(g: Group, text: str) -> Cut | None:
+    """The cut a literal names, as ``format_cut`` writes it (bare ``edge(k)+``
+    and ``edge(k)-`` are the width cut and its minus): None without a cut
+    head, ValueError when it does not scan, TypeError when g has no such cut."""
     s = text.strip()
-    if s == "-inf":
-        return NEG_INF
-    if s == "+inf":
-        return POS_INF
-    if s.startswith("cut(") and s[-2:] in (")+", ")-"):
-        side = PLUS if s[-1] == "+" else MINUS
-        return make_node(g, 0, parse_coords(s[4:-2]), side)
-    if s.startswith("fill(") and s.endswith(")"):
-        return make_node(g, 0, parse_coords(s[5:-1]), FILLED)
-    if s.startswith("edge(") and ")" in s:
-        close = s.index(")")
-        k = parse_int(s[5:close].strip())
-        rest = s[close + 1:]
-        if rest.startswith("fill(") and rest.endswith(")"):
-            return make_node(g, k, parse_coords(rest[5:-1]), FILLED)
-        if rest and rest[0] in "+-":
-            side = PLUS if rest[0] == "+" else MINUS
-            body = rest[1:]
-            if not body:
-                return level_edge(g, k) if side == PLUS else neg(g, level_edge(g, k))
-            return make_node(g, k, parse_coords(body), side)
-    raise ValueError(f"cannot parse cut {text!r}")
+    if s in ("-inf", "+inf") or not is_cut_literal(s):
+        return {"-inf": NEG_INF, "+inf": POS_INF}.get(s)
+    # split once at the ")" closing the head: the first after edge(, the last after cut(, fill(
+    head, _, rest = s.partition("(")
+    body, close, tail = rest.partition(")") if head == "edge" else rest.rpartition(")")
+    level = 0
+    if head == "edge" and close:
+        level = parse_int(body.strip())
+        if tail.startswith("fill(") and tail.endswith(")"):
+            head, body, tail = "fill", tail[5:-1], ""
+        else:  # edge(k)+c reads as cut(c)+ at level k
+            head, body, tail = "cut", tail[1:] or None, tail[:1]
+    side = {"+": PLUS, "-": MINUS, "": FILLED}.get(tail) if close else None
+    if side is None or (side == FILLED) != (head == "fill"):
+        raise ValueError(f"cannot parse cut {text!r}")
+    coords = g.zero()[level:] if body is None else parse_coords(body)
+    try:
+        return make_node(g, level, coords, side)
+    except ValueError as exc:
+        raise TypeError(str(exc)) from exc

@@ -349,7 +349,7 @@ class GroupDom(Dom):
         return self.group.format_element(x)
 
     def parse_literal(self, tok):
-        if _is_cut_literal(tok):
+        if ct.is_cut_literal(tok):
             raise TypeError(f"{tok!r} is a cut literal, not an element of {self.name}")
         return _group_literal(self.group, tok)
 
@@ -474,10 +474,7 @@ class CutDom(Dom):
         return ct.format_cut(self.group, x)
 
     def parse_literal(self, tok):
-        if not _is_cut_literal(tok):
-            parse_coords(tok)  # a malformed token is a parse error, not a type error
-            raise TypeError(f"{tok!r} is not a cut literal")
-        return _cut_literal(self, tok, self)
+        return _cut_literal(self, tok, self) or _group_literal(None, tok)
 
     def associated_group(self):
         g = self.group
@@ -576,25 +573,23 @@ class CutDom(Dom):
         return low
 
 
-def _group_literal(group: Group, tok: str) -> tuple:
-    """The group element a literal names: ValueError when the literal does
-    not parse, TypeError when it has the wrong coordinate count or lies
-    outside the group."""
-    parse_coords(tok)  # parse_element would not tell this failure apart
-    try:
-        return group.parse_element(tok)
-    except ValueError as exc:
-        raise TypeError(str(exc)) from exc
+def _group_literal(group: Optional[Group], tok: str) -> tuple:
+    """The element of ``group`` a literal names: ValueError when it does not
+    scan, TypeError when it names none (any, without a group)."""
+    coords = parse_coords(tok)
+    if group is None:
+        raise TypeError(f"{tok!r} is not a cut literal")
+    if len(coords) != group.num_atoms:
+        raise TypeError(f"expected {group.num_atoms} coordinates in {tok!r}")
+    if not group.contains(coords):
+        raise TypeError(f"{group.format_element(coords)} is not in {group.format()}")
+    return coords  # parse_coords gives canonical scalars
 
 
-def _is_cut_literal(tok: str) -> bool:
-    return tok in ("-inf", "+inf") or tok.startswith(("cut(", "fill(", "edge("))
-
-
-def _cut_literal(cuts: CutDom, tok: str, owner: Dom) -> Cut:
-    """Parse a cut literal and check that the carrier ``owner`` holds it."""
+def _cut_literal(cuts: CutDom, tok: str, owner: Dom) -> Optional[Cut]:
+    """The cut a literal names, checked to lie in ``owner``; None without a cut head."""
     cut = ct.parse_cut(cuts.group, tok)
-    if not cuts.contains(cut):
+    if cut is not None and not cuts.contains(cut):
         raise TypeError(f"{tok!r} is not in {owner.name}")
     return cut
 
@@ -710,8 +705,9 @@ class TildeDom(GlueDom):
         return f"g({self.lower.fmt(v)})" if t == "m" else self.upper.fmt(v)
 
     def parse_literal(self, tok):
-        if _is_cut_literal(tok):
-            return ("n", _cut_literal(self.upper, tok, self))
+        cut = _cut_literal(self.upper, tok, self)
+        if cut is not None:
+            return ("n", cut)
         if tok.startswith("g(") and tok.endswith(")"):
             tok = tok[2:-1]
         return ("m", _group_literal(self.group, tok))

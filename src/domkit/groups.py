@@ -25,7 +25,6 @@ from domkit.scalars import (
     Sqrt2,
     canon,
     format_scalar,
-    parse_int,
     parse_scalar,
     scalar_add,
     scalar_cmp,
@@ -461,12 +460,6 @@ class Group:
             return format_scalar(x[0])
         return "(" + ",".join(format_scalar(v) for v in x) + ")"
 
-    def parse_element(self, text: str) -> tuple:
-        coords = parse_coords(text)
-        if len(coords) != self.num_atoms:
-            raise ValueError(f"expected {self.num_atoms} coordinates in {text!r}")
-        return self.check_element(coords)
-
 
 def parse_coords(text: str) -> tuple:
     s = text.strip()
@@ -475,31 +468,3 @@ def parse_coords(text: str) -> tuple:
     if not s:
         return ()
     return tuple(parse_scalar(part) for part in s.split(","))
-
-
-def split_top(s: str, is_sep: Callable[[str], bool]) -> list[str]:
-    """The parts of ``s`` between the separators outside parentheses,
-    empty parts included."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and is_sep(ch):
-            parts.append(s[start:i])
-            start = i + 1
-    parts.append(s[start:])
-    return parts
-
-
-def parse_group(text: str) -> Group:
-    """Parse descriptors like ``Z``, ``Q``, ``Qr2``, ``Zloc(2)``, ``lex(Z,Q)``."""
-    s = text.strip().replace(" ", "")
-    if s in ("Z", "Q", "Qr2", "triv"):
-        return {"Z": Group.Z, "Q": Group.Q, "Qr2": Group.Qr2, "triv": Group.trivial}[s]()
-    if s.startswith("Zloc(") and s.endswith(")"):
-        return Group.Zloc(parse_int(s[5:-1]))
-    if s.startswith("lex(") and s.endswith(")"):
-        return Group.lex(*(parse_group(p) for p in split_top(s[4:-1], ",".__eq__)))
-    raise ValueError(f"cannot parse group descriptor {text!r}")

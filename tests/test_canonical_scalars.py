@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from domkit import cuts as ct
 from domkit.cuts import Cut, make_node
-from domkit.doms import CutDom
+from domkit.doms import CutDom, GroupDom
 from domkit.groups import FactorSet, Group
 from domkit.oracle import oracle_sum
 from domkit.scalars import Sqrt2, canon, scalar_cmp, scalar_floor
@@ -88,7 +88,7 @@ def test_group_constructors_are_canonical():
         assert type(v) is int
     assert QZ.check_element((F(1, 2), F(3))) == (F(1, 2), 3)
     assert type(QZ.check_element((F(1, 2), F(3)))[1]) is int
-    assert all(type(v) is int for v in QZ.parse_element("(2,-1)"))
+    assert all(type(v) is int for v in GroupDom(QZ).parse_literal("(2,-1)"))
 
 
 GROUPS = [Q, Z, Group.Zloc(2), Group.lex(Q, Z), Group.lex(Z, Q), Group.lex(Q, Q)]

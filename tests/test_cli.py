@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import domkit
 from domkit.cli import AXIOM_LABELS, eval_expr, format_value, main, parse_carrier, parse_expr
-from domkit.doms import sign_of
+from domkit.doms import GroupDom, sign_of
 from domkit.tables import parse_table, serialize_table, validate
 
 
@@ -66,8 +66,8 @@ def test_eval_round_trip(capsys):
         assert code2 == 0 and out2 == out
 
 
-def _nested(depth, inner):
-    return "neg(" * depth + inner + ")" * depth
+def _nested(depth, inner, head="neg("):
+    return head * depth + inner + ")" * depth
 
 
 def test_eval_nesting_limit(capsys):
@@ -80,6 +80,32 @@ def test_eval_nesting_limit(capsys):
         assert (code, out) == (2, "") and "nested deeper than 256" in err, carrier
     code, out, _ = run(capsys, "eval", "--carrier", "cuts(Q)", _nested(255, "cut(0)+"))
     assert (code, out) == (0, "cut(0)-\n")
+
+
+def test_carrier_nesting_limit(capsys):
+    # a descriptor with 256 parentheses open at once parses, the one of
+    # cuts( or tilde( and that of Zloc( included; one more is a parse error
+    for outer, inner in (("{}", "Q"), ("cuts({})", "Q"), ("tilde({},r2)", "Q"),
+                         ("{}", "Zloc(2)"), ("cuts({})", "Zloc(3)")):
+        opened = 256 - (outer != "{}") - inner.startswith("Zloc(")
+        for depth, want in ((opened, 0), (opened + 1, 2)):
+            carrier = outer.format(_nested(depth, inner, "lex("))
+            code, out, err = run(capsys, "classify", "--carrier", carrier)
+            assert code == want, (outer, inner, depth, err)
+            assert want == 0 or (out == "" and "nested deeper than 256" in err)
+
+
+def test_cut_literal_outside_the_carrier_is_a_type_error(capsys):
+    # a cut literal that scans but names no cut of the carrier is a type
+    # error, as a group literal outside its group is: a wrong coordinate
+    # count, a level out of range, a coordinate outside its atom, and any
+    # finite cut of the trivial group
+    for carrier, expr in (("cuts(Q)", "cut((1,2))+"), ("cuts(Q)", "edge(1)+0"),
+                          ("cuts(lex(Z,Q))", "cut((1/2,0))+"), ("tilde(Q)", "cut((1,2))+"),
+                          ("cuts(triv)", "cut(0)+"), ("cuts(Q)", "edge(2)+"),
+                          ("Q", "(1,2)"), ("lex(Z,Q)", "(1/2,0)")):
+        code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
+        assert (code, out) == (3, "") and err.startswith("type error: "), (carrier, expr, err)
 
 
 def test_eval_error_codes(capsys):
@@ -404,6 +430,12 @@ EXIT_CONTRACT = [
     # nesting past the limit is refused, not left to end in a RecursionError
     (["eval", "--carrier", "Q", _nested(10_000, "0")], 2, "parse error: "),
     (["eval", "--carrier", "cuts(Q)", "(" * 10_000], 2, "parse error: "),
+    # in a carrier descriptor as well, bare or inside cuts(..), cuts(..,r2)
+    # and tilde(..), whichever subcommand reads it
+    *[(argv[:2] + [wrap.format(_nested(depth, "Q", "lex("))] + argv[2:], 2, "parse error: ")
+      for argv in (["classify", "--carrier"], ["eval", "--carrier", "0"])
+      for depth in (1_000, 10_000)
+      for wrap in ("{}", "cuts({})", "cuts({},r2)", "tilde({})")],
     # a syntax error anywhere is found before any literal is read
     (["eval", "--carrier", "cuts(Q)", "3/4 + neg("], 2, "parse error: "),
     (["eval", "--carrier", "cuts(Q)", "5 * cut(0)+"], 2, "parse error: "),
@@ -535,6 +567,50 @@ def test_eval_fuzz_exit_codes_and_round_trip(case):
     assert (out == "") == (code != 0), (carrier, expr, out, err)
     if code == 0 and eval_expr(parse_carrier(carrier), expr)[0] == "val":
         assert _eval_in_process(carrier, out.strip()) == (0, out, ""), (carrier, expr, out)
+
+
+# -- fuzzing carrier descriptors ----------------------------------------------------
+
+_ATOM_TEXTS = _mostly(st.sampled_from(["Z", "Q", "Qr2", "triv", "Zloc(2)", "Zloc(3)"]),
+                      st.sampled_from(["Zloc(4)", "Zloc(1)", "Zloc(+3)"]))
+# at most eight atoms: CutDom builds one level edge per atom, in time
+# quadratic in the number of atoms
+_GROUP_TEXTS = st.recursive(
+    _ATOM_TEXTS,
+    lambda inner: st.builds(lambda parts, sep: "lex(" + sep.join(parts) + ")",
+                            st.lists(inner, min_size=1, max_size=3),
+                            st.sampled_from([",", ", ", ",\t"])),
+    max_leaves=8)
+
+
+@st.composite
+def _descriptors(draw):
+    """A carrier descriptor: a group, bare or in cuts(..), cuts(..,r2),
+    tilde(..) or tilde(..,r2); one in three with one character inserted,
+    deleted or replaced."""
+    text = draw(st.sampled_from(["{}", "cuts({})", "cuts({},r2)", "tilde({})", "tilde({},r2)"])
+                ).format(draw(_GROUP_TEXTS))
+    if draw(st.integers(0, 2)) == 2:  # hypothesis favours small draws
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(list("(),r2QZlextrivoc0123456789\t ")))
+        text = draw(st.sampled_from([text[:i] + ch + text[i:], text[:i] + text[i + 1:],
+                                     text[:i] + ch + text[i + 1:]]))
+    return text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_descriptors())
+def test_descriptor_fuzz_exit_codes_and_round_trip(text):
+    # every descriptor ends in a result, a parse error or a type error,
+    # never in a traceback; the name a carrier prints reads back as the
+    # same carrier
+    code, out, err = _main_in_process(["eval", "--carrier", text, "0"])
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, (text, code, err)
+    if code in (0, 3):
+        d = parse_carrier(text)
+        name = d.group.format() if isinstance(d, GroupDom) else d.name
+        again = parse_carrier(name)
+        assert (type(again), again.name, again.group) == (type(d), d.name, d.group), text
 
 
 # -- the expression parser against terms drawn as data ------------------------------

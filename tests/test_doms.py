@@ -426,7 +426,7 @@ def _straddle_witness(d, target, a):
     with pytest.raises(ValueError, match="straddles") as info:
         d.lambda_map(target, a)
     text = str(info.value).split(": ", 1)[1].split(" straddles")[0]
-    return text, target.parse_element(text)
+    return text, GroupDom(target).parse_literal(text)
 
 
 def test_lambda_map_straddle_error():

@@ -7,8 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from domkit.cli import parse_carrier
+from domkit.doms import GroupDom
 from domkit.groups import (
-    Atom, FactorSet, Group, parse_group, validate_factor_set,
+    Atom, FactorSet, Group, validate_factor_set,
 )
 
 
@@ -203,18 +205,19 @@ def test_zero_factor_set_is_lex():
 
 
 def test_parse_and_format():
+    # a group descriptor, as the dom command reads it, prints back as itself
     for text in ("Z", "Q", "Zloc(2)", "lex(Z,Q)", "lex(Q,Q)", "Qr2", "triv", "lex(Zloc(3),Q)"):
-        assert parse_group(text).format() == text
-    g = parse_group("lex(Z, Q)")
+        assert parse_carrier(text).group.format() == text
+    g = parse_carrier("lex(Z, Q)").group
     assert g.atoms == (Atom("Z"), Atom("Q"))
     assert g.format_element(el(1, F(1, 2))) == "(1,1/2)"
-    assert g.parse_element("(1,1/2)") == el(1, F(1, 2))
+    assert GroupDom(g).parse_literal("(1,1/2)") == el(1, F(1, 2))
     with pytest.raises(ValueError):
-        parse_group("lex()")
+        parse_carrier("lex()")
     # Zloc(p) takes a run of ASCII digits
     for text in ("Zloc(4)", "Zloc(1_1)", "Zloc(+3)", "Zloc(\u0663)"):
         with pytest.raises(ValueError):
-            parse_group(text)
+            parse_carrier(text)
 
 
 def test_crossed_quotient_is_stable():
