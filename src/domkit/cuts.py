@@ -23,7 +23,13 @@ coordinate, then canonicalizes.  The engine operations ``add``, ``radd``
 and ``neg`` only canonicalize their results, without re-checking them:
 their operands are cuts, already checked, and group addition and
 negation keep non-anchor coordinates inside their components (a crossed
-product raises when its factor set leaves the fiber).
+product raises when its factor set leaves the fiber).  Over a plain
+lexicographic group they sum and negate prefixes coordinate by
+coordinate with the scalar kernels; over a crossed product they go
+through the quotient group's ``add`` and ``neg``, whose factor-set twist
+the sum needs.  Those branches are the only places the engine looks at
+the group's kind.  ``compare`` decides two one-coordinate prefixes inline and longer
+ones with ``lex_cmp``.
 
 ``approach_below`` is the one approximation helper, for the oracle's
 chains; a group element between two given cuts is computed from their
@@ -33,7 +39,10 @@ anchors where it is needed (``doms.CutDom.lambda_map``).
 from __future__ import annotations
 
 from domkit.groups import Group, lex_cmp, parse_coords
-from domkit.scalars import Scalar, canon, format_scalar, parse_int, ratio, scalar_floor
+from domkit.scalars import (
+    Scalar, canon, format_scalar, parse_int, ratio, scalar_add, scalar_ceil_times,
+    scalar_cmp, scalar_floor, scalar_neg,
+)
 
 MINUS, FILLED, PLUS = -1, 0, 1
 
@@ -82,11 +91,7 @@ POS_INF = Cut("hi")
 
 def make_node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
     """Build (and canonicalize) the level-``level`` node with given prefix."""
-    m = g.num_atoms
-    if m == 0:
-        raise ValueError("the trivial group has no finite cuts")
-    if not 0 <= level < m:
-        raise ValueError(f"cut level {level} out of range 0..{m - 1}")
+    m = _check_level(g, level)
     prefix = tuple(map(canon, prefix))
     if len(prefix) != m - level:
         raise ValueError(f"level-{level} prefix needs {m - level} coordinates")
@@ -96,15 +101,33 @@ def make_node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
     return _node(g, level, prefix, side)
 
 
+def _check_level(g: Group, level: int) -> int:
+    """The number of atoms of g, after checking that g has finite cuts at
+    ``level``."""
+    m = g.num_atoms
+    if m == 0:
+        raise ValueError("the trivial group has no finite cuts")
+    if not 0 <= level < m:
+        raise ValueError(f"cut level {level} out of range 0..{m - 1}")
+    return m
+
+
 def _node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
     """Canonical node for an already checked level and prefix.
 
     Over a discrete component the anchor is folded into the successor
     form; over a dense one a member anchor is never FILLED and an anchor
-    outside the component always is.
+    outside the component always is. An ``int`` anchor is a member of
+    every component.
     """
-    atom = g.atoms[len(prefix) - 1]
     anchor = prefix[-1]
+    if type(anchor) is int:
+        if side == PLUS:
+            return Cut("n", level, prefix, PLUS)
+        if g.atoms[len(prefix) - 1].discrete:
+            return Cut("n", level, prefix[:-1] + (anchor - 1,), PLUS)
+        return Cut("n", level, prefix, MINUS)
+    atom = g.atoms[len(prefix) - 1]
     if atom.discrete:
         if not atom.contains(anchor):
             anchor = scalar_floor(anchor)
@@ -125,7 +148,7 @@ def zero_cut(g: Group) -> Cut:
     """The neutral element of the cut carrier (upper edge of {0})."""
     if g.num_atoms == 0:
         return POS_INF
-    return make_node(g, 0, g.zero(), PLUS)
+    return level_edge(g, 0)
 
 
 # -- order and membership ------------------------------------------------
@@ -155,11 +178,21 @@ _RANK = {"lo": -1, "n": 0, "hi": 1}
 
 
 def compare(g: Group, a: Cut, b: Cut) -> int:
+    if a is b:
+        return 0
     if a.kind != "n" or b.kind != "n":
         ra, rb = _RANK[a.kind], _RANK[b.kind]
         return (ra > rb) - (ra < rb)
     if a.level == b.level:
-        c = lex_cmp(a.prefix, b.prefix)
+        pa, pb = a.prefix, b.prefix
+        if len(pa) == 1:
+            u, v = pa[0], pb[0]
+            if type(u) is int and type(v) is int:
+                c = (u > v) - (u < v)
+            else:
+                c = scalar_cmp(u, v)
+        else:
+            c = lex_cmp(pa, pb)
         if c:
             return c
         return (a.side > b.side) - (a.side < b.side)
@@ -182,24 +215,17 @@ def neg(g: Group, cut: Cut) -> Cut:
         return POS_INF
     if cut.kind == "hi":
         return NEG_INF
-    q = g.quotient(cut.level)
-    return _node(g, cut.level, q.neg(cut.prefix), -cut.side)
+    p = cut.prefix
+    if g.base is not None:  # crossed: the minus needs the factor-set twist
+        p = g.quotient(cut.level).neg(p)
+    elif len(p) == 1:
+        p = (scalar_neg(p[0]),)
+    else:
+        p = tuple(map(scalar_neg, p))
+    return _node(g, cut.level, p, -cut.side)
 
 
 # -- addition: left sum, right sum, differences ---------------------------
-
-
-def _lift_right(g: Group, cut: Cut, n: int) -> tuple[tuple, bool]:
-    """View of the right part at the level with n prefix coordinates:
-    (prefix, minimum attained?)."""
-    p = cut.prefix
-    if len(p) > n:
-        return p[:n], True
-    if cut.side == MINUS:
-        return p, True
-    if cut.side == PLUS and g.atoms[n - 1].discrete:
-        return p[:-1] + (p[-1] + 1,), True
-    return p, False  # PLUS over a dense atom, or FILLED
 
 
 def add(g: Group, a: Cut, b: Cut) -> Cut:
@@ -217,7 +243,12 @@ def add(g: Group, a: Cut, b: Cut) -> Cut:
         pa, sa = pa[:len(pb)], PLUS
     elif b.level < k:
         pb, sb = pb[:len(pa)], PLUS
-    p = g.quotient(k).add(pa, pb)
+    if g.base is not None:  # crossed: the sum needs the factor-set twist
+        p = g.quotient(k).add(pa, pb)
+    elif len(pa) == 1:
+        p = (scalar_add(pa[0], pb[0]),)
+    else:
+        p = tuple(map(scalar_add, pa, pb))
     if sa == FILLED or sb == FILLED:
         side = FILLED  # _node makes it MINUS when the anchor is a member
     else:
@@ -231,15 +262,36 @@ def radd(g: Group, a: Cut, b: Cut) -> Cut:
         return POS_INF
     if a.kind == "lo" or b.kind == "lo":
         return NEG_INF
-    k, n = a.level, len(a.prefix)
-    if b.level > k:
-        k, n = b.level, len(b.prefix)
-    pa, ma = _lift_right(g, a, n)
-    pb, mb = _lift_right(g, b, n)
-    p = g.quotient(k).add(pa, pb)
+    k = a.level if a.level > b.level else b.level
+    pa, pb = a.prefix, b.prefix
+    n = len(g.atoms) - k
+    # lift both right parts to the wider level k: a longer prefix is
+    # truncated and its minimum attained; over a discrete anchor atom a
+    # PLUS cut's right part starts at the successor, attained; a MINUS
+    # cut's minimum is its prefix; otherwise there is no minimum
+    discrete = g.atoms[n - 1].discrete
+    attained = True
+    if len(pa) > n:
+        pa = pa[:n]
+    elif a.side == PLUS and discrete:
+        pa = pa[:-1] + (pa[-1] + 1,)
+    elif a.side != MINUS:
+        attained = False
+    if len(pb) > n:
+        pb = pb[:n]
+    elif b.side == PLUS and discrete:
+        pb = pb[:-1] + (pb[-1] + 1,)
+    elif b.side != MINUS:
+        attained = False
+    if g.base is not None:  # crossed: the sum needs the factor-set twist
+        p = g.quotient(k).add(pa, pb)
+    elif n == 1:
+        p = (scalar_add(pa[0], pb[0]),)
+    else:
+        p = tuple(map(scalar_add, pa, pb))
     # without an attained minimum the sum is the edge just above p, which
     # _node makes FILLED when the anchor is outside the component
-    return _node(g, k, p, MINUS if ma and mb else PLUS)
+    return _node(g, k, p, MINUS if attained else PLUS)
 
 
 def rsub(g: Group, a: Cut, b: Cut) -> Cut:
@@ -272,7 +324,8 @@ def width(g: Group, cut: Cut) -> Cut:
 
 def level_edge(g: Group, k: int) -> Cut:
     """The width cut at ladder level k (upper edge of H_k)."""
-    return make_node(g, k, (0,) * (g.num_atoms - k), PLUS)
+    # zero coordinates lie in every component: no membership to check
+    return _node(g, k, (0,) * (_check_level(g, k) - k), PLUS)
 
 
 def project_cut(g: Group, cut: Cut, k: int) -> Cut:
@@ -361,8 +414,7 @@ def edge_above(g: Group, gp: Group, x: tuple) -> Cut:
 def approach_below(g: Group, atom_index: int, target: Scalar, n: int) -> Scalar:
     """Component member strictly below ``target``, within base^-(n+1) of it."""
     d = g.atoms[atom_index].dense_denominator() ** (n + 1)
-    ceil_td = -scalar_floor(-(target * d))
-    return ratio(ceil_td - 1, d)
+    return ratio(scalar_ceil_times(target, d) - 1, d)
 
 
 # -- text form --------------------------------------------------------------

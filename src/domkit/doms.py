@@ -317,7 +317,7 @@ class GroupDom(Dom):
 
     def __init__(self, group: Group):
         self.group = group
-        self.name = f"group({group.format()})"
+        self.name = group.format()
 
     def zero(self):
         return self.group.zero()

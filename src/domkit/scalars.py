@@ -34,6 +34,9 @@ integer pairs, and comes back as ``int`` or ``Fraction`` when the sqrt2
 part cancels.  ``Sqrt2``'s own operators are the generic path, and the
 kernel tests compare against them.
 
+``scalar_ceil_times``, the ceiling that places the oracle's
+approximations, shares the floor's step on the integer triple.
+
 The integer pair of a ``Fraction`` is read from its two slots
 ``_numerator`` and ``_denominator``, not through the ``numerator`` and
 ``denominator`` properties.  ``ratio`` builds a reduced ``Fraction`` the
@@ -294,13 +297,8 @@ def scalar_cmp(x: Scalar, y: Scalar) -> int:
     return (d > 0) - (d < 0)
 
 
-def scalar_floor(x: Scalar) -> int:
-    """Exact floor, also for irrational a + b*sqrt2 values."""
-    if type(x) is int:
-        return x
-    if type(x) is not Sqrt2:
-        return x._numerator // x._denominator
-    a, b, d = _triple(x)
+def _floor_triple(a: int, b: int, d: int) -> int:
+    """floor((a + b*sqrt2)/d) for integers a, b and d > 0."""
     if b == 0:
         return a // d
     # floor(b*sqrt2): b*sqrt2 = sign(b) * sqrt(2 b^2), irrational since
@@ -308,6 +306,22 @@ def scalar_floor(x: Scalar) -> int:
     # floor((a + b*sqrt2)/d) = (a + floor(b*sqrt2)) // d.
     s = isqrt(2 * b * b)
     return (a + (s if b > 0 else -s - 1)) // d
+
+
+def scalar_floor(x: Scalar) -> int:
+    """Exact floor, also for irrational a + b*sqrt2 values."""
+    if type(x) is int:
+        return x
+    if type(x) is not Sqrt2:
+        return x._numerator // x._denominator
+    return _floor_triple(*_triple(x))
+
+
+def scalar_ceil_times(x: Scalar, n: int) -> int:
+    """Exact ceil(x*n) for an int n > 0: -floor of x's integer triple
+    scaled by -n."""
+    a, b, d = _triple(x)
+    return -_floor_triple(-a * n, -b * n, d)
 
 
 def format_scalar(x: Scalar) -> str:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import domkit
 from domkit.cli import AXIOM_LABELS, eval_expr, format_value, main, parse_carrier, parse_expr
-from domkit.doms import GroupDom, sign_of
+from domkit.doms import sign_of
 from domkit.tables import parse_table, serialize_table, validate
 
 
@@ -106,6 +106,14 @@ def test_cut_literal_outside_the_carrier_is_a_type_error(capsys):
                           ("Q", "(1,2)"), ("lex(Z,Q)", "(1/2,0)")):
         code, out, err = run(capsys, "eval", "--carrier", carrier, expr)
         assert (code, out) == (3, "") and err.startswith("type error: "), (carrier, expr, err)
+
+
+def test_a_group_carrier_is_named_by_its_descriptor(capsys):
+    # a message about a group carrier names it as --carrier reads it
+    code, out, err = run(capsys, "eval", "--carrier", "lex(Q,Z)", "cut((0,0))+")
+    assert (code, out) == (3, "")
+    assert err == "type error: 'cut((0,0))+' is a cut literal, not an element of lex(Q,Z)\n"
+    assert parse_carrier("lex(Q,Z)").name == "lex(Q,Z)"
 
 
 def test_eval_error_codes(capsys):
@@ -608,8 +616,7 @@ def test_descriptor_fuzz_exit_codes_and_round_trip(text):
     assert code in (0, 2, 3, 4) and "Traceback" not in err, (text, code, err)
     if code in (0, 3):
         d = parse_carrier(text)
-        name = d.group.format() if isinstance(d, GroupDom) else d.name
-        again = parse_carrier(name)
+        again = parse_carrier(d.name)
         assert (type(again), again.name, again.group) == (type(d), d.name, d.group), text
 
 

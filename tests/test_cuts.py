@@ -11,8 +11,8 @@ from domkit.cuts import (
     make_node, member_above, member_below, neg, parse_cut, project_cut, radd,
     rsub, shift_by, signature, width, zero_cut,
 )
-from domkit.doms import CutDom, GroupDom
-from domkit.groups import FactorSet, Group
+from domkit.doms import CutDom, Dom, GroupDom
+from domkit.groups import Atom, FactorSet, Group
 from domkit.scalars import Sqrt2
 
 Q = Group.Q()
@@ -142,13 +142,13 @@ def test_left_sum_below_right_sum():
 
 
 def test_radd_matches_negation_identity():
+    # the right-sum rule table against Dom's derived form -((-x) + (-y)),
+    # on every ordered pair of a pool of each perfbench carrier shape
     rng = random.Random(3)
-    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ)):
-        g = d.group
-        pool = d.sample(rng, 80)
-        for _ in range(400):
-            a, b = rng.choice(pool), rng.choice(pool)
-            assert radd(g, a, b) == neg(g, add(g, neg(g, a), neg(g, b)))
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), CutDom(Q, "Qr2")):
+        pool = d.sample(rng, 150)
+        for a, b in itertools.product(pool, repeat=2):
+            assert d.radd(a, b) == Dom.radd(d, a, b), (d.name, a, b)
 
 
 def test_sum_bounds_by_raw_membership():
@@ -523,20 +523,19 @@ def test_parse_canonicalizes():
 
 def test_cuts_over_crossed_products():
     # with the zero factor set, cut arithmetic over the crossed product
-    # coincides with the plain lexicographic one
-    from domkit.groups import FactorSet
-    tw = Group.crossed(Group.Q(), Group.Q(), FactorSet.zero())
-    lex = QQ
-    rng = random.Random(42)
-    from domkit.doms import CutDom
-    d_lex = CutDom(lex)
-    pool = d_lex.sample(rng, 60)
-    for a, b in zip(pool, pool[1:]):
-        la, lb = _transplant(tw, a), _transplant(tw, b)
-        assert _transplant(tw, add(lex, a, b)) == add(tw, la, lb)
-        assert _transplant(tw, radd(lex, a, b)) == radd(tw, la, lb)
-        assert _transplant(tw, neg(lex, a)) == neg(tw, la)
-        assert compare(lex, a, b) == compare(tw, la, lb)
+    # coincides with the plain lexicographic one: the crossed twin sums
+    # through its quotient groups, the plain group in coordinates
+    for g in (QQ, Group.lex(Q, Z), Group.lex(Z, Q), Group.lex(Group.Zloc(3), Z)):
+        tw = Group.crossed(Group(g.atoms[:1]), Group(g.atoms[1:]), FactorSet.zero())
+        pool = CutDom(g).sample(random.Random(42), 60)
+        for a in pool:
+            la = _transplant(tw, a)
+            assert _transplant(tw, neg(g, a)) == neg(tw, la), (g, a)
+            for b in pool:
+                lb = _transplant(tw, b)
+                for op in (add, radd, rsub, lsub):
+                    assert _transplant(tw, op(g, a, b)) == op(tw, la, lb), (g, op.__name__, a, b)
+                assert compare(g, a, b) == compare(tw, la, lb), (g, a, b)
 
 
 def _transplant(g, cut):
@@ -581,6 +580,24 @@ def test_engine_results_are_canonical():
                     continue
                 assert _canonical(g, r), (d.name, a, b, r)
                 assert r == make_node(g, r.level, r.prefix, r.side), (d.name, a, b, r)
+
+
+def test_cut_carrier_build_is_linear_in_its_atoms(monkeypatch):
+    # zero coordinates lie in every component, so building a carrier's
+    # constants (zero, delta and one width cut per level) needs no
+    # membership check per coordinate and level
+    m = 2000
+    calls = []
+    contains = Atom.contains
+
+    def counted(atom, x):
+        calls.append(x)
+        return contains(atom, x)
+
+    monkeypatch.setattr(Atom, "contains", counted)
+    d = CutDom(Group.lex(*[Q] * m))
+    assert len(d.width_set()) == m + 1
+    assert len(calls) <= 2 * m
 
 
 def test_cut_carrier_constants():

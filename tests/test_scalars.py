@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domkit.groups import Atom, lex_cmp
+from domkit.cuts import approach_below
+from domkit.doms import CutDom
+from domkit.groups import Atom, Group, lex_cmp
 from domkit.scalars import (
     Sqrt2, _fraction, canon, format_scalar, parse_scalar, ratio, scalar_add, scalar_cmp,
     scalar_floor, scalar_neg,
 )
-from support import is_canonical
+from support import is_canonical, standard_cut_carriers
 
 
 def test_sign_cases():
@@ -267,3 +269,32 @@ def test_lex_cmp_agrees_with_zip_and_compare(pair):
     assert lex_cmp(x, y) == lex_cmp_reference(x, y), (x, y)
     assert lex_cmp(y, x) == lex_cmp_reference(y, x), (x, y)
     assert lex_cmp(x, x) == 0
+
+
+def test_approach_below_matches_its_operator_form():
+    # approach_below takes its ceiling from the target's integer triple;
+    # it must give what the ceiling through Sqrt2's operators gave, in the
+    # same form, on the Pell near-ties and on every anchor of criterion
+    # 5's pools and of a cuts(Q,r2) pool
+    targets = []
+    for p, q in _pell_pairs():
+        for k in (1, -1, 3, -7, F(5, 11), F(-2, 9), 10**20):
+            t = F(p, q) * k
+            targets += [t, Sqrt2(0, k), Sqrt2(t, -k), Sqrt2(0, -k), Sqrt2(t, k),
+                        Sqrt2(F(7, 3), k), Sqrt2(t, 0)]
+    rng = random.Random(202)  # criterion 5's draws, pools and pairs alike
+    for d in standard_cut_carriers().values():
+        pool = d.sample(rng, 400)
+        for _ in range(2 * 10_000):
+            rng.choice(pool)
+        targets += [c.anchor for c in pool if c.kind == "n"]
+    targets += [c.anchor for c in CutDom(Group.Q(), "Qr2").sample(random.Random(7), 200)
+                if c.kind == "n"]
+    assert sum(isinstance(t, Sqrt2) and t.b != 0 for t in targets) > 1000
+    for g in (Group.Q(), Group.Zloc(3)):
+        for t in targets:
+            for n in (0, 1, 5, 12):
+                d = g.atoms[0].dense_denominator() ** (n + 1)
+                want = ratio(-scalar_floor(-(t * d)) - 1, d)
+                got = approach_below(g, 0, t, n)
+                assert got == want and type(got) is type(want), (g, t, n)
