@@ -23,12 +23,11 @@ coordinate, then canonicalizes.  The engine operations ``add``, ``radd``
 and ``neg`` only canonicalize their results, without re-checking them:
 their operands are cuts, already checked, and group addition and
 negation keep non-anchor coordinates inside their components (a crossed
-product raises when its factor set leaves the fiber).  Over a plain
-lexicographic group they sum and negate prefixes coordinate by
-coordinate with the scalar kernels; over a crossed product they go
-through the quotient group's ``add`` and ``neg``, whose factor-set twist
-the sum needs.  Those branches are the only places the engine looks at
-the group's kind.  ``compare`` decides two one-coordinate prefixes inline and longer
+product raises when its factor set leaves the fiber).  They sum and
+negate prefixes with the group's own ``add`` and ``neg``, which take a
+prefix as an element of the quotient G/H_k (a crossed product applies
+its factor-set twist there), so the engine never looks at the group's
+kind.  ``compare`` decides two one-coordinate prefixes inline and longer
 ones with ``lex_cmp``.
 
 ``approach_below`` is the one approximation helper, for the oracle's
@@ -40,8 +39,8 @@ from __future__ import annotations
 
 from domkit.groups import Group, lex_cmp, parse_coords
 from domkit.scalars import (
-    Scalar, canon, format_scalar, parse_int, ratio, scalar_add, scalar_ceil_times,
-    scalar_cmp, scalar_floor, scalar_neg,
+    Scalar, canon, format_scalar, parse_int, ratio, scalar_ceil_times, scalar_cmp,
+    scalar_floor,
 )
 
 MINUS, FILLED, PLUS = -1, 0, 1
@@ -118,7 +117,9 @@ def _node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
     Over a discrete component the anchor is folded into the successor
     form; over a dense one a member anchor is never FILLED and an anchor
     outside the component always is. An ``int`` anchor is a member of
-    every component.
+    every component. Every anchor is canonical (``make_node``
+    canonicalizes, the scalar kernels return canonical values), so one
+    that is not an ``int`` lies outside Z.
     """
     anchor = prefix[-1]
     if type(anchor) is int:
@@ -128,14 +129,8 @@ def _node(g: Group, level: int, prefix: tuple, side: int) -> Cut:
             return Cut("n", level, prefix[:-1] + (anchor - 1,), PLUS)
         return Cut("n", level, prefix, MINUS)
     atom = g.atoms[len(prefix) - 1]
-    if atom.discrete:
-        if not atom.contains(anchor):
-            anchor = scalar_floor(anchor)
-        elif side != PLUS:
-            anchor = anchor - 1
-        else:
-            return Cut("n", level, prefix, PLUS)
-        return Cut("n", level, prefix[:-1] + (anchor,), PLUS)
+    if atom.discrete:  # a canonical anchor outside Z: floor it
+        return Cut("n", level, prefix[:-1] + (scalar_floor(anchor),), PLUS)
     if atom.contains(anchor):
         if side == FILLED:
             side = MINUS
@@ -215,14 +210,7 @@ def neg(g: Group, cut: Cut) -> Cut:
         return POS_INF
     if cut.kind == "hi":
         return NEG_INF
-    p = cut.prefix
-    if g.base is not None:  # crossed: the minus needs the factor-set twist
-        p = g.quotient(cut.level).neg(p)
-    elif len(p) == 1:
-        p = (scalar_neg(p[0]),)
-    else:
-        p = tuple(map(scalar_neg, p))
-    return _node(g, cut.level, p, -cut.side)
+    return _node(g, cut.level, g.neg(cut.prefix), -cut.side)
 
 
 # -- addition: left sum, right sum, differences ---------------------------
@@ -243,12 +231,7 @@ def add(g: Group, a: Cut, b: Cut) -> Cut:
         pa, sa = pa[:len(pb)], PLUS
     elif b.level < k:
         pb, sb = pb[:len(pa)], PLUS
-    if g.base is not None:  # crossed: the sum needs the factor-set twist
-        p = g.quotient(k).add(pa, pb)
-    elif len(pa) == 1:
-        p = (scalar_add(pa[0], pb[0]),)
-    else:
-        p = tuple(map(scalar_add, pa, pb))
+    p = g.add(pa, pb)
     if sa == FILLED or sb == FILLED:
         side = FILLED  # _node makes it MINUS when the anchor is a member
     else:
@@ -283,12 +266,7 @@ def radd(g: Group, a: Cut, b: Cut) -> Cut:
         pb = pb[:-1] + (pb[-1] + 1,)
     elif b.side != MINUS:
         attained = False
-    if g.base is not None:  # crossed: the sum needs the factor-set twist
-        p = g.quotient(k).add(pa, pb)
-    elif n == 1:
-        p = (scalar_add(pa[0], pb[0]),)
-    else:
-        p = tuple(map(scalar_add, pa, pb))
+    p = g.add(pa, pb)
     # without an attained minimum the sum is the edge just above p, which
     # _node makes FILLED when the anchor is outside the component
     return _node(g, k, p, MINUS if attained else PLUS)
@@ -308,8 +286,7 @@ def shift_by(g: Group, gamma: tuple, cut: Cut) -> Cut:
     """Translate the cut by the group element gamma."""
     if cut.kind != "n":
         return cut
-    q = g.quotient(cut.level)
-    return make_node(g, cut.level, q.add(g.project(gamma, cut.level), cut.prefix), cut.side)
+    return make_node(g, cut.level, g.add(g.project(gamma, cut.level), cut.prefix), cut.side)
 
 
 # -- invariance and width --------------------------------------------------

@@ -393,11 +393,11 @@ class CutDom(Dom):
         self.group = group
         self.field = field
         self.name = f"cuts({group.format()})" if field == "Q" else f"cuts({group.format()},r2)"
-        # the carrier's constants, built once: zero, delta and the width
-        # cut of every ladder level
+        # the carrier's constants: zero and delta, and the width cut of each
+        # level on first use (building all m of them is quadratic in m)
         self._zero = ct.zero_cut(group)
         self._delta = ct.neg(group, self._zero)
-        self._edges = tuple(ct.level_edge(group, k) for k in range(group.num_atoms))
+        self._edges = [None] * group.num_atoms
 
     def zero(self):
         return self._zero
@@ -421,7 +421,13 @@ class CutDom(Dom):
     def width_of(self, x):
         if x.kind != "n":
             return POS_INF if x.kind == "hi" else self.rsub(x, x)
-        return self._edges[x.level]
+        # a built edge is read without a call, as the law checks do often
+        return self._edges[x.level] or self._edge(x.level)
+
+    def _edge(self, k: int) -> Cut:
+        if self._edges[k] is None:
+            self._edges[k] = ct.level_edge(self.group, k)
+        return self._edges[k]
 
     def contains(self, x):
         """A cut whose anchor lies in the anchor field or in its own component."""
@@ -442,7 +448,7 @@ class CutDom(Dom):
         if g.num_atoms == 0:
             return [NEG_INF, POS_INF]
         out = [NEG_INF, POS_INF, self._zero, self._delta]
-        out += self._edges
+        out += map(self._edge, range(g.num_atoms))
         for extra in _anchor_extras(g.atoms[-1], self.field)[:3]:
             out.append(ct.make_node(g, 0, g.zero()[:-1] + (extra,), ct.FILLED))
         return out
@@ -495,7 +501,7 @@ class CutDom(Dom):
             class_of=lambda cut: cut.prefix)
 
     def width_set(self):
-        return [*self._edges, POS_INF]
+        return [*map(self._edge, range(self.group.num_atoms)), POS_INF]
 
     def is_proper(self):
         # between two distinct cuts there is always a group element, and
@@ -534,7 +540,7 @@ class CutDom(Dom):
     def witness_width(self, x):
         if x.kind != "n" or x.side != ct.FILLED:
             return self._zero
-        return self._edges[x.level]
+        return self._edge(x.level)
 
     def lambda_map(self, target: Group, a) -> Cut:
         """Cut of ``target`` carved out by the width-zero classes below ``a``.

@@ -247,23 +247,20 @@ def validate_factor_set(base: "Group", fiber: "Group", f: FactorSet) -> list[tup
 class Group:
     """Descriptor of a computable ordered Abelian group.
 
-    ``atoms`` is the flat list of atomic components for plain
-    lexicographic groups (possibly empty: the trivial group). For a
-    crossed product, ``base``/``fiber``/``factor`` are set instead and
-    ``atoms`` is the concatenation used for coordinate bookkeeping.
-    A group is immutable once built, so its quotients are built once per
-    level and kept.
+    ``atoms`` is the flat list of atomic components (possibly empty: the
+    trivial group). A crossed product is a ``CrossedGroup``, whose atoms
+    are its base's followed by its fiber's. ``add`` and ``neg`` take
+    elements or prefixes of one length, which are the elements of a
+    quotient G/H_k, so the cut engine sums prefixes without building the
+    quotient.
     """
 
-    __slots__ = ("atoms", "base", "fiber", "factor", "_quotients")
+    __slots__ = ("atoms",)
 
-    def __init__(self, atoms: Sequence[Atom], base: "Group | None" = None,
-                 fiber: "Group | None" = None, factor: FactorSet | None = None):
+    is_crossed = False
+
+    def __init__(self, atoms: Sequence[Atom]):
         self.atoms = tuple(atoms)
-        self.base = base
-        self.fiber = fiber
-        self.factor = factor
-        self._quotients = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -298,46 +295,35 @@ class Group:
             raise ValueError("lex product needs at least one atom")
         return cls(tuple(atoms))
 
-    @classmethod
-    def crossed(cls, base: "Group", fiber: "Group", f: FactorSet) -> "Group":
+    @staticmethod
+    def crossed(base: "Group", fiber: "Group", f: FactorSet) -> "CrossedGroup":
         if base.is_crossed or fiber.is_crossed:
             raise ValueError("nested crossed products are not supported")
         failures = validate_factor_set(base, fiber, f)
         if failures:
             law, witness = failures[0]
             raise ValueError(f"factor-set law {law!r} fails at {witness}")
-        return cls(base.atoms + fiber.atoms, base=base, fiber=fiber, factor=f)
+        return CrossedGroup(base, fiber, f)
 
     # -- structure ------------------------------------------------------
-
-    @property
-    def is_crossed(self) -> bool:
-        return self.base is not None
 
     @property
     def num_atoms(self) -> int:
         return len(self.atoms)
 
     def __eq__(self, other):
+        # a CrossedGroup on either side answers first, being the subclass
         if not isinstance(other, Group):
             return NotImplemented
-        if self.is_crossed != other.is_crossed:
-            return False
-        if self.is_crossed:
-            return (self.base, self.fiber, self.factor) == (other.base, other.fiber, other.factor)
         return self.atoms == other.atoms
 
     def __hash__(self):
-        if self.is_crossed:
-            return hash((self.base, self.fiber, self.factor))
         return hash(self.atoms)
 
     def __repr__(self):
         return f"Group({self.format()})"
 
     def format(self) -> str:
-        if self.is_crossed:
-            return f"x({self.base.format()},{self.fiber.format()},{self.factor.name})"
         if not self.atoms:
             return "triv"
         if len(self.atoms) == 1:
@@ -362,39 +348,14 @@ class Group:
             raise ValueError(f"{self.format_element(x)} is not in {self.format()}")
         return tuple(map(canon, x))
 
-    def _split(self, x: tuple) -> tuple[tuple, tuple]:
-        bm = self.base.num_atoms
-        return x[:bm], x[bm:]
-
-    def _twist(self, c: tuple, d: tuple) -> tuple:
-        """The factor-set value f(c, d), fitted to the fiber's width, which
-        must lie in the fiber."""
-        fw = self.fiber.num_atoms
-        tw = self.factor(c, d)[:fw]
-        tw += (0,) * (fw - len(tw))
-        if not self.fiber.contains(tw):
-            raise ValueError(
-                f"factor set {self.factor.name} leaves {self.fiber.format()} at "
-                f"{self.base.format_element(c)}, {self.base.format_element(d)}")
-        return tw
-
     def add(self, x: tuple, y: tuple) -> tuple:
-        if self.base is not None:
-            c1, a1 = self._split(x)
-            c2, a2 = self._split(y)
-            tw = self._twist(c1, c2)
-            c = tuple(map(scalar_add, c1, c2))
-            a = tuple(scalar_add(scalar_add(u, v), w) for u, v, w in zip(a1, a2, tw))
-            return c + a
+        if len(x) == 1:
+            return (scalar_add(x[0], y[0]),)
         return tuple(map(scalar_add, x, y))
 
     def neg(self, x: tuple) -> tuple:
-        if self.base is not None:
-            c, a = self._split(x)
-            nc = tuple(map(scalar_neg, c))
-            tw = self._twist(c, nc)
-            na = tuple(scalar_neg(scalar_add(u, w)) for u, w in zip(a, tw))
-            return nc + na
+        if len(x) == 1:
+            return (scalar_neg(x[0]),)
         return tuple(map(scalar_neg, x))
 
     def sub(self, x: tuple, y: tuple) -> tuple:
@@ -422,24 +383,13 @@ class Group:
 
     def quotient(self, k: int) -> "Group":
         """The group modulo the convex subgroup spanning the k trailing atoms."""
-        q = self._quotients.get(k)
-        if q is None:
-            m = self.num_atoms
-            if not 0 <= k <= m:
-                raise ValueError(f"ladder level {k} out of range 0..{m}")
-            q = self._quotients[k] = self._build_quotient(k) if k else self
-        return q
-
-    def _build_quotient(self, k: int) -> "Group":
         m = self.num_atoms
-        if not self.is_crossed:
-            return Group(self.atoms[:m - k])
-        fm = self.fiber.num_atoms
-        if k >= fm:
-            return self.base.quotient(k - fm)
-        quot_fiber = self.fiber.quotient(k)
-        return Group(self.base.atoms + quot_fiber.atoms, base=self.base,
-                     fiber=quot_fiber, factor=self.factor)
+        if not 0 <= k <= m:
+            raise ValueError(f"ladder level {k} out of range 0..{m}")
+        return self._quotient(k) if k else self
+
+    def _quotient(self, k: int) -> "Group":
+        return Group(self.atoms[:self.num_atoms - k])
 
     def project(self, x: tuple, k: int) -> tuple:
         """Image of x in the quotient at ladder level k (drops k trailing coords)."""
@@ -459,6 +409,69 @@ class Group:
         if len(x) == 1:
             return format_scalar(x[0])
         return "(" + ",".join(format_scalar(v) for v in x) + ")"
+
+
+class CrossedGroup(Group):
+    """The crossed product x(base, fiber, factor): its elements are a base
+    tuple followed by a fiber tuple, summed as (c1 + c2, a1 + a2 + f(c1, c2)).
+
+    A prefix that reaches n fiber coordinates is summed with f cut to
+    its first n coordinates, which must lie in the fiber's first n atoms;
+    a prefix within the base is summed as in the base.
+    """
+
+    __slots__ = ("base", "fiber", "factor")
+
+    is_crossed = True
+
+    def __init__(self, base: Group, fiber: Group, factor: FactorSet):
+        super().__init__(base.atoms + fiber.atoms)
+        self.base, self.fiber, self.factor = base, fiber, factor
+
+    def __eq__(self, other):
+        return isinstance(other, CrossedGroup) and \
+            (self.base, self.fiber, self.factor) == (other.base, other.fiber, other.factor)
+
+    def __hash__(self):
+        return hash((self.base, self.fiber, self.factor))
+
+    def format(self) -> str:
+        return f"x({self.base.format()},{self.fiber.format()},{self.factor.name})"
+
+    def _twist(self, c: tuple, d: tuple, n: int) -> tuple:
+        """The factor-set value f(c, d) cut or padded to n fiber
+        coordinates, which must lie in the fiber's first n atoms."""
+        tw = self.factor(c, d)[:n]
+        tw += (0,) * (n - len(tw))
+        fiber = self.fiber.quotient(self.fiber.num_atoms - n)
+        if not fiber.contains(tw):
+            raise ValueError(
+                f"factor set {self.factor.name} leaves {fiber.format()} at "
+                f"{self.base.format_element(c)}, {self.base.format_element(d)}")
+        return tw
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        bm = self.base.num_atoms
+        if len(x) <= bm:
+            return super().add(x, y)
+        tw = self._twist(x[:bm], y[:bm], len(x) - bm)
+        return tuple(map(scalar_add, x[:bm], y[:bm])) + tuple(
+            scalar_add(scalar_add(u, v), w) for u, v, w in zip(x[bm:], y[bm:], tw))
+
+    def neg(self, x: tuple) -> tuple:
+        bm = self.base.num_atoms
+        if len(x) <= bm:
+            return super().neg(x)
+        c = x[:bm]
+        nc = tuple(map(scalar_neg, c))
+        tw = self._twist(c, nc, len(x) - bm)
+        return nc + tuple(scalar_neg(scalar_add(u, w)) for u, w in zip(x[bm:], tw))
+
+    def _quotient(self, k: int) -> Group:
+        fm = self.fiber.num_atoms
+        if k >= fm:
+            return self.base.quotient(k - fm)
+        return CrossedGroup(self.base, self.fiber.quotient(k), self.factor)
 
 
 def parse_coords(text: str) -> tuple:

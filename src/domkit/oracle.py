@@ -34,9 +34,9 @@ without the closed-form side-combination tables used by ``cuts.add``:
   with the candidate before any other error is raised, so the first
   error is the one an element-by-element check would report.  Since
   translation keeps a's level and side, that shift is built from
-  coordinates: a's level, the quotient sum of gamma's projection and
-  a's prefix, and a's side (the quotient sum still raises where a
-  factor set leaves the fiber).
+  coordinates: a's level, the group's sum of gamma's projection and
+  a's prefix as two prefixes of one length, and a's side (that sum
+  still raises where a factor set leaves the fiber).
 * a successful walk of the built-in chain reads only the group, b, the
   length of a's prefix and the chain length; a and the candidate are
   read only on failure.  The four oracle calls of one engine pair sum
@@ -152,10 +152,9 @@ def oracle_sum(g: Group, a: Cut, b: Cut, sampler=None) -> Cut:
     if a.kind == "hi" or b.kind == "hi":
         return POS_INF
     k = max(a.level, b.level)
-    q = g.quotient(k)
     ta, reach_a = _top_reached(g, a, k)
     tb, reach_b = _top_reached(g, b, k)
-    p = q.add(ta, tb)
+    p = g.add(ta, tb)
     if reach_a and reach_b:
         cand = make_node(g, k, p, PLUS)
     else:
@@ -234,8 +233,7 @@ def _checked_shift(g: Group, a: Cut, cand: Cut, gamma: tuple | None) -> Cut | No
         return None
     last = a
     if a.kind == "n":
-        q = g.quotient(a.level)
-        last = Cut("n", a.level, q.add(gamma[:len(a.prefix)], a.prefix), a.side)
+        last = Cut("n", a.level, g.add(gamma[:len(a.prefix)], a.prefix), a.side)
     if compare(g, last, cand) > 0:
         raise OracleError("a shifted cut exceeds the candidate supremum")
     return last

@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from domkit.cli import parse_carrier
 from domkit.cuts import (
     FILLED, MINUS, NEG_INF, PLUS, POS_INF,
     add, compare, edge_above, edge_below, fill_ge, fill_le,
@@ -598,6 +600,28 @@ def test_cut_carrier_build_is_linear_in_its_atoms(monkeypatch):
     d = CutDom(Group.lex(*[Q] * m))
     assert len(d.width_set()) == m + 1
     assert len(calls) <= 2 * m
+
+
+def test_cut_carrier_builds_its_level_edges_on_first_use():
+    # the level-k edge holds m - k coordinates, so building every edge up
+    # front is quadratic in the atoms; naming a carrier builds none
+    text = "cuts(lex(" + ",".join(["Q"] * 4000) + "))"
+    tracemalloc.start()
+    try:
+        parse_carrier(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    # the edges a carrier builds on first use are the level edges
+    for d, pool in _engine_pools():
+        g = d.group
+        edges = [level_edge(g, k) for k in range(g.num_atoms)]
+        for x in pool:
+            if x.kind == "n":
+                want = edges[x.level] if x.side == FILLED else zero_cut(g)
+                assert d.witness_width(x) == want
+        assert d.width_set() == edges + [POS_INF]
 
 
 def test_cut_carrier_constants():

@@ -227,6 +227,107 @@ def test_crossed_quotient_is_stable():
     assert g.quotient(1).num_atoms == 2 and g.quotient(2) == Z
 
 
+def _crossed_suite():
+    """The crossed products the suite builds, by name: the -2xy twist over
+    Z,Z and Q,Q, criterion 8's section-built ds, the coboundary of
+    s(c) = (c^2/4, 0), which is (-cd/2, 0) and leaves lex(Z,Z) at odd cd,
+    a coboundary with two fiber coordinates, and zero-twist twins of
+    plain groups."""
+    twist = FactorSet({(1, 1): -2}, name="-2xy")
+    zz = Group.lex(Z, Z)
+    groups = {
+        "Z,Z,-2xy": Group.crossed(Z, Z, twist),
+        "Q,Q,-2xy": Group.crossed(Q, Q, twist),
+        "Z,Z,ds": Group.crossed(Z, Z, FactorSet.from_section(lambda c: (c[0] * c[0] * 2,))),
+        "Z,lex(Z,Z),d(c2/4)": Group.crossed(Z, zz, FactorSet.from_section(
+            lambda c: (F(c[0] ** 2, 4), 0), name="d(c2/4)")),
+        "Z,lex(Z,Q),d(c2,c3)": Group.crossed(Z, Group.lex(Z, Q), FactorSet.from_section(
+            lambda c: (c[0] ** 2, F(c[0] ** 3, 2)), name="d(c2,c3)")),
+        "Z,QQ,0": Group.crossed(Z, QQ, FactorSet.zero()),
+    }
+    for g in (QQ, Group.lex(Q, Z), Group.lex(Z, Q), Group.lex(Group.Zloc(3), Z)):
+        twin = Group.crossed(Group(g.atoms[:1]), Group(g.atoms[1:]), FactorSet.zero())
+        groups[f"{g.format()},0"] = twin
+    return groups
+
+
+def _written_twist(f, fiber_atoms, c, d):
+    """f(c, d) cut or padded to the fiber prefix, or the ValueError
+    message when it leaves the fiber prefix; every base here is one atom."""
+    n = len(fiber_atoms)
+    tw = f(c, d)[:n]
+    tw += (0,) * (n - len(tw))
+    if all(_in_atom(a, F(v)) for a, v in zip(fiber_atoms, tw)):
+        return tw, None
+    names = [a.format() for a in fiber_atoms]
+    fiber = names[0] if n == 1 else "lex(" + ",".join(names) + ")"
+    return None, f"factor set {f.name} leaves {fiber} at {c[0]}, {d[0]}"
+
+
+def _written_sum(g, x, y):
+    """The base sum, then the fiber sum plus f(c1, c2) cut to the prefix's
+    fiber length; a ValueError message where f leaves the fiber."""
+    bm = len(g.base.atoms)
+    c1, c2 = x[:bm], y[:bm]
+    c = tuple(u + v for u, v in zip(c1, c2))
+    if len(x) <= bm:
+        return c, None
+    tw, msg = _written_twist(g.factor, g.atoms[bm:len(x)], c1, c2)
+    if msg:
+        return None, msg
+    return c + tuple(u + v + w for u, v, w in zip(x[bm:], y[bm:], tw)), None
+
+
+def _written_neg(g, x):
+    """-(c, a) = (-c, -(a + f(c, -c))), f cut to the prefix's fiber length."""
+    bm = len(g.base.atoms)
+    c = x[:bm]
+    nc = tuple(-u for u in c)
+    if len(x) <= bm:
+        return nc, None
+    tw, msg = _written_twist(g.factor, g.atoms[bm:len(x)], c, nc)
+    if msg:
+        return None, msg
+    return nc + tuple(-(u + w) for u, w in zip(x[bm:], tw)), None
+
+
+@pytest.mark.parametrize("name", list(_crossed_suite()))
+def test_prefix_arithmetic_matches_a_written_out_reference(name):
+    # add and neg take an element or two prefixes of one length, the
+    # elements of G/H_k; at every level k they must give what the crossed
+    # product's definition gives, cut to the prefix, or raise its message
+    g = _crossed_suite()[name]
+    rng = random.Random(33)
+    pool = [g.zero()]
+    while len(pool) < 14:
+        x = tuple(F(rng.randrange(-5, 6), rng.choice((1, 1, 2, 3))) for _ in g.atoms)
+        if g.contains(x):
+            pool.append(g.from_ints(x))
+    raised = 0
+    m = g.num_atoms
+    for k in range(m + 1):
+        prefixes = [x[:m - k] for x in pool]
+        for x in prefixes:
+            want, msg = _written_neg(g, x)
+            if msg:
+                raised += 1
+                with pytest.raises(ValueError) as exc:
+                    g.neg(x)
+                assert str(exc.value) == msg
+            else:
+                assert g.neg(x) == want, (k, x)
+            for y in prefixes:
+                want, msg = _written_sum(g, x, y)
+                if msg:
+                    raised += 1
+                    with pytest.raises(ValueError) as exc:
+                        g.add(x, y)
+                    assert str(exc.value) == msg
+                else:
+                    assert g.add(x, y) == want, (k, x, y)
+    assert (raised > 0) == (name == "Z,lex(Z,Z),d(c2/4)")
+
+
 def test_zloc_primality_is_fast_and_exact():
     t0 = time.perf_counter()
     assert Group.Zloc(2 ** 31 - 1).atoms[0].p == 2 ** 31 - 1
@@ -254,7 +355,7 @@ def test_zloc_primality_is_fast_and_exact():
 def test_quotient_range_checked_after_the_cache():
     g = Group.lex(Z, Q)
     assert g.quotient(0) is g and g.quotient(0) is g
-    assert g.quotient(1) is g.quotient(1)
+    assert g.quotient(1) == g.quotient(1)
     for k in (-1, 3):
         with pytest.raises(ValueError, match=f"ladder level {k} out of range 0..2"):
             g.quotient(k)
