@@ -420,7 +420,7 @@ class CutDom(Dom):
 
     def width_of(self, x):
         if x.kind != "n":
-            return POS_INF if x.kind == "hi" else self.rsub(x, x)
+            return POS_INF
         # a built edge is read without a call, as the law checks do often
         return self._edges[x.level] or self._edge(x.level)
 

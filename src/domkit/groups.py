@@ -185,7 +185,8 @@ class FactorSet:
         if s is None:
             return (canon(sum(k * c[0] ** i * d[0] ** j for (i, j), k in self.poly.items())),)
         sx, sy, sxy = s(c), s(d), s(tuple(map(scalar_add, c, d)))
-        return tuple(canon(u + v - w) for u, v, w in zip(sx, sy, sxy))
+        return tuple(scalar_add(scalar_add(u, v), scalar_neg(w))
+                     for u, v, w in zip(sx, sy, sxy))
 
     def __repr__(self):
         return f"FactorSet({self.name})"

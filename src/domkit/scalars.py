@@ -3,9 +3,13 @@
 Three scalar kinds circulate in the package: ``int`` for integral
 values, ``fractions.Fraction`` for the other rationals, and ``Sqrt2``
 (an element a + b*sqrt(2) of the real quadratic field Q(sqrt 2), kept
-exact) for the irrational ones.  They interoperate through the usual
-arithmetic/comparison operators, so code downstream never needs to
-branch on the kind.
+exact) for the irrational ones.  ``Sqrt2`` is a value only: its
+constructor, its rational parts ``a`` and ``b``, equality and hash
+(``Sqrt2(3, 0) == 3`` and hashes like it) and its text form.  The
+kernels below are the one arithmetic and order on all three kinds, so
+code downstream never branches on the kind: a sum, negation, compare or
+floor that may meet a ``Sqrt2`` goes through ``scalar_add``,
+``scalar_neg``, ``scalar_cmp`` or ``scalar_floor``.
 
 ``canon`` is the one normalizer: it returns an ``int`` when the value is
 integral, otherwise a ``Fraction`` when it is rational, otherwise a
@@ -21,7 +25,7 @@ the kernels under group sums, negation, the lexicographic order and the
 folding of discrete anchors.  Canonical in, canonical out: they take any
 form of the three kinds, and every sum and negation comes back in
 ``canon``'s forms.  Each reads its operands' ``type()`` once and works
-in integers instead of going through the operators' generic coercions.
+in integers instead of through ``Fraction``'s generic operators.
 int with int is plain machine arithmetic.  A rational is read as its
 integer pair (n, d) with d > 0 and gcd(n, d) = 1; a sum of two is one
 cross-multiplication and one ``gcd``, and a compare is one
@@ -31,8 +35,7 @@ the sign of P + R*sqrt2 with P = A*D' - A'*D and R = B*D' - B'*D, which
 the signs of P and R decide, and P^2 against 2*R^2 when they differ.  A
 sum with a ``Sqrt2`` operand adds the rational and the sqrt2 parts as
 integer pairs, and comes back as ``int`` or ``Fraction`` when the sqrt2
-part cancels.  ``Sqrt2``'s own operators are the generic path, and the
-kernel tests compare against them.
+part cancels.
 
 ``scalar_ceil_times``, the ceiling that places the oracle's
 approximations, shares the floor's step on the integer triple.
@@ -89,7 +92,9 @@ def ratio(n: int, d: int) -> "int | Fraction":
 
 
 class Sqrt2:
-    """Exact a + b*sqrt(2) with rational a, b and decidable sign."""
+    """The exact value a + b*sqrt(2) with rational a and b.  It defines
+    no arithmetic or order of its own: those are the ``scalar_*``
+    kernels."""
 
     __slots__ = ("a", "b")
 
@@ -100,93 +105,17 @@ class Sqrt2:
     def __setattr__(self, name, value):
         raise AttributeError("Sqrt2 values are immutable")
 
-    # -- sign and comparisons ------------------------------------------
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against 2 b^2 (sqrt 2 is irrational,
-        # so a + b*sqrt2 = 0 only when a = b = 0)
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1
-
-    @staticmethod
-    def _coerce(other) -> "Sqrt2 | None":
-        if isinstance(other, Sqrt2):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Sqrt2(other, 0)
-        return None
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, Sqrt2):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, "sqrt2"))
-
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare Sqrt2 with {type(other).__name__}")
-        return Sqrt2(self.a - o.a, self.b - o.b).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _normalize(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _normalize(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _normalize(o.a - self.a, o.b - self.b)
-
-    def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
-
-    def __mul__(self, other):
-        # rational scaling only; full field product is never needed here
-        if isinstance(other, (int, Fraction)):
-            return _normalize(self.a * other, self.b * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Sqrt2({self.a!r}, {self.b!r})"

@@ -3,6 +3,7 @@ the 27-item derived-law suite that doubles as the acceptance engine."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,61 @@ def is_canonical(v) -> bool:
     if type(v) is Fraction:
         return v.denominator != 1
     return type(v) is Sqrt2 and v.b != 0
+
+
+class Ref:
+    """a + b*sqrt2 as a pair of ``Fraction``s, with the sum, negation,
+    rational scaling and order of Q(sqrt2) written from their
+    definitions: the reference that the integer kernels of
+    ``domkit.scalars`` are checked against.  An operand may be an
+    ``int``, a ``Fraction``, a ``Sqrt2`` or a ``Ref``."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @classmethod
+    def of(cls, x) -> Ref:
+        if isinstance(x, Ref):
+            return x
+        return cls(x.a, x.b) if isinstance(x, Sqrt2) else cls(x)
+
+    def __add__(self, other):
+        o = Ref.of(other)
+        return Ref(self.a + o.a, self.b + o.b)
+
+    def __neg__(self):
+        return Ref(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -Ref.of(other)
+
+    def __mul__(self, k):
+        """Scaling by a rational k."""
+        k = Fraction(k)
+        return Ref(self.a * k, self.b * k)
+
+    def sign(self) -> int:
+        """Through isqrt: a + b*sqrt2 = (A + B*sqrt2)/m with m > 0, and
+        isqrt(2 B^2) < |B|*sqrt2 < isqrt(2 B^2) + 1 when B != 0."""
+        m = self.a.denominator * self.b.denominator
+        big_a, big_b = int(self.a * m), int(self.b * m)
+        if big_b == 0:
+            return (big_a > 0) - (big_a < 0)
+        s = math.isqrt(2 * big_b * big_b)
+        if big_b > 0:
+            return 1 if big_a + s >= 0 else -1
+        return 1 if big_a - s - 1 >= 0 else -1
+
+    def cmp(self, other) -> int:
+        return (self - other).sign()
+
+    def value(self):
+        """The canonical scalar: an ``int`` when integral, otherwise a
+        ``Fraction`` when rational, otherwise a ``Sqrt2`` with b != 0."""
+        a, b = (int(v) if v.denominator == 1 else v for v in (self.a, self.b))
+        return Sqrt2(a, b) if b else a
 
 
 def standard_cut_carriers() -> dict[str, CutDom]:

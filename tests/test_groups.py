@@ -8,10 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from domkit.cli import parse_carrier
-from domkit.doms import GroupDom
+from domkit.cuts import PLUS, make_node
+from domkit.doms import CutDom, GroupDom
 from domkit.groups import (
     Atom, FactorSet, Group, validate_factor_set,
 )
+from domkit.scalars import Sqrt2
 
 
 Z = Group.Z()
@@ -352,7 +354,7 @@ def test_zloc_primality_is_fast_and_exact():
             Atom("Zloc", p)
 
 
-def test_quotient_range_checked_after_the_cache():
+def test_quotient_level_zero_is_the_group_and_range_is_checked():
     g = Group.lex(Z, Q)
     assert g.quotient(0) is g and g.quotient(0) is g
     assert g.quotient(1) == g.quotient(1)
@@ -378,6 +380,17 @@ def test_factor_set_values_must_lie_in_the_fiber():
         g.add(el(1, 0, 0), el(1, 0, 0))
     with pytest.raises(ValueError, match="leaves lex"):
         g.neg(el(1, 0, 0))
+
+
+def test_coboundary_with_sqrt2_fiber_values():
+    # a section into Qr2 gives a twist with sqrt2 parts, summed by the
+    # scalar kernels: ds(1, 1) = -2r2 and ds(1, -1) = 2r2
+    g = Group.crossed(Z, Group.Qr2(), FactorSet.from_section(lambda c: (Sqrt2(0, c[0] * c[0]),)))
+    assert g.add((1, 0), (1, 0)) == (2, Sqrt2(0, -2))
+    assert g.neg((1, Sqrt2(0, 1))) == (-1, Sqrt2(0, -3))
+    d = CutDom(g)
+    x = make_node(g, 0, (1, Sqrt2(0, 1)), PLUS)
+    assert d.fmt(d.add(x, x)) == "cut((2,0))+"
 
 
 def _coboundary(s: dict) -> dict:

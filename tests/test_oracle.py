@@ -173,7 +173,7 @@ def _probe_by_make_node(g, cand, n):
     if cand.side == PLUS:
         return make_node(g, k, cand.prefix, MINUS)
     atom = g.atoms[g.num_atoms - k - 1]
-    v = cand.prefix[-1] - F(1, atom.dense_denominator() ** (n // 2 + 1))
+    v = (support.Ref.of(cand.prefix[-1]) - F(1, atom.dense_denominator() ** (n // 2 + 1))).value()
     return make_node(g, k, cand.prefix[:-1] + (v,), PLUS if atom.contains(v) else FILLED)
 
 

@@ -13,28 +13,19 @@ from domkit.scalars import (
     Sqrt2, _fraction, canon, format_scalar, parse_scalar, ratio, scalar_add, scalar_cmp,
     scalar_floor, scalar_neg,
 )
-from support import is_canonical, standard_cut_carriers
+from support import Ref, is_canonical, standard_cut_carriers
 
 
 def test_sign_cases():
-    assert Sqrt2(0, 0).sign() == 0
-    assert Sqrt2(3, 0).sign() == 1
-    assert Sqrt2(0, -2).sign() == -1
-    assert Sqrt2(3, -2).sign() == 1      # 3 > 2*sqrt2
-    assert Sqrt2(-3, 2).sign() == -1
-    assert Sqrt2(F(-7, 5), 1).sign() == 1  # sqrt2 > 7/5
-    assert Sqrt2(F(-3, 2), 1).sign() == -1  # sqrt2 < 3/2
-
-
-def test_mixed_comparisons_and_arith():
+    assert scalar_cmp(Sqrt2(0, 0), 0) == 0
+    assert scalar_cmp(Sqrt2(3, 0), 0) == 1
+    assert scalar_cmp(Sqrt2(0, -2), 0) == -1
+    assert scalar_cmp(Sqrt2(3, -2), 0) == 1      # 3 > 2*sqrt2
+    assert scalar_cmp(Sqrt2(-3, 2), 0) == -1
+    assert scalar_cmp(Sqrt2(F(-7, 5), 1), 0) == 1  # sqrt2 > 7/5
+    assert scalar_cmp(Sqrt2(F(-3, 2), 1), 0) == -1  # sqrt2 < 3/2
     r2 = Sqrt2(0, 1)
-    assert F(1) < r2 < F(3, 2)
-    assert r2 + r2 == Sqrt2(0, 2)
-    assert (r2 - r2) == 0 and type(r2 - r2) is int
-    assert 1 + r2 == Sqrt2(1, 1)
-    assert -(Sqrt2(1, -2)) == Sqrt2(-1, 2)
-    assert r2 * 2 == Sqrt2(0, 2)
-    assert scalar_cmp(F(7, 5), r2) < 0
+    assert scalar_cmp(F(7, 5), r2) < 0 < scalar_cmp(F(3, 2), r2)
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -44,8 +35,8 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 def test_floor_exact(a, b):
     x = Sqrt2(a, b)
     f = scalar_floor(x)
-    assert Sqrt2(a - f, b).sign() >= 0
-    assert Sqrt2(a - f - 1, b).sign() < 0
+    assert Ref(a - f, b).sign() >= 0
+    assert Ref(a - f - 1, b).sign() < 0
 
 
 @given(rationals, rationals)
@@ -85,20 +76,16 @@ def test_immutability():
 scalars = st.one_of(rationals, st.builds(Sqrt2, rationals, rationals))
 
 
+def _negated(x):
+    """-x in x's own form: a Sqrt2 stays one when its b is 0."""
+    return Sqrt2(-x.a, -x.b) if isinstance(x, Sqrt2) else -x
+
+
 @given(scalars, scalars)
 def test_scalar_cmp_matches_operators(x, y):
-    for u, v in ((x, y), (y, x), (x, x), (-x, x), (x, -y)):
-        c = scalar_cmp(u, v)
-        assert c == (u > v) - (u < v)
-        assert (u <= v, u >= v) == (c <= 0, c >= 0)
-
-
-@given(rationals, rationals)
-def test_rational_minus_sqrt2(a, x):
-    # a rational on the left of a Sqrt2 goes through Sqrt2.__rsub__
-    d = a - Sqrt2(x, 1)
-    assert isinstance(d, Sqrt2) and d == Sqrt2(a - x, -1)
-    assert scalar_cmp(d, 0) == scalar_cmp(a, Sqrt2(x, 1))
+    # scalar_cmp is support.Ref's order, and antisymmetric
+    for u, v in ((x, y), (y, x), (x, x), (_negated(x), x), (x, _negated(y))):
+        assert scalar_cmp(u, v) == Ref.of(u).cmp(v) == -scalar_cmp(v, u)
 
 
 @given(rationals)
@@ -123,8 +110,8 @@ def test_atom_contains_ignores_scalar_kind(a, n):
         assert atom.contains(n) == atom.contains(F(n)) == atom.contains(Sqrt2(n, 0))
 
 
-# -- kernel agreement: scalar_add, scalar_cmp and lex_cmp against the
-# operators of int, Fraction and Sqrt2 ---------------------------------------
+# -- kernel agreement: scalar_add, scalar_neg, scalar_cmp and lex_cmp
+# against the operators of support.Ref ---------------------------------------
 
 BIG = 2**70
 huge_ints = st.integers(-BIG, BIG)
@@ -146,20 +133,21 @@ kernel_scalars = st.one_of(
 def lex_cmp_reference(x: tuple, y: tuple) -> int:
     for u, v in zip(x, y):
         if u != v:
-            return 1 if u > v else -1
+            return Ref.of(u).cmp(v)
     return 0
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(kernel_scalars, kernel_scalars)
 def test_scalar_kernels_agree_with_operators(x, y):
-    for u, v in ((x, y), (y, x), (x, x), (x, -y), (-x, x), (x, 0), (0, x), (x, F(0))):
-        s = scalar_add(u, v)
-        assert s == canon(u + v) and type(s) is type(canon(u + v)), (u, v, s)
+    nx, ny = _negated(x), _negated(y)
+    for u, v in ((x, y), (y, x), (x, x), (x, ny), (nx, x), (x, 0), (0, x), (x, F(0))):
+        s, want = scalar_add(u, v), (Ref.of(u) + v).value()
+        assert s == want and type(s) is type(want), (u, v, s)
         assert is_canonical(s), (u, v, s)
-        assert scalar_cmp(u, v) == (u > v) - (u < v), (u, v)
-        n = scalar_neg(u)
-        assert n == canon(-u) and type(n) is type(canon(-u)), (u, n)
+        assert scalar_cmp(u, v) == Ref.of(u).cmp(v), (u, v)
+        n, want = scalar_neg(u), (-Ref.of(u)).value()
+        assert n == want and type(n) is type(want), (u, n)
         assert is_canonical(n), (u, n)
 
 
@@ -199,22 +187,6 @@ def _pell_pairs():
         p, q = p + 2 * q, p + q
 
 
-def _cmp_reference(x, y) -> int:
-    """sign(x - y) through isqrt: x - y = (A + B*sqrt2)/m with m > 0 and
-    isqrt(2 B^2) < |B|*sqrt2 < isqrt(2 B^2) + 1 when B != 0."""
-    xa, xb = (x.a, x.b) if isinstance(x, Sqrt2) else (x, 0)
-    ya, yb = (y.a, y.b) if isinstance(y, Sqrt2) else (y, 0)
-    a, b = F(xa) - F(ya), F(xb) - F(yb)
-    m = a.denominator * b.denominator
-    big_a, big_b = int(a * m), int(b * m)
-    if big_b == 0:
-        return (big_a > 0) - (big_a < 0)
-    s = math.isqrt(2 * big_b * big_b)
-    if big_b > 0:
-        return 1 if big_a + s >= 0 else -1
-    return 1 if big_a - s - 1 >= 0 else -1
-
-
 def test_sqrt2_compare_on_pell_near_ties():
     cases = 0
     for p, q in _pell_pairs():
@@ -233,8 +205,7 @@ def test_sqrt2_compare_on_pell_near_ties():
                 (Sqrt2(c, k), c + t, -want),
             ):
                 assert scalar_cmp(x, y) == w == -scalar_cmp(y, x), (p, q, k, x, y)
-                r = x if isinstance(x, Sqrt2) else Sqrt2(x)
-                assert r._cmp(y) == w and _cmp_reference(x, y) == w, (x, y)
+                assert Ref.of(x).cmp(y) == w, (x, y)
                 cases += 1
         # floor(q*sqrt2) is p - 1 above the tie and p below it
         assert scalar_floor(Sqrt2(0, q)) == p - (e > 0)
@@ -273,9 +244,9 @@ def test_lex_cmp_agrees_with_zip_and_compare(pair):
 
 def test_approach_below_matches_its_operator_form():
     # approach_below takes its ceiling from the target's integer triple;
-    # it must give what the ceiling through Sqrt2's operators gave, in the
-    # same form, on the Pell near-ties and on every anchor of criterion
-    # 5's pools and of a cuts(Q,r2) pool
+    # it must give the ceiling of the target scaled through the
+    # reference's operators, in the same form, on the Pell near-ties and
+    # on every anchor of criterion 5's pools and of a cuts(Q,r2) pool
     targets = []
     for p, q in _pell_pairs():
         for k in (1, -1, 3, -7, F(5, 11), F(-2, 9), 10**20):
@@ -295,6 +266,6 @@ def test_approach_below_matches_its_operator_form():
         for t in targets:
             for n in (0, 1, 5, 12):
                 d = g.atoms[0].dense_denominator() ** (n + 1)
-                want = ratio(-scalar_floor(-(t * d)) - 1, d)
+                want = Ref(F(-scalar_floor((Ref.of(t) * -d).value()) - 1, d)).value()
                 got = approach_below(g, 0, t, n)
                 assert got == want and type(got) is type(want), (g, t, n)
