@@ -11,8 +11,9 @@ Commands raise; ``main`` maps each error kind to its exit code once:
 0 success, 1 failed checks or stdout closed early, 2 ``ParseError``
 (an unreadable table file included), 3 ``CarrierTypeError``, 4 any
 other ``ValueError`` or ``OSError`` and argparse's usage errors.  An
-expression that starts with ``-``, such as ``-inf``, is read as the
-expression, not as an option.  An expression is parsed in one scan,
+expression that starts with one ``-``, such as ``-inf``, is read as the
+expression; an argument that starts with ``--`` is read as an option, so
+such an expression goes after ``--``.  An expression is parsed in one scan,
 then evaluated: operators apply left to right with no precedence,
 ``sign(..)`` only as the outermost operation, and any syntax error, a
 nested ``sign`` or nesting past ``MAX_NESTING`` included, is a parse

@@ -30,6 +30,14 @@ its factor-set twist there), so the engine never looks at the group's
 kind.  ``compare`` decides two one-coordinate prefixes inline and longer
 ones with ``lex_cmp``.
 
+``member_below``, ``member_above`` and ``shift_by`` read a group element
+at a cut's level as its first ``len(prefix)`` coordinates, its image in
+G/H_k: ``lex_cmp`` compares up to the end of the shorter tuple.
+
+The carrier layer answers for the cut invariants: the width of a
+level-k cut is ``level_edge(g, k)``, which ``doms.CutDom.width_of``
+returns, and its signature is ``doms.sign_of``.
+
 ``approach_below`` is the one approximation helper, for the oracle's
 chains; a group element between two given cuts is computed from their
 anchors where it is needed (``doms.CutDom.lambda_map``).
@@ -44,9 +52,6 @@ from domkit.scalars import (
 )
 
 MINUS, FILLED, PLUS = -1, 0, 1
-
-SIGN_INF = "inf"
-SIGN_SPADE = "spade"
 
 
 class Cut:
@@ -155,7 +160,7 @@ def member_below(g: Group, gamma: tuple, cut: Cut) -> bool:
         return False
     if cut.kind == "hi":
         return True
-    c = lex_cmp(g.project(gamma, cut.level), cut.prefix)
+    c = lex_cmp(gamma, cut.prefix)  # gamma's image at the cut's level
     return c < 0 or (c == 0 and cut.side == PLUS)
 
 
@@ -165,7 +170,7 @@ def member_above(g: Group, gamma: tuple, cut: Cut) -> bool:
         return True
     if cut.kind == "hi":
         return False
-    c = lex_cmp(g.project(gamma, cut.level), cut.prefix)
+    c = lex_cmp(gamma, cut.prefix)
     return c > 0 or (c == 0 and cut.side == MINUS)
 
 
@@ -286,17 +291,10 @@ def shift_by(g: Group, gamma: tuple, cut: Cut) -> Cut:
     """Translate the cut by the group element gamma."""
     if cut.kind != "n":
         return cut
-    return make_node(g, cut.level, g.add(g.project(gamma, cut.level), cut.prefix), cut.side)
+    return make_node(g, cut.level, g.add(gamma[:len(cut.prefix)], cut.prefix), cut.side)
 
 
-# -- invariance and width --------------------------------------------------
-
-
-def width(g: Group, cut: Cut) -> Cut:
-    """Upper edge of the invariance group; rejects infinite cuts."""
-    if cut.kind != "n":
-        raise ValueError("width is undefined for -inf/+inf")
-    return level_edge(g, cut.level)
+# -- invariance levels -------------------------------------------------------
 
 
 def level_edge(g: Group, k: int) -> Cut:
@@ -314,16 +312,6 @@ def project_cut(g: Group, cut: Cut, k: int) -> Cut:
     if k == 0:
         return cut
     return make_node(g.quotient(k), cut.level - k, cut.prefix, cut.side)
-
-
-def signature(g: Group, cut: Cut):
-    """Signature of the cut inside the carrier at its own width level."""
-    if cut.kind != "n":
-        raise ValueError("signature is undefined for -inf/+inf")
-    atom = g.atoms[g.num_atoms - cut.level - 1]
-    if atom.discrete:
-        return SIGN_INF
-    return {PLUS: 1, MINUS: -1, FILLED: 0}[cut.side]
 
 
 # -- filling by elements of a supergroup ----------------------------------

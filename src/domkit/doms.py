@@ -23,6 +23,9 @@ is a group glued below its cuts, each group element sent to its
 principal cut, with only literals and closed-form facts of its own.
 ``check_axioms``, ``verify_hom`` and ``valuations.check_valuation`` are
 law tables run by one ``check_laws``.
+
+``sign_of`` is the one signature, of a cut as of any element;
+``SIGN_INF`` and ``SIGN_SPADE`` are its values that are not a sign.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from domkit.groups import Atom, Group, parse_coords
 from domkit import cuts as ct
-from domkit.cuts import Cut, NEG_INF, POS_INF, SIGN_INF, SIGN_SPADE
+from domkit.cuts import Cut, NEG_INF, POS_INF
 from domkit.scalars import Sqrt2, canon, is_rational
+
+SIGN_INF = "inf"
+SIGN_SPADE = "spade"
 
 PREDOM_AXIOMS = ("assoc", "comm", "neutral", "PA", "minus")
 # the axioms that make a pre-dom a dom
@@ -953,10 +959,9 @@ class SubDomView(View):
         return found
 
 
-def special_set(d: Dom, which: str, a=None) -> "SubDomView | list":
-    """Distinguished subsets: widths W, M0, Mge(a), D, H and E."""
-    if which == "W":
-        return d.width_set()
+def special_set(d: Dom, which: str, a=None) -> SubDomView:
+    """Distinguished subsets: M0, Mge(a), D, H and E (the widths are
+    ``d.width_set()``)."""
     if which == "M0":
         zero = d.zero()
         return SubDomView(d, lambda x: d.eq(d.width_of(x), zero), zero,

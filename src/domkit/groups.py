@@ -36,7 +36,8 @@ ATOM_KINDS = ("Z", "Q", "Zloc", "Qr2")
 
 def lex_cmp(x: tuple, y: tuple) -> int:
     """Lexicographic comparison of two coordinate tuples, up to the end of
-    the shorter one: -1, 0 or 1."""
+    the shorter one: -1, 0 or 1.  So an element compared with a prefix of
+    length n is compared by its image in the quotient of n coordinates."""
     for u, v in zip(x, y):
         if u is v:
             continue
@@ -391,13 +392,6 @@ class Group:
 
     def _quotient(self, k: int) -> "Group":
         return Group(self.atoms[:self.num_atoms - k])
-
-    def project(self, x: tuple, k: int) -> tuple:
-        """Image of x in the quotient at ladder level k (drops k trailing coords)."""
-        m = self.num_atoms
-        if not 0 <= k <= m:
-            raise ValueError(f"ladder level {k} out of range 0..{m}")
-        return x[:m - k] if k else x
 
     def in_level(self, x: tuple, k: int) -> bool:
         """Membership of x in the level-k convex subgroup."""

@@ -124,19 +124,10 @@ def coarsening_of(coarse: Valuation, fine: Valuation,
 
 
 def valuation_partition(v: Valuation, universe: list) -> list[tuple]:
-    """Group a universe by value, ordered by the value order."""
-    groups: list[list] = []
-    vals: list = []
-    for x in universe:
-        val = v(x)
-        for i, existing in enumerate(vals):
-            if v.value_cmp(val, existing) == 0:
-                groups[i].append(x)
-                break
-        else:
-            vals.append(val)
-            groups.append([x])
-    order = sorted(range(len(vals)),
-                   key=lambda i: sum(1 for j in range(len(vals))
-                                     if v.value_cmp(vals[j], vals[i]) < 0))
-    return [(vals[i], groups[i]) for i in order]
+    """Group a universe by value, ordered by the value order: each class
+    keeps its members in universe order and the value seen first."""
+    key = functools.cmp_to_key(v.value_cmp)
+    ranked = sorted(((key(v(x)), x) for x in universe), key=lambda p: p[0])
+    # groupby's key of a class is that of its first member
+    return [(k.obj, [x for _, x in cls])
+            for k, cls in itertools.groupby(ranked, key=lambda p: p[0])]

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+from domkit.cuts import FILLED, MINUS, PLUS, Cut
 from domkit.doms import CutDom, Dom
 from domkit.groups import Group
 from domkit.scalars import Sqrt2
@@ -75,6 +76,16 @@ class Ref:
         ``Fraction`` when rational, otherwise a ``Sqrt2`` with b != 0."""
         a, b = (int(v) if v.denominator == 1 else v for v in (self.a, self.b))
         return Sqrt2(a, b) if b else a
+
+
+def closed_form_sign(g: Group, cut: Cut):
+    """The signature of a finite cut of g from its node, the reference
+    that ``doms.sign_of`` is checked against: ``"inf"`` when the atom
+    of its width level (its anchor's atom) is discrete, otherwise +1, -1
+    or 0 as the cut is a realized maximum, a realized minimum or filled."""
+    if g.atoms[g.num_atoms - cut.level - 1].discrete:
+        return "inf"
+    return {PLUS: 1, MINUS: -1, FILLED: 0}[cut.side]
 
 
 def standard_cut_carriers() -> dict[str, CutDom]:

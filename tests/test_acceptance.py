@@ -352,7 +352,7 @@ def test_criterion_10_group_extension_suite():
                 assert (gp.cmp(alpha, x0) < 0) == ct.member_below(g, alpha, lam)
                 assert (gp.cmp(alpha, x0) > 0) == ct.member_above(g, alpha, lam)
             # strict distance bounds between witnesses sit above the width
-            wid = ct.width(g, lam)
+            wid = ct.level_edge(g, lam.level)
             for alpha in probes:
                 assert (gp.cmp((F(0),), alpha) < 0) == ct.member_above(g, alpha, wid)
         for x0, y0 in itertools.product(witnesses[:6], repeat=2):

@@ -447,6 +447,11 @@ EXIT_CONTRACT = [
     # a syntax error anywhere is found before any literal is read
     (["eval", "--carrier", "cuts(Q)", "3/4 + neg("], 2, "parse error: "),
     (["eval", "--carrier", "cuts(Q)", "5 * cut(0)+"], 2, "parse error: "),
+    *[(["eval", "--carrier", "Q", expr], 2, "parse error: unbalanced parentheses in ")
+      for expr in ("1 )", "neg(1))", "1 + neg(2")],
+    (["eval", "--carrier", "Q", "neg(1)+R 2"], 2, "parse error: no space after ')' in "),
+    # an expression that starts with "--" stands after "--"
+    (["eval", "--carrier", "Q", "--", "--1/2"], 2, "parse error: "),
 ]
 
 
@@ -484,6 +489,12 @@ def test_expression_may_start_with_a_dash(capsys):
         assert run(capsys, *argv) == (0, "-inf\n", "")
     assert run(capsys, "eval", "--carrier", "Q", "-1/2 + 1") == (0, "1/2\n", "")
     assert run(capsys, "eval", "--carrier", "Q", "-1/2")[:2] == (0, "-1/2\n")
+    # but an argument that starts with "--" is read as an option, so the
+    # expression is missing: it goes after "--"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--carrier", "Q", "--1/2"])
+    assert exc.value.code == 4
+    assert "the following arguments are required: expr" in capsys.readouterr().err
 
 
 # -- fuzzing the eval grammar -----------------------------------------------------

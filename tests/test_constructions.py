@@ -221,8 +221,6 @@ def test_width_set_of_an_infinite_view_raises():
     d = dual(CutDom(Q))
     with pytest.raises(ValueError):
         d.width_set()
-    with pytest.raises(ValueError):
-        special_set(d, "W")
 
 
 # -- the width-shift maps ---------------------------------------------------------------
@@ -628,3 +626,20 @@ def test_constructed_carriers_contain_and_format(name):
     assert all(d.contains(x) for x in elems)
     assert len({d.fmt(x) for x in distinct}) == len(distinct)
     assert not d.contains(("bogus",))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: to_table(CutDom(Q)), "cuts(Q) is not finite"),
+    (lambda: cuts_of_dom(CutDom(Q)), "cut carriers are materialized for finite carriers only"),
+    (lambda: quotient_by_subdom(CutDom(Q), []),
+     "quotients by sub-carriers are materialized for finite carriers"),
+    (lambda: shift(GroupDom(Q)), "first-type shift needs a minimal positive element"),
+    (lambda: union(t(5), t(5), 3), "the upper carrier must have the width element as its zero"),
+    (lambda: FiberedProduct(t(3), lambda x: True, CutDom(Q)),
+     "the fiber carrier must be finite with a minimum"),
+    (lambda: collapse(t(3), lambda x: True), "collapse needs a third-type carrier"),
+])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

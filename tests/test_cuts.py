@@ -11,9 +11,9 @@ from domkit.cuts import (
     add, compare, edge_above, edge_below, fill_ge, fill_le,
     fills, format_cut, induced_cut, level_edge, lsub,
     make_node, member_above, member_below, neg, parse_cut, project_cut, radd,
-    rsub, shift_by, signature, width, zero_cut,
+    rsub, shift_by, zero_cut,
 )
-from domkit.doms import CutDom, Dom, GroupDom
+from domkit.doms import CutDom, Dom, GroupDom, sign_of
 from domkit.groups import Atom, FactorSet, Group
 from domkit.scalars import Sqrt2
 
@@ -62,7 +62,7 @@ def test_membership_trichotomy():
             below = member_below(QQ, gamma, lam)
             above = member_above(QQ, gamma, lam)
             assert below != above  # the two parts partition the group
-            if QQ.project(gamma, lam.level) == lam.prefix:
+            if gamma[:len(lam.prefix)] == lam.prefix:
                 # a boundary element realizes the side the cut closes on
                 assert below == (lam.side == PLUS)
                 assert above == (lam.side == MINUS)
@@ -262,17 +262,15 @@ def test_order_iff_difference_negative():
 
 
 def test_width_examples():
-    assert width(Q, cc(Q, "cut(7)+")) == zero_cut(Q)
-    assert width(QQ, OMEGA) == OMEGA
+    assert CutDom(Q).width_of(cc(Q, "cut(7)+")) == zero_cut(Q)
+    assert CutDom(QQ).width_of(OMEGA) == OMEGA
     half = make_node(Z2, 0, (F(1, 2),), FILLED)
-    assert width(Z2, half) == zero_cut(Z2)
+    assert CutDom(Z2).width_of(half) == zero_cut(Z2)
     rng = random.Random(6)
     for d in (CutDom(Q), CutDom(Z), CutDom(QQ), CutDom(Z2)):
         for lam in d.sample(rng, 60):
             if lam.kind == "n":
-                assert width(d.group, lam) == rsub(d.group, lam, lam)
-    with pytest.raises(ValueError):
-        width(Q, POS_INF)
+                assert d.width_of(lam) == rsub(d.group, lam, lam)
 
 
 def test_invariance_level():
@@ -367,26 +365,27 @@ def test_projection_compatibilities():
         assert project_cut(g, rsub(g, lam, gam), k) == rsub(q, pl, pg)
         assert project_cut(g, lsub(g, lam, gam), k) == lsub(q, pl, pg)
         gamma = (F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)), F(1))
-        assert project_cut(g, shift_by(g, gamma, lam), k) == \
-            shift_by(q, g.project(gamma, k), pl)
-        assert member_below(g, gamma, lam) == member_below(q, g.project(gamma, k), pl)
+        image = gamma[:g.num_atoms - k]
+        assert project_cut(g, shift_by(g, gamma, lam), k) == shift_by(q, image, pl)
+        assert member_below(g, gamma, lam) == member_below(q, image, pl)
 
 
 # -- signatures -------------------------------------------------------------------
 
 
 def test_signature_values():
-    assert signature(Q, cc(Q, "cut(2)+")) == 1
-    assert signature(Q, cc(Q, "cut(2)-")) == -1
+    dq = CutDom(Q)
+    assert sign_of(dq, cc(Q, "cut(2)+")) == 1
+    assert sign_of(dq, cc(Q, "cut(2)-")) == -1
     root = make_node(Q, 0, (Sqrt2(0, 1),), FILLED)
-    assert signature(Q, root) == 0
-    assert signature(Z, cc(Z, "cut(0)+")) == "inf"
+    assert sign_of(dq, root) == 0
+    assert sign_of(CutDom(Z), cc(Z, "cut(0)+")) == "inf"
     rng = random.Random(11)
     d = CutDom(Z2)
     for lam in d.sample(rng, 60):
         if lam.kind == "n":
-            s = signature(Z2, lam)
-            ns = signature(Z2, neg(Z2, lam))
+            s = sign_of(d, lam)
+            ns = sign_of(d, neg(Z2, lam))
             assert ns == (-s if isinstance(s, int) else s)
 
 
@@ -487,7 +486,7 @@ def test_edges_of_witness_sets(g, gp):
             assert (gp.cmp(alpha, x) < 0) == member_below(g, alpha, lam)
         # unique witness: distances y' - y over fillers are all zero, so
         # alpha bounds them strictly iff alpha is above the width
-        wid = width(g, lam)
+        wid = level_edge(g, lam.level)
         for alpha in probes:
             strict_bound = gp.cmp((F(0),), alpha) < 0
             assert strict_bound == member_above(g, alpha, wid)
@@ -502,6 +501,24 @@ def test_sum_of_filled_cuts_is_edge_of_witness_sums(g, gp):
         s = gp.add(x0, y0)
         assert edge_below(g, gp, s) == add(g, lam, gam)
         assert edge_above(g, gp, s) == radd(g, lam, gam)
+
+
+TWISTED = Group.crossed(Z, Z, FactorSet({(1, 1): -2}))
+
+
+@pytest.mark.parametrize("g,gp,message", [
+    (TWISTED, TWISTED, "fill witnesses over crossed products are not supported"),
+    (Q, QQ, "supergroup must have the same lexicographic shape"),
+    (Group.trivial(), Group.trivial(), "supergroup must have the same lexicographic shape"),
+    (Group.lex(Z, Q), QQ, "only the least significant component may be extended"),
+    (Q, Z, "Z does not extend Q"),
+])
+def test_fill_pairs_are_checked(g, gp, message):
+    # a supergroup pair must share the group's shape and extend only its
+    # last component
+    with pytest.raises(ValueError) as exc:
+        edge_below(g, gp, gp.zero())
+    assert str(exc.value) == message
 
 
 # -- text round trips ---------------------------------------------------------------
@@ -631,7 +648,7 @@ def test_cut_carrier_constants():
         assert d.delta() == neg(g, zero_cut(g))
         for x in pool:
             if x.kind == "n":
-                assert d.width_of(x) == width(g, x)
+                assert d.width_of(x) == level_edge(g, x.level)
         assert d.staples()[4:4 + g.num_atoms] == [level_edge(g, k) for k in range(g.num_atoms)]
 
 

@@ -11,9 +11,10 @@ from domkit.doms import (
     check_laws, classify_type, equiv_class, f_minus, f_plus, hom_kernel, is_convex,
     multiplicity, sign_of, special_set, verify_hom,
 )
-from domkit.groups import Group, lex_cmp
+from domkit.groups import FactorSet, Group, lex_cmp
 from domkit.scalars import Sqrt2
 from domkit.tables import trivial_dom
+from support import closed_form_sign
 
 Q = Group.Q()
 Z = Group.Z()
@@ -180,7 +181,7 @@ def test_signature_rule_rows_exhaustive():
         for s, cuts in reps.items():
             for lam in cuts:
                 assert sign_of(d, lam) == s
-                assert ct.signature(d.group, lam) == s
+                assert closed_form_sign(d.group, lam) == s
                 assert sign_of(d, d.neg(lam)) == -s
         for sa, sb in itertools.product((-1, 0, 1), repeat=2):
             for x in reps[sa]:
@@ -202,6 +203,24 @@ def test_signature_rule_rows_exhaustive():
                         assert c <= 0
                     if sa == 1 and sb == -1:
                         assert c == -1
+
+
+SIGN_CARRIERS = [
+    CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(Group.Zloc(3)), CutDom(Group.Qr2()),
+    CutDom(QQ), CutDom(Group.lex(Z, Q)), CutDom(Group.lex(Q, Z)),
+    CutDom(Group.lex(Z2, Z, Q)), CutDom(Q, "Qr2"), CutDom(Group.lex(Z, Q), "Qr2"),
+    CutDom(Group.crossed(Z, Z, FactorSet({(1, 1): -2}))),
+]
+
+
+@pytest.mark.parametrize("d", SIGN_CARRIERS, ids=[d.name for d in SIGN_CARRIERS])
+def test_sign_of_matches_the_closed_form_on_every_finite_cut(d):
+    # the carrier's derived signature agrees with the one read off the
+    # node: "inf" over a discrete width atom, otherwise the side
+    for seed in (0, 1):
+        for lam in d.sample(random.Random(seed), 80):
+            if lam.kind == "n":
+                assert sign_of(d, lam) == closed_form_sign(d.group, lam), d.fmt(lam)
 
 
 def test_signature_row7_both_outcomes():
@@ -700,3 +719,15 @@ def test_contains_checks_the_anchor_field():
     for d in (CutDom(Q), CutDom(Q, "Qr2")):
         assert d.contains(ct.NEG_INF) and d.contains(POS_INF)
         assert not d.contains((F(0),))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CutDom(Q, "R"), "unknown anchor field 'R'"),
+    (lambda: CutDom(QQ).lambda_map(QQ, cc(QQ, "cut((1,0))+")),
+     "the embedding is defined on width-positive elements only"),
+    (lambda: special_set(CutDom(Q), "W"), "unknown special set 'W'"),
+])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

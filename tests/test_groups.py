@@ -11,7 +11,7 @@ from domkit.cli import parse_carrier
 from domkit.cuts import PLUS, make_node
 from domkit.doms import CutDom, GroupDom
 from domkit.groups import (
-    Atom, FactorSet, Group, validate_factor_set,
+    Atom, FactorSet, Group, lex_cmp, validate_factor_set,
 )
 from domkit.scalars import Sqrt2
 
@@ -83,11 +83,10 @@ def test_ladders_and_projection():
     assert Q.ladder_levels() == 2
     assert QQ.ladder_levels() == 3
     assert Group.lex(Z, Q, Z).ladder_levels() == 4
-    assert QQ.project(el(3, 7), 1) == el(3)
-    assert QQ.project(el(3, 7), 0) == el(3, 7)
+    # an element compares with a prefix as its image in the quotient
+    assert lex_cmp(el(3, 7), el(3)) == 0
+    assert lex_cmp(el(3, 7), el(4)) < 0 < lex_cmp(el(3, 7), el(3, 6))
     assert QQ.quotient(1) == Q
-    with pytest.raises(ValueError):
-        QQ.project(el(1, 2), 5)
     # projection is monotone (order of images agrees)
     zq = Group.lex(Z, Q)
     rng = random.Random(1)
@@ -515,3 +514,20 @@ def test_accepted_factor_sets_lie_in_the_fiber_far_off_the_box(base, fiber, poly
         v = sum(F(c) * x ** i * y ** j for (i, j), c in poly.items())
         assert _in_atom(fiber.atoms[0], v), (x, y, v)
         assert g.add((x, 0), (y, 0)) == (x + y, v)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Atom("R"), "unknown atom kind 'R'"),
+    (lambda: Atom("Z", 3), "Z takes no parameter"),
+    (lambda: Atom("Z").dense_denominator(), "discrete atom has no dense approximations"),
+    (lambda: Group.lex(Q, Group.crossed(Z, Z, FactorSet.zero())),
+     "crossed products cannot be lex components"),
+    (lambda: Group.lex(Group.trivial()), "lex product needs at least one atom"),
+    (lambda: Group.crossed(Group.crossed(Z, Z, FactorSet.zero()), Z, FactorSet.zero()),
+     "nested crossed products are not supported"),
+    (lambda: QQ.check_element(el(1)), "expected 2 coordinates, got (Fraction(1, 1),)"),
+])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

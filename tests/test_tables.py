@@ -497,3 +497,13 @@ def test_each_axiom_fails_alone_on_some_table():
         for t in enumerate_tables(n, {"MB", "MCa", "MCb"}):
             rep = validate(t, ("MA",))
             assert rep["MA"][0], t
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: enumerate_tables(3, {"MA", "bogus"}), "unknown axioms ['bogus']"),
+    (lambda: parse_table("# a comment and nothing else\n\n"), "empty table file"),
+])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
