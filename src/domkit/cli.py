@@ -273,7 +273,7 @@ def _cmd_construct(args) -> int:
         InfinityExtension, MuProduct, collapse, cuts_of_dom, dual, embed_finite,
         quotient_equiv, split_at_width, to_table,
     )
-    from domkit.tables import _check_size, serialize_table, trivial_dom
+    from domkit.tables import serialize_table, trivial_dom
 
     def embed(n):
         h = embed_finite(n)
@@ -303,7 +303,6 @@ def _cmd_construct(args) -> int:
                          f"{'s' if arity > 1 else ''}, got {len(args.args)}")
     out = maker(*args.args)
     if not isinstance(out, str):
-        _check_size(out.n)  # a construction may grow its table past the limit
         out = serialize_table(out)
     sys.stdout.write(out)
     return 0

@@ -25,7 +25,7 @@ from domkit.doms import (
     classify_type, f_plus, is_convex, multiplicity, sign_of, special_set,
 )
 from domkit.groups import Group
-from domkit.tables import FiniteDom, trivial_dom
+from domkit.tables import FiniteDom, _check_size, trivial_dom
 
 
 def _index_of(d: Dom, elems: list, x) -> int:
@@ -40,6 +40,7 @@ def to_table(d: Dom) -> FiniteDom:
     elems = d.iter_elements()
     if elems is None:
         raise ValueError(f"{d.name} is not finite")
+    _check_size(len(elems))
     elems = sorted(elems, key=functools.cmp_to_key(d.cmp))
     n = len(elems)
     plus = [[_index_of(d, elems, d.add(elems[i], elems[j])) for j in range(n)]
@@ -442,26 +443,24 @@ def collapse(m: Dom, class_in_p: Callable) -> tuple[FiberedProduct, Callable]:
 def cuts_of_dom(d: Dom) -> FiniteDom:
     """The cut carrier of a finite first-type carrier.
 
-    The sum of two cuts is the upper edge of the right sums of their
-    left parts.
+    Cut i has the i least elements as its left part. The sum of two cuts
+    is the upper edge of the right sums of their left parts: cut i + cut j
+    is one past the largest right sum of an element below i and one
+    below j, which is the running maximum over the grid of right sums.
     """
     elems = d.iter_elements()
     if elems is None:
         raise ValueError("cut carriers are materialized for finite carriers only")
+    n = len(elems)
+    _check_size(n + 1)
     if classify_type(d) != "first":
         raise ValueError("the base carrier must be of the first type")
-    n = len(elems)
-
-    def plus(i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        best = 0
-        for a in range(i):
-            for b in range(j):
-                best = max(best, _index_of(d, elems, d.radd(elems[a], elems[b])))
-        return best + 1
-
-    return FiniteDom([[plus(i, j) for j in range(n + 1)] for i in range(n + 1)])
+    plus = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            top = _index_of(d, elems, d.radd(elems[i - 1], elems[j - 1])) + 1
+            plus[i][j] = max(plus[i - 1][j], plus[i][j - 1], top)
+    return FiniteDom(plus)
 
 
 # -- embedding the finite chains ----------------------------------------------------

@@ -309,8 +309,6 @@ def project_cut(g: Group, cut: Cut, k: int) -> Cut:
         return cut
     if k > cut.level:
         raise ValueError(f"level {k} not contained in the invariance group (level {cut.level})")
-    if k == 0:
-        return cut
     return make_node(g.quotient(k), cut.level - k, cut.prefix, cut.side)
 
 

@@ -492,7 +492,7 @@ class CutDom(Dom):
         g = self.group
         if g.num_atoms == 0:
             return AssociatedGroup(Group.trivial(), False, "", class_of=lambda x: ())
-        if g.is_discrete:
+        if g.min_positive() is not None:
             return AssociatedGroup(
                 g, True, "classes are successor cuts of group elements",
                 class_of=lambda cut: cut.prefix)
@@ -520,9 +520,8 @@ class CutDom(Dom):
         return True
 
     def minimal_positive(self):
-        if self.group.is_discrete:
-            return ct.make_node(self.group, 0, self.group.min_positive(), ct.PLUS)
-        return None
+        one = self.group.min_positive()
+        return None if one is None else ct.make_node(self.group, 0, one, ct.PLUS)
 
     def archimedean_le(self, x, y):
         return self._rank(self.abs_of(x)) <= self._rank(self.abs_of(y))

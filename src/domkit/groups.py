@@ -11,14 +11,18 @@ product contributes its base coordinates followed by its fiber
 coordinates, so the lexicographic tuple order is always the group
 order. The chain of convex subgroups is indexed by the number of
 trailing coordinates it spans (level 0 = {0}, level m = the whole
-group).
+group): the level-k subgroup holds the elements whose first m - k
+coordinates are zero, and the quotient by it is read on prefixes of
+m - k coordinates. Elements are built canonical by ``check_element``;
+a tuple of ints is canonical as it stands. The difference x - y is
+``add(x, neg(y))``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from domkit.scalars import (
     Scalar,
@@ -337,9 +341,6 @@ class Group:
     def zero(self) -> tuple:
         return (0,) * self.num_atoms
 
-    def from_ints(self, values: Iterable) -> tuple:
-        return tuple(map(canon, values))
-
     def contains(self, x: tuple) -> bool:
         return len(x) == self.num_atoms and all(a.contains(v) for a, v in zip(self.atoms, x))
 
@@ -360,28 +361,15 @@ class Group:
             return (scalar_neg(x[0]),)
         return tuple(map(scalar_neg, x))
 
-    def sub(self, x: tuple, y: tuple) -> tuple:
-        return self.add(x, self.neg(y))
-
     cmp = staticmethod(lex_cmp)
 
     # -- order structure -------------------------------------------------
 
     def min_positive(self) -> Optional[tuple]:
         """Minimal positive element, when the group is discrete."""
-        if self.num_atoms == 0:
-            return None
-        if self.atoms[-1].discrete:
+        if self.atoms and self.atoms[-1].discrete:
             return (0,) * (self.num_atoms - 1) + (1,)
         return None
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.min_positive() is not None
-
-    def ladder_levels(self) -> int:
-        """Number of convex-subgroup levels ({0} = level 0 ... G = level m)."""
-        return self.num_atoms + 1
 
     def quotient(self, k: int) -> "Group":
         """The group modulo the convex subgroup spanning the k trailing atoms."""
@@ -392,11 +380,6 @@ class Group:
 
     def _quotient(self, k: int) -> "Group":
         return Group(self.atoms[:self.num_atoms - k])
-
-    def in_level(self, x: tuple, k: int) -> bool:
-        """Membership of x in the level-k convex subgroup."""
-        m = self.num_atoms
-        return all(v == 0 for v in x[:m - k])
 
     # -- formatting -------------------------------------------------------
 
@@ -438,8 +421,8 @@ class CrossedGroup(Group):
         coordinates, which must lie in the fiber's first n atoms."""
         tw = self.factor(c, d)[:n]
         tw += (0,) * (n - len(tw))
-        fiber = self.fiber.quotient(self.fiber.num_atoms - n)
-        if not fiber.contains(tw):
+        if not all(map(Atom.contains, self.fiber.atoms, tw)):
+            fiber = Group(self.fiber.atoms[:n])
             raise ValueError(
                 f"factor set {self.factor.name} leaves {fiber.format()} at "
                 f"{self.base.format_element(c)}, {self.base.format_element(d)}")

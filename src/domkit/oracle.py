@@ -8,7 +8,10 @@ without the closed-form side-combination tables used by ``cuts.add``:
   operand prefixes (pure bookkeeping, no side logic);
 * whether the supremum is attained is decided by *membership probes*
   (does some group element realize the top projection of each left
-  part?), which only use ``member_below``;
+  part?), which only use ``member_below``; the candidate is the node at
+  that prefix, side ``+`` when both are attained and ``fill`` otherwise,
+  canonicalized by ``make_node`` as any caller's node is (a member
+  anchor is ``-``, a discrete one is folded);
 * the answer is validated against an ascending sampled chain: every
   translated cut must stay below the candidate, and the chain must cross
   a probe strictly below it; failure raises ``OracleError`` (a
@@ -105,7 +108,7 @@ def ascending_chain(g: Group, cut: Cut, n: int) -> list[tuple]:
     if cut.kind == "lo":
         return []
     if cut.kind == "hi":
-        return [g.from_ints([3 ** i] * g.num_atoms) for i in range(n)]
+        return [(3 ** i,) * g.num_atoms for i in range(n)]
     k, p = cut.level, cut.prefix
     if cut.side == PLUS:
         return [p + (i,) * k for i in range(n)]
@@ -154,12 +157,8 @@ def oracle_sum(g: Group, a: Cut, b: Cut, sampler=None) -> Cut:
     k = max(a.level, b.level)
     ta, reach_a = _top_reached(g, a, k)
     tb, reach_b = _top_reached(g, b, k)
-    p = g.add(ta, tb)
-    if reach_a and reach_b:
-        cand = make_node(g, k, p, PLUS)
-    else:
-        side = MINUS if g.atoms[g.num_atoms - k - 1].contains(p[-1]) else FILLED
-        cand = make_node(g, k, p, side)
+    # make_node turns FILLED into MINUS when the anchor is a member
+    cand = make_node(g, k, g.add(ta, tb), PLUS if reach_a and reach_b else FILLED)
     _verify(g, a, b, cand, CHAIN_LEN, sampler or ascending_chain)
     return cand
 

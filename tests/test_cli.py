@@ -33,6 +33,8 @@ def test_eval_examples(capsys):
     code, out, _ = run(capsys, "eval", "--carrier", "cuts(lex(Q,Q))",
                        "width(edge(1)+0)")
     assert code == 0 and out.strip() == "edge(1)+0"
+    # the one element of the trivial group
+    assert run(capsys, "eval", "--carrier", "triv", "()") == (0, "()\n", "")
 
 
 def test_eval_operators_and_unaries(capsys):
@@ -450,6 +452,7 @@ EXIT_CONTRACT = [
     *[(["eval", "--carrier", "Q", expr], 2, "parse error: unbalanced parentheses in ")
       for expr in ("1 )", "neg(1))", "1 + neg(2")],
     (["eval", "--carrier", "Q", "neg(1)+R 2"], 2, "parse error: no space after ')' in "),
+    (["eval", "--carrier", "cuts(Q)", "cut(1/-2)+"], 2, "parse error: '-2' is not a denominator"),
     # an expression that starts with "--" stands after "--"
     (["eval", "--carrier", "Q", "--", "--1/2"], 2, "parse error: "),
 ]

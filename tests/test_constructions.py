@@ -569,6 +569,49 @@ def test_cuts_of_dom():
     assert all_pass(check_axioms(big, universe=big.iter_elements()))
 
 
+def _quadruple_loop_cuts(d):
+    """The cut carrier's table straight from the definition: cut i + cut j
+    is one past the largest right sum of an element below i and one
+    below j, found by scanning all of them."""
+    elems = d.iter_elements()
+    n = len(elems)
+
+    def plus(i, j):
+        if i == 0 or j == 0:
+            return 0
+        return 1 + max(elems.index(d.radd(elems[a], elems[b]))
+                       for a in range(i) for b in range(j))
+
+    return FiniteDom([[plus(i, j) for j in range(n + 1)] for i in range(n + 1)])
+
+
+class _CountingRadd(View):
+    def __init__(self, parent):
+        super().__init__(parent, parent.name)
+        self.radd_calls = 0
+
+    def radd(self, x, y):
+        self.radd_calls += 1
+        return self.parent.radd(x, y)
+
+
+def _is_first_type(d):
+    try:
+        return classify_type(d) == "first"
+    except ValueError:  # not a carrier of any type
+        return False
+
+
+def test_cuts_of_dom_matches_the_definition_with_n_squared_right_sums():
+    tables = [t for n in range(1, 7) for t in enumerate_tables(n, set(), bound=n)
+              if _is_first_type(t)]
+    assert len(tables) == 17
+    for table in tables:
+        counted = _CountingRadd(table)
+        assert cuts_of_dom(counted) == _quadruple_loop_cuts(table), table.plus
+        assert counted.radd_calls <= table.n ** 2, table.plus
+
+
 def test_cuts_of_dom_alternative_plus_defect():
     alt = left_rule_cuts(t(3))
     rep = validate(alt)
@@ -638,6 +681,9 @@ def test_constructed_carriers_contain_and_format(name):
     (lambda: FiberedProduct(t(3), lambda x: True, CutDom(Q)),
      "the fiber carrier must be finite with a minimum"),
     (lambda: collapse(t(3), lambda x: True), "collapse needs a third-type carrier"),
+    # H of the 2-chain is its upper element alone, which the minus sends out
+    (lambda: FiberedProduct(t(3), lambda x: True, special_set(t(2), "H")),
+     "fiber extremes must be exchanged by the minus"),
 ])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as exc:

@@ -461,13 +461,13 @@ def test_fill_sum_bracketing(g, gp):
         if fills(g, gp, x, lam) and fills(g, gp, y, gam):
             assert fill_le(g, gp, s, add(g, lam, gam))    # left sum <= x + y
             assert fill_ge(g, gp, s, radd(g, lam, gam))   # x + y <= right sum
-            d = gp.sub(x, y)
+            d = gp.add(x, gp.neg(y))
             assert fill_le(g, gp, d, lsub(g, lam, gam))
             assert fill_ge(g, gp, d, rsub(g, lam, gam))
     lam = induced_cut(g, gp, xs[0])
     for lam_small in ((F(-2),), (F(1),)):
         assert member_below(g, lam_small, shift_by(g, (F(3),), lam)) == \
-            member_below(g, g.sub(lam_small, (F(3),)), lam)
+            member_below(g, g.add(lam_small, g.neg((F(3),))), lam)
 
 
 @pytest.mark.parametrize("g,gp", [(Z2, Q), (Q, QR2)])

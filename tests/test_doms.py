@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from domkit import cuts as ct
+from domkit.constructions import dual
 from domkit.cuts import FILLED, MINUS, PLUS, POS_INF, make_node, parse_cut
 from domkit.doms import (
     ALL_AXIOMS, CutDom, GroupDom, HomCandidate, SubDomView, TildeDom, check_axioms,
@@ -726,6 +727,11 @@ def test_contains_checks_the_anchor_field():
     (lambda: CutDom(QQ).lambda_map(QQ, cc(QQ, "cut((1,0))+")),
      "the embedding is defined on width-positive elements only"),
     (lambda: special_set(CutDom(Q), "W"), "unknown special set 'W'"),
+    # the anchor 1/2 of a + cut is not in the target's Z
+    (lambda: CutDom(QQ).lambda_map(Group.lex(Group.Z(), Q), cc(QQ, "edge(1)+1/2")),
+     "target group does not contain the approximating classes"),
+    (lambda: special_set(dual(CutDom(Q)), "M0").minimal_positive(),
+     "minimal positive element undecidable for dual(cuts(Q))^0"),
 ])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as exc:

@@ -36,6 +36,9 @@ def test_oracle_known_values():
         == parse_cut(Z, "cut(1)+")
     assert oracle_diff(QQ, "right", om, om) == om
     assert oracle_diff(QQ, "left", om, om) == ct.neg(QQ, om)
+    with pytest.raises(ValueError) as exc:
+        oracle_diff(QQ, "up", om, om)
+    assert str(exc.value) == "unknown difference mode 'up'"
 
 
 def test_chain_is_cofinal_and_below():
@@ -239,7 +242,7 @@ def _wrong_candidates(g, s):
     if s.kind != "n":
         return []
     return [ct.NEG_INF, ct.POS_INF] + [
-        ct.shift_by(g, g.from_ints([v] * g.num_atoms), s) for v in (-1, 1)]
+        ct.shift_by(g, (v,) * g.num_atoms, s) for v in (-1, 1)]
 
 
 # The per-element walk the ordered pass replaced: every shift is compared
@@ -290,7 +293,7 @@ def leaving(g, cut, n):
     chain = ascending_chain(g, cut, n)
     if not chain:
         return chain
-    out = g.add(chain[-1], g.from_ints([3] * g.num_atoms))
+    out = g.add(chain[-1], (3,) * g.num_atoms)
     return chain[: n // 2] + [out] * (n - n // 2)
 
 
