@@ -215,8 +215,6 @@ def _cmd_check_table(args) -> int:
     report = validate(_read_table(args.file))
     failed = False
     for key, label in AXIOM_LABELS:
-        if key not in report:
-            continue
         ok, witness = report[key]
         if ok:
             print(f"{label}: PASS")

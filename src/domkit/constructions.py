@@ -14,6 +14,7 @@ group zero of the mixed carrier in the middle for odd n.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
 from typing import Callable, Optional
@@ -28,24 +29,30 @@ from domkit.groups import Group
 from domkit.tables import FiniteDom, _check_size, trivial_dom
 
 
-def _index_of(d: Dom, elems: list, x) -> int:
-    for i, e in enumerate(elems):
-        if d.eq(e, x):
-            return i
-    raise ValueError(f"element {d.fmt(x)} escaped the finite carrier")
+def _sorted_index(d: Dom, elems: list) -> tuple[list, Callable]:
+    """The elements sorted by ``d.cmp``, and the map from a member of the
+    carrier to its position among them, found by bisection."""
+    key = functools.cmp_to_key(d.cmp)
+    elems = sorted(elems, key=key)
+
+    def index(x) -> int:
+        i = bisect.bisect_left(elems, key(x), key=key)
+        if i == len(elems) or not d.eq(elems[i], x):
+            raise ValueError(f"element {d.fmt(x)} escaped the finite carrier")
+        return i
+
+    return elems, index
 
 
 def to_table(d: Dom) -> FiniteDom:
-    """Materialize a finite carrier as an addition table (order-sorted)."""
+    """Materialize a finite carrier as an addition table over its elements
+    sorted by order; each sum is found by bisection among them."""
     elems = d.iter_elements()
     if elems is None:
         raise ValueError(f"{d.name} is not finite")
     _check_size(len(elems))
-    elems = sorted(elems, key=functools.cmp_to_key(d.cmp))
-    n = len(elems)
-    plus = [[_index_of(d, elems, d.add(elems[i], elems[j])) for j in range(n)]
-            for i in range(n)]
-    return FiniteDom(plus)
+    elems, index = _sorted_index(d, elems)
+    return FiniteDom([[index(d.add(x, y)) for y in elems] for x in elems])
 
 
 # -- dual ---------------------------------------------------------------------
@@ -169,7 +176,7 @@ def factor_through_quotient(qhom: HomCandidate, phi: HomCandidate) -> HomCandida
     for x in elems:
         reps.setdefault(qhom(x), x)
     return HomCandidate(qhom.target, phi.target, lambda c: phi(reps[c]),
-                        universe=sorted(reps))
+                        universe=list(reps))
 
 
 class Quotient(View):
@@ -243,12 +250,8 @@ def union(m: Dom, n: Dom, k) -> GlueDom:
     lower = SubDomView(m, lambda x: m.lt(m.width_of(x), k), zero,
                        f"{m.name}^(<{m.fmt(k)})", staples=[zero, m.delta()])
 
-    def theta_plus_min(x):
-        z = m.add(x, k)
-        dv = n.neg(k)
-        return n.rsub(n.add(z, dv), dv)
-
-    return GlueDom(lower, n, theta_plus_min, k, name=f"union({m.name},{n.name},{m.fmt(k)})")
+    return GlueDom(lower, n, lambda x: f_plus(n, m.add(x, k)), k,
+                   name=f"union({m.name},{n.name},{m.fmt(k)})")
 
 
 def split_at_width(m: Dom, k) -> GlueDom:
@@ -447,6 +450,8 @@ def cuts_of_dom(d: Dom) -> FiniteDom:
     is the upper edge of the right sums of their left parts: cut i + cut j
     is one past the largest right sum of an element below i and one
     below j, which is the running maximum over the grid of right sums.
+    The elements are sorted by order, and each right sum is found by
+    bisection among them.
     """
     elems = d.iter_elements()
     if elems is None:
@@ -455,10 +460,11 @@ def cuts_of_dom(d: Dom) -> FiniteDom:
     _check_size(n + 1)
     if classify_type(d) != "first":
         raise ValueError("the base carrier must be of the first type")
+    elems, index = _sorted_index(d, elems)
     plus = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            top = _index_of(d, elems, d.radd(elems[i - 1], elems[j - 1])) + 1
+            top = index(d.radd(elems[i - 1], elems[j - 1])) + 1
             plus[i][j] = max(plus[i - 1][j], plus[i][j - 1], top)
     return FiniteDom(plus)
 

@@ -361,14 +361,14 @@ def edge_below(g: Group, gp: Group, x: tuple) -> Cut:
     """Upper edge of the set of group elements strictly below x."""
     _check_pair(g, gp)
     gp.check_element(x)
-    return make_node(g, 0, x, MINUS if g.contains(x) else FILLED)
+    return make_node(g, 0, x, FILLED)
 
 
 def edge_above(g: Group, gp: Group, x: tuple) -> Cut:
     """Lower edge of the set of group elements strictly above x."""
     _check_pair(g, gp)
     gp.check_element(x)
-    return make_node(g, 0, x, PLUS if g.contains(x) else FILLED)
+    return make_node(g, 0, x, PLUS)
 
 
 # -- approximation from below, for the oracle's chains ----------------------

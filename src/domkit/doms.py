@@ -1,9 +1,9 @@
 """The shared ordered-monoid-with-minus interface and its carriers.
 
 A carrier exposes four primitives (zero, add, neg, cmp); everything else
--- right sum, both differences, width, absolute value, iterated sums,
-signature, classification -- is derived from the defining equations and
-is therefore uniform across finite tables, groups, cut carriers and the
+-- right sum, both differences, width, absolute value, signature,
+classification -- is derived from the defining equations and is
+therefore uniform across finite tables, groups, cut carriers and the
 mixed group-plus-cuts carrier.
 
 Facts about one carrier are methods of that carrier: ``associated_group``,
@@ -55,7 +55,7 @@ class AssociatedGroup:
     """The ordered group of width-zero classes and the map onto it."""
 
     def __init__(self, group: Optional[Group], shifted_minus: bool, note: str,
-                 class_of: Callable = lambda x: x):
+                 class_of: Callable):
         self.group = group
         self.shifted_minus = shifted_minus
         self.note = note
@@ -117,23 +117,6 @@ class Dom:
 
     def abs_of(self, x):
         return self.max(x, self.neg(x))
-
-    def add_n(self, x, y, n: int):
-        for _ in range(n):
-            x = self.add(x, y)
-        return x
-
-    def sub_n(self, x, y, n: int):
-        for _ in range(n):
-            x = self.rsub(x, y)
-        return x
-
-    def scale(self, n: int, x):
-        if n == 0:
-            return self.zero()
-        if n < 0:
-            return self.neg(self.scale(-n, x))
-        return self.add_n(x, x, n - 1)
 
     # -- universe ---------------------------------------------------------
 
@@ -497,8 +480,7 @@ class CutDom(Dom):
                 g, True, "classes are successor cuts of group elements",
                 class_of=lambda cut: cut.prefix)
         atoms = list(g.atoms)
-        if atoms[-1].kind == "Zloc" or (atoms[-1].kind == "Q" and self.field == "Qr2"):
-            atoms[-1] = Atom("Qr2") if self.field == "Qr2" else Atom("Q")
+        atoms[-1] = Atom("Qr2" if "Qr2" in (self.field, atoms[-1].kind) else "Q")
         rep = Group(tuple(atoms))
         return AssociatedGroup(
             rep, False,

@@ -192,6 +192,17 @@ def test_quotients_of_the_chains_by_symmetric_intervals():
                 assert hom_ok(verify_hom(q.quotient_map())), (n, lo)
 
 
+def test_factor_through_a_quotient_of_unordered_elements():
+    # the cuts of the infinity extension have no Python order: the factored
+    # map lists the classes in the quotient's own order
+    d = InfinityExtension(t(3))
+    q = quotient_by_subdom(d, [d.zero()])
+    identity = HomCandidate(d, d, lambda x: x, universe=d.iter_elements())
+    bar = factor_through_quotient(q.quotient_map(), identity)
+    assert bar.universe == q.iter_elements()
+    assert hom_ok(verify_hom(bar))
+
+
 def test_quotient_rejects_non_subdoms():
     d = t(5)
     with pytest.raises(ValueError):
@@ -214,6 +225,11 @@ def test_quotient_equiv():
     assert d.eq(f_plus(d, d.delta()), d.zero())
     q4 = quotient_equiv(t(4))
     assert to_table(q4) == trivial_dom(3)
+    # an infinite carrier's quotient is sampled through its representatives
+    qz = quotient_equiv(CutDom(Z))
+    assert qz.iter_elements() is None
+    for x in qz.sample(random.Random(5), 30):
+        assert qz.contains(x) and qz.rep(x) == x
 
 
 def test_width_set_of_an_infinite_view_raises():
@@ -479,6 +495,7 @@ def test_mu_product_contracts():
     assert hom_ok(verify_hom(pi))
     kern = hom_kernel(pi)
     assert kern == [(t(5).zero(), y) for y in t(2).iter_elements()]
+    assert not mp.contains((7, 0))  # the point lies outside the base
     with pytest.raises(ValueError):
         MuProduct(t(4), t(2))  # base must be of the first type
 
@@ -671,6 +688,16 @@ def test_constructed_carriers_contain_and_format(name):
     assert not d.contains(("bogus",))
 
 
+class _Unbounded(View):
+    """The chain's elements with integer addition, which leaves the chain."""
+
+    def __init__(self, parent):
+        super().__init__(parent, "unbounded")
+
+    def add(self, x, y):
+        return x + y
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: to_table(CutDom(Q)), "cuts(Q) is not finite"),
     (lambda: cuts_of_dom(CutDom(Q)), "cut carriers are materialized for finite carriers only"),
@@ -684,6 +711,7 @@ def test_constructed_carriers_contain_and_format(name):
     # H of the 2-chain is its upper element alone, which the minus sends out
     (lambda: FiberedProduct(t(3), lambda x: True, special_set(t(2), "H")),
      "fiber extremes must be exchanged by the minus"),
+    (lambda: to_table(_Unbounded(t(3))), "element 3 escaped the finite carrier"),
 ])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as exc:

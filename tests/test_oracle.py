@@ -192,7 +192,7 @@ def test_walk_end_cuts_built_from_coordinates_are_the_engines():
     rng = random.Random(27)
     n = oracle.CHAIN_LEN
     kinds = Counter()
-    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ, XQ):
+    for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ, XQ, CutDom(Z2, "Qr2")):
         g = d.group
         pool = d.sample(rng, 60)
         for _ in range(60):

@@ -73,6 +73,11 @@ def test_immutability():
         x.a = F(3)
 
 
+def test_a_rational_value_hashes_like_the_rational():
+    for a in (3, F(1, 2)):
+        assert Sqrt2(a, 0) == a and hash(Sqrt2(a, 0)) == hash(a)
+
+
 scalars = st.one_of(rationals, st.builds(Sqrt2, rationals, rationals))
 
 
