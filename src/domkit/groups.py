@@ -41,7 +41,28 @@ ATOM_KINDS = ("Z", "Q", "Zloc", "Qr2")
 def lex_cmp(x: tuple, y: tuple) -> int:
     """Lexicographic comparison of two coordinate tuples, up to the end of
     the shorter one: -1, 0 or 1.  So an element compared with a prefix of
-    length n is compared by its image in the quotient of n coordinates."""
+    length n is compared by its image in the quotient of n coordinates.
+
+    A coordinate that is the same object on both sides is skipped, and so
+    is a tuple compared with itself; ints are compared inline and other
+    scalars by ``scalar_cmp``.  The first coordinate is decided before
+    any iterator is built: it decides most compares of the engine and of
+    the oracle's walk."""
+    if x is y:
+        return 0
+    try:
+        u, v = x[0], y[0]
+    except IndexError:
+        return 0  # an empty tuple
+    if u is not v:
+        if type(u) is int and type(v) is int:
+            if u != v:
+                return 1 if u > v else -1
+        else:
+            c = scalar_cmp(u, v)
+            if c:
+                return c
+    # the first coordinates are equal; the loop meets them again
     for u, v in zip(x, y):
         if u is v:
             continue

@@ -23,7 +23,16 @@ without the closed-form side-combination tables used by ``cuts.add``:
 * the walk is one ordered pass in group coordinates: each element
   gamma must lie below b, a lexicographic comparison of gamma's first
   coordinates with b's prefix, and its shift of ``a`` must be no less
-  than the previous one.  Translation by a group element is an order
+  than the previous one.  The pass makes one comparison per element:
+  each element with the next in G's full lexicographic order, from the
+  element before the chain, and the last one with b.  A chain that
+  ascends in G's order and ends below b meets both conditions at every
+  element: each element is no greater than the last, so it lies below
+  b (the left part is closed downwards), and its projection to any
+  level is no less than the one before.  Any other chain, such as a
+  caller's that ascends only modulo H_k, is walked again element by
+  element with the two comparisons each, which raises the first error
+  in chain order.  Translation by a group element is an order
   automorphism of every quotient G/H_k, and it keeps the level and the
   side of a canonical cut (a member anchor plus a member stays a member,
   a non-member stays a non-member; over a crossed product the twist
@@ -206,12 +215,25 @@ def _walk_chain(g: Group, a: Cut, b: Cut, cand: Cut, chain: list[tuple],
     Each element must lie below ``b``, and the shift of ``a`` by it must
     be no less than the shift by ``prev``, the element before it; both
     are decided in group coordinates, as the module docstring explains.
-    On failure the shift by ``prev`` is compared with the candidate first.
+    A first pass compares each element with the next in G's full order,
+    from ``prev``, and the last one with ``b``, one compare per element;
+    a chain that passes it meets both conditions at every element.  Any
+    other chain, such as a caller's that ascends only modulo a's level,
+    is walked element by element, and on failure the shift by ``prev`` is
+    compared with the candidate first.
     """
     # gamma < b iff lex_cmp(gamma, bp) < bound; an infinite b has no
     # prefix, so every element is below +inf and none below -inf
     bp = b.prefix
     bound = 1 if b.kind == "hi" or (b.kind == "n" and b.side == PLUS) else 0
+    last = prev
+    for gamma in chain:
+        if last is not None and lex_cmp(last, gamma) > 0:
+            break
+        last = gamma
+    else:
+        if not chain or lex_cmp(last, bp) < bound:
+            return last
     na = len(a.prefix)  # 0 for an infinite a: every projection is ()
     top = None if prev is None else prev[:na]
     for gamma in chain:

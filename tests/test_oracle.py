@@ -168,6 +168,38 @@ def test_walk_makes_no_engine_call_per_element(monkeypatch):
         assert dict(counts) == seen[1]
 
 
+def test_walk_makes_one_compare_per_element(monkeypatch):
+    # a built-in chain ascends in the full order, so its walk is the
+    # ordered pass alone: one lex_cmp per element and one with b, where
+    # an element-by-element walk makes two per element
+    compares = Counter()
+    walked = Counter()
+
+    def counted_cmp(x, y, _fn=lex_cmp):
+        compares["n"] += 1
+        return _fn(x, y)
+
+    def counted_walk(g, a, b, cand, chain, prev, _fn=oracle._walk_chain):
+        compares.clear()
+        last = _fn(g, a, b, cand, chain, prev)
+        assert compares["n"] <= len(chain) + 1, (compares["n"], len(chain), prev is None)
+        walked[prev is None] += 1
+        return last
+
+    monkeypatch.setattr(oracle, "lex_cmp", counted_cmp)
+    monkeypatch.setattr(oracle, "_walk_chain", counted_walk)
+    # criterion 5's seed and pool size on its four carriers and on cuts(Q,r2)
+    rng = random.Random(202)
+    carriers = dict(support.standard_cut_carriers(), R2=R2)
+    for d in carriers.values():
+        g = d.group
+        pool = d.sample(rng, 400)
+        for _ in range(250):
+            _four_oracle_results(g, rng.choice(pool), rng.choice(pool), cold=False)
+    # both halves of a chain were walked, many times
+    assert min(walked[True], walked[False]) > 500, walked
+
+
 def _probe_by_make_node(g, cand, n):
     """The probe of the n-element chain as make_node builds it."""
     if cand.kind == "hi":
@@ -313,10 +345,39 @@ def empty(g, cut, n):
     return []
 
 
+def falling_behind_the_lead(g, cut, n):
+    # the chain's first coordinates, with trailing ones that fall by 3 per
+    # element: over two or more atoms, where first coordinates are equal,
+    # it descends in the full order but ascends in the projection to the
+    # first coordinate, so it passes under an a whose prefix is that one
+    # coordinate
+    chain = ascending_chain(g, cut, n)
+    m = g.num_atoms
+    return [g.add(x, (0,) + (-3 * i,) * (m - 1)) for i, x in enumerate(chain)]
+
+
+def out_and_back(g, cut, n):
+    # steps past the cut at three quarters of the chain, then returns
+    # below it: the last element is below the cut, one before it is not
+    chain = ascending_chain(g, cut, n)
+    if not chain:
+        return chain
+    i = 3 * n // 4
+    return chain[:i] + [g.add(chain[-1], (3,) * g.num_atoms)] + chain[i + 1:]
+
+
+def _ascends_in_full_order(chain):
+    return all(lex_cmp(x, y) <= 0 for x, y in zip(chain, chain[1:]))
+
+
 def test_ordered_pass_raises_what_the_per_element_walk_raised():
     rng = random.Random(11)
-    samplers = (ascending_chain, descending, leaving, rising_then_falling, stuck, empty)
+    samplers = (ascending_chain, descending, leaving, rising_then_falling, stuck, empty,
+                falling_behind_the_lead, out_and_back)
     outcomes = set()
+    # candidates the element-by-element walk accepted on a chain of
+    # falling_behind_the_lead that descends in the full order
+    accepted_modulo_level = 0
     for d in (CutDom(Q), CutDom(Z), CutDom(Z2), CutDom(QQ), R2, XZ):
         g = d.group
         # oracle_sum verifies finite sums of finite operands only
@@ -330,6 +391,8 @@ def test_ordered_pass_raises_what_the_per_element_walk_raised():
                     want = _verify_or_error(_reference_verify, g, a, b, cand, sampler)
                     assert got == want, (d.fmt(a), d.fmt(b), d.fmt(cand), sampler.__name__)
                     outcomes.add(got[1] if isinstance(got, tuple) else "ok")
+                    if sampler is falling_behind_the_lead and got == cand:
+                        accepted_modulo_level += not _ascends_in_full_order(sampler(g, b, 16))
     # every outcome of the walk was compared
     assert outcomes == {
         "ok",
@@ -340,6 +403,7 @@ def test_ordered_pass_raises_what_the_per_element_walk_raised():
         "chain does not grow towards +inf",
         "empty chain can only have supremum -inf",
     }
+    assert accepted_modulo_level > 0
 
 
 def test_oracle_equivalence_on_cuts_q_r2():
