@@ -63,9 +63,10 @@ without the closed-form side-combination tables used by ``cuts.add``:
   they are too few for repeated pairs or pool elements to hit.
 * the engine calls that remain are ``member_below`` in the membership
   probes, ``make_node`` for the candidate, and ``compare`` of each walk
-  end's shift with the candidate and the probe, and of the probe with
-  the candidate.  The walk-end shifts and the probes are built from
-  coordinates, already canonical, as ``make_node`` would build them.
+  end's shift with the candidate and with the probe.  The walk-end
+  shifts and the probes are built from coordinates, already canonical,
+  as ``make_node`` would build them, and each probe strictly below its
+  candidate, so the probe is not compared with the candidate.
 * the probe below a ``+`` candidate is the lower edge of its anchor,
   ``(p, -)`` over a dense atom and the folded ``(p[:-1] + (t - 1,), +)``
   over a discrete one; it is the same for both chain lengths.  The probe
@@ -310,7 +311,7 @@ def _check_least(g: Group, cand: Cut, last: Cut | None, probe: Cut | None) -> No
         if compare(g, last, probe) <= 0:
             raise OracleError("chain does not grow towards +inf")
         return
-    if compare(g, probe, cand) < 0 and compare(g, last, probe) <= 0:
+    if compare(g, last, probe) <= 0:
         raise OracleError("candidate is not approached by the sampled chain")
 
 

@@ -30,7 +30,13 @@ completed, the last cell included. Each leaf gets one independent final
 pass on the search's own matrix: the whole-table kernels below are
 called on its rows directly, associativity over all triples and, when
 MC' is asked for, MC' over all triples; only a leaf passing both is
-built as a table.
+built as a table. The tables of one enumeration share their row tuples:
+each row is stored once per call, in a dict of the distinct rows found
+so far, and every table holds that stored tuple. Almost every row
+repeats (677 distinct rows among the 35,424 rows of the 3,936 MA+MB
+tables at n = 9), so a table holds one new tuple, of references to
+its n rows, instead of n + 1 fresh tuples (112 bytes instead of 1,120
+at n = 9). The store lives only for the call.
 
 ``validate`` checks associativity and MC' on all n^3 triples at once,
 on a byte layout of the table that ``_layout`` builds once per call
@@ -291,13 +297,17 @@ def enumerate_tables(n: int, axioms: Iterable[str] = doms.M_AXIOMS,
     if unknown:
         raise ValueError(f"unknown axioms {sorted(unknown)}")
     results: list[FiniteDom] = []
+    shared: dict = {}
     for e in _neutral_candidates(n, axioms):
-        results.extend(_search_with_neutral(n, e, axioms))
+        results.extend(_search_with_neutral(n, e, axioms, shared))
     results.sort(key=attrgetter("plus"))
     return results
 
 
-def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDom]:
+def _search_with_neutral(n: int, e: int, axioms: frozenset, shared: dict) -> list[FiniteDom]:
+    """The tables with neutral ``e``, in search order.  Their rows are
+    taken from ``shared``, the distinct rows found so far in one
+    enumeration, each stored once as both key and value."""
     top = n - 1
     delta = top - e
     need_mcprime = "MCprime" in axioms
@@ -413,7 +423,8 @@ def _search_with_neutral(n: int, e: int, axioms: frozenset) -> list[FiniteDom]:
             layout = _layout(P)
             if _assoc_verdict(*layout)[0] and (
                     not need_mcprime or _mcprime_verdict(*layout)[0]):
-                out.append(FiniteDom._of(tuple(map(tuple, P)), e))
+                rows = list(map(tuple, P))
+                out.append(FiniteDom._of(tuple(map(shared.setdefault, rows, rows)), e))
             return
         i, j, pairs, completions, lo, hi, below, above, check_mcprime = plan[idx]
         for row, k in below:

@@ -137,9 +137,11 @@ def test_shifts_compare_as_their_projections():
 def test_walk_makes_no_engine_call_per_element(monkeypatch):
     # the engine calls of a verification do not grow with the chain, and
     # the walk ends are checked against cuts built from coordinates: the
-    # only engine call left is compare, three times per walk end (the
-    # shift with the candidate, the probe with the candidate, the shift
-    # with the probe).  Every binding of the four functions is counted,
+    # only engine call left is compare, twice per walk end (the shift
+    # with the candidate, the shift with the probe; the probe lies below
+    # the candidate by construction, which
+    # test_probes_lie_strictly_below_their_candidates checks).  Every
+    # binding of the four functions is counted,
     # in cuts and in the oracle, so no route to them is missed
     counts = Counter()
     for name in ("member_below", "shift_by", "compare", "make_node"):
@@ -159,7 +161,7 @@ def test_walk_makes_no_engine_call_per_element(monkeypatch):
             _verify(g, a, b, cand, n, ascending_chain)
             seen.append(dict(counts))
         assert seen[0] == seen[1] == seen[2], seen
-        assert seen[0] == {"compare": 6}, (cand, seen[0])
+        assert seen[0] == {"compare": 4}, (cand, seen[0])
         # a call that finds its walk remembered still runs every check that
         # reads a and the candidate: the same engine calls
         assert any(e[2] == 8 and e[3] == b for e in oracle._walks)
@@ -198,6 +200,39 @@ def test_walk_makes_one_compare_per_element(monkeypatch):
             _four_oracle_results(g, rng.choice(pool), rng.choice(pool), cold=False)
     # both halves of a chain were walked, many times
     assert min(walked[True], walked[False]) > 500, walked
+
+
+def test_probes_lie_strictly_below_their_candidates(monkeypatch):
+    # the least-bound check compares the last shift with each probe and
+    # does not compare the probe with the candidate: every probe must lie
+    # strictly below its candidate.  The candidates are the oracle's own
+    # on pairs from criterion 5's pools and from a cuts(Q,r2) pool, and
+    # every pool element
+    cands = []
+
+    def recorded(g, a, b, cand, chain_len, sampler, _fn=oracle._verify):
+        cands.append(cand)
+        return _fn(g, a, b, cand, chain_len, sampler)
+
+    monkeypatch.setattr(oracle, "_verify", recorded)
+    rng = random.Random(202)
+    kinds = Counter()
+    for d in dict(support.standard_cut_carriers(), R2=R2).values():
+        g = d.group
+        pool = d.sample(rng, 400)
+        cands.clear()
+        for _ in range(250):
+            _four_oracle_results(g, rng.choice(pool), rng.choice(pool), cold=False)
+        for cand in cands + pool:
+            probes = oracle._probes(g, cand, oracle.CHAIN_LEN)
+            if cand.kind == "lo":
+                assert probes == (None, None)
+                continue
+            kinds[cand.kind, cand.side if cand.kind == "n" else None] += 1
+            for probe in probes:
+                assert ct.compare(g, probe, cand) < 0, (d.fmt(probe), d.fmt(cand))
+    # every kind of candidate the probes distinguish was met
+    assert set(kinds) == {("hi", None), ("n", PLUS), ("n", MINUS), ("n", FILLED)}, kinds
 
 
 def _probe_by_make_node(g, cand, n):
